@@ -106,9 +106,6 @@ class DecisionAllocator:
         self._next += 1
         return idx
 
-    def fresh_block(self, size: int) -> List[int]:
-        return [self.fresh() for _ in range(size)]
-
 
 class AffinePolynomial:
     """Sparse polynomial whose coefficients are AffineExprs in z."""

@@ -26,12 +26,11 @@ from .specio import (
 from .verifier import (
     Verdict,
     VerifierOptions,
+    _emptiness_schedule,
+    _resolved_single_schedule,
     assemble_emptiness_lp,
     assemble_single_lp,
     check_emptiness,
-    default_deg_p,
-    default_deg_s,
-    default_emptiness_deg_s,
     verify_multi,
     verify_single,
 )
@@ -162,11 +161,12 @@ def cmd_empty_check(args) -> int:
 
 def cmd_export_lp(args) -> int:
     spec = load_problem_file(args.problem)
+    if args.a is not None:  # --a narrows the a schedule to one exponent
+        args.a_values = [args.a]
     opts = _options_from_args(args, spec.options)
     if args.emptiness:
-        degrees = (list(opts.emptiness_deg_s) if opts.emptiness_deg_s is not None
-                   else default_emptiness_deg_s(spec.candidates))
-        ds = degrees[0] if args.deg_s is None else args.deg_s[0]
+        ds = (_emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"][0]
+              if args.deg_s is None else args.deg_s[0])
         lp, _ = assemble_emptiness_lp(
             spec.candidates, ds, archimedean_C=opts.archimedean_C,
             reduce_basis=opts.reduce_basis,
@@ -178,10 +178,7 @@ def cmd_export_lp(args) -> int:
                 % (args.candidate, len(spec.candidates))
             )
         cand = spec.candidates[args.candidate]
-        a = opts.a_values[0] if args.a is None else args.a
-        ds = (opts.deg_s[0] if opts.deg_s is not None else default_deg_s(cand.b))
-        dp = (opts.deg_p[0] if opts.deg_p is not None
-              else default_deg_p(cand, a, ds))
+        a, ds, dp = _resolved_single_schedule(cand, opts)[0]
         lp, _ = assemble_single_lp(spec.system, cand, a, ds, dp,
                                    reduce_basis=opts.reduce_basis)
     text = export_lp_text(lp, destination=args.out)

@@ -21,6 +21,8 @@ import numpy as np
 
 # Dense-tableau capacity: problems beyond this must go through export_lp_text.
 MAX_DENSE_VARS = 5000
+# Inequality multipliers below -FARKAS_SIGN_TOL void a Farkas certificate.
+FARKAS_SIGN_TOL = 1e-9
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -144,7 +146,7 @@ class LpProblem:
 
 
 def validate_farkas(
-    lp: LpProblem, cert: FarkasCertificate, tol: float = 1e-9
+    lp: LpProblem, cert: FarkasCertificate, tol: float = FARKAS_SIGN_TOL
 ) -> Tuple[float, float]:
     """(max |combined coefficient|, combined right-hand side).
 

@@ -11,9 +11,13 @@ under unbounded inputs. The emptiness program asks for DSOS s0..sL with
     1 + s0 + sum_i si*bi == 0,
 
 whose solvability certifies the joint safe set is empty (a failure verdict
-for a multi-candidate system). Feasibility alone is never trusted: every
-returned point is re-expanded symbolically and must pass a diagonal
-dominance check plus a residual bound before a positive verdict is issued.
+for a multi-candidate system). Both families share one path: assemble the
+identity into an LP, solve it, gate the answer, record the outcome
+(_solve_gated). Feasibility alone is never trusted: every returned point is
+re-expanded symbolically and must pass a diagonal dominance check plus a
+residual bound before it yields a certificate. An infeasible answer is kept
+with its Farkas certificate revalidated, so each record says whether the
+refutation holds; the drivers only decide what a schedule of records means.
 
 Basis reduction (on by default, disable via VerifierOptions.reduce_basis):
 multipliers are built over the variables that actually occur in the fixed
@@ -33,7 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .affinegram import (
     mul_fixed,
 )
 from .lpsolve import (
+    FARKAS_SIGN_TOL,
     LpOutcome,
     LpProblem,
     LpStatus,
@@ -349,7 +354,6 @@ class SingleLayout:
     deg_s: int
     deg_p: int
     nvars: int
-    reduced: bool
     free_basis: List[Monomial]
     gram_basis: List[Monomial]
     p10: AffinePolynomial
@@ -372,7 +376,6 @@ class EmptinessLayout:
 
     deg_s: int
     nvars: int
-    reduced: bool
     gram_basis: List[Monomial]
     s_vars: List[DsosVar]
     generators: List[Polynomial]
@@ -384,6 +387,42 @@ def _instantiated_or_zero(ap: Optional[AffinePolynomial], z, nvars: int) -> Poly
     if ap is None:
         return Polynomial.zero(nvars)
     return ap.instantiate(z)
+
+
+def _bases(
+    fixed: Sequence[Polynomial], n: int, deg_s: int, deg_p: int, reduce_basis: bool
+) -> Tuple[List[Monomial], List[Monomial], Dict[str, object]]:
+    """(Gram basis, free basis, fresh_dsos_poly keywords) for the fixed data.
+
+    Reduced bases live on the fixed data's support; free monomials and Gram
+    entries that flip sign under the data's sign symmetries are dropped.
+    """
+    if not reduce_basis:
+        return monomial_basis(n, deg_s), monomial_basis(n, deg_p), {}
+    support = _union_support(fixed)
+    kernel = sign_symmetry_kernel(fixed, n)
+    free_basis = [
+        mo for mo in monomial_basis_on_support(n, deg_p, support) if _invariant(mo, kernel)
+    ]
+
+    def keep_pair(mi: Monomial, mj: Monomial) -> bool:
+        return _invariant(tuple(x + y for x, y in zip(mi, mj)), kernel)
+
+    gram_basis = monomial_basis_on_support(n, deg_s, support)
+    return gram_basis, free_basis, {"keep_pair": keep_pair, "tau_diagonal": False}
+
+
+def _identity_lp(
+    nvars: int, identity: AffinePolynomial, dsos_vars: Sequence[DsosVar]
+) -> LpProblem:
+    """Equality rows zeroing every coefficient of the identity, then DD rows."""
+    lp = LpProblem(nvars)
+    for expr in coefficient_system(identity):
+        lp.add_eq(dict(expr.linear), -expr.constant)
+    for var in dsos_vars:
+        for row in dd_linear_constraints(var):
+            lp.add_ub(dict(row.linear), -row.constant)
+    return lp
 
 
 def assemble_single_lp(
@@ -405,56 +444,29 @@ def assemble_single_lp(
     m = sys.m
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
     lgb_entries = lgb.entry_list()
-
-    if reduce_basis:
-        support = _union_support([b, lfb] + lgb_entries)
-        kernel = sign_symmetry_kernel([b, lfb] + lgb_entries, n)
-        free_basis = [
-            mo
-            for mo in monomial_basis_on_support(n, deg_p, support)
-            if _invariant(mo, kernel)
-        ]
-        gram_basis = monomial_basis_on_support(n, deg_s, support)
-
-        def keep_pair(mi: Monomial, mj: Monomial) -> bool:
-            prod = tuple(x + y for x, y in zip(mi, mj))
-            return _invariant(prod, kernel)
-
-        tau_diagonal = False
-    else:
-        free_basis = monomial_basis(n, deg_p)
-        gram_basis = monomial_basis(n, deg_s)
-        keep_pair = None
-        tau_diagonal = True
+    gram_basis, free_basis, dsos_kw = _bases([b, lfb] + lgb_entries, n, deg_s, deg_p, reduce_basis)
+    # A reduced program drops the channels that never enter the identity.
+    live = [j for j, g in enumerate(lgb_entries) if not (reduce_basis and g.is_zero())]
 
     alloc = DecisionAllocator()
     p10 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
     p20 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
-    p1: List[Optional[AffinePolynomial]] = []
-    p2: List[Optional[AffinePolynomial]] = []
-    for j in range(m):
-        if reduce_basis and lgb_entries[j].is_zero():
-            p1.append(None)  # channel never enters the identity
-        else:
-            p1.append(fresh_free_poly(alloc, n, deg_p, basis=free_basis))
-    for j in range(m):
-        if reduce_basis and lgb_entries[j].is_zero():
-            p2.append(None)
-        else:
-            p2.append(fresh_free_poly(alloc, n, deg_p, basis=free_basis))
-    s1 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, keep_pair=keep_pair, tau_diagonal=tau_diagonal)
-    s2 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, keep_pair=keep_pair, tau_diagonal=tau_diagonal)
+    p1: List[Optional[AffinePolynomial]] = [None] * m
+    p2: List[Optional[AffinePolynomial]] = [None] * m
+    for channel in (p1, p2):
+        for j in live:
+            channel[j] = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
+    s1 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
+    s2 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
 
     power_term = Polynomial.one(n) if a == 0 else lfb ** (2 * a)
 
     h1 = s1.expansion + mul_fixed(p10, b)
-    for j in range(m):
-        if p1[j] is not None:
-            h1 = h1 + mul_fixed(p1[j], lgb_entries[j])
+    for j in live:
+        h1 = h1 + mul_fixed(p1[j], lgb_entries[j])
     e = mul_fixed(h1, lfb) - s2.expansion - mul_fixed(p20, b)
-    for j in range(m):
-        if p2[j] is not None:
-            e = e - mul_fixed(p2[j], lgb_entries[j])
+    for j in live:
+        e = e - mul_fixed(p2[j], lgb_entries[j])
     e = e - AffinePolynomial.from_polynomial(power_term)
 
     # A fixed term of higher degree than any multiplier product cannot be
@@ -471,19 +483,12 @@ def assemble_single_lp(
             max(reach),
         )
 
-    lp = LpProblem(alloc.count)
-    for expr in coefficient_system(e):
-        lp.add_eq(dict(expr.linear), -expr.constant)
-    for var in (s1, s2):
-        for row in dd_linear_constraints(var):
-            lp.add_ub(dict(row.linear), -row.constant)
-
+    lp = _identity_lp(alloc.count, e, (s1, s2))
     layout = SingleLayout(
         a=a,
         deg_s=deg_s,
         deg_p=deg_p,
         nvars=alloc.count,
-        reduced=reduce_basis,
         free_basis=list(free_basis),
         gram_basis=list(gram_basis),
         p10=p10,
@@ -561,25 +566,11 @@ def assemble_emptiness_lp(
     augmented = archimedean_C is not None
     if augmented:
         generators = augment_archimedean(cands, archimedean_C)
-
-    if reduce_basis:
-        support = _union_support(generators)
-        kernel = sign_symmetry_kernel(generators, n)
-        gram_basis = monomial_basis_on_support(n, deg_s, support)
-
-        def keep_pair(mi: Monomial, mj: Monomial) -> bool:
-            prod = tuple(x + y for x, y in zip(mi, mj))
-            return _invariant(prod, kernel)
-
-        tau_diagonal = False
-    else:
-        gram_basis = monomial_basis(n, deg_s)
-        keep_pair = None
-        tau_diagonal = True
+    gram_basis, _, dsos_kw = _bases(generators, n, deg_s, 0, reduce_basis)
 
     alloc = DecisionAllocator()
     s_vars = [
-        fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, keep_pair=keep_pair, tau_diagonal=tau_diagonal)
+        fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
         for _ in range(1 + len(generators))
     ]
 
@@ -587,17 +578,10 @@ def assemble_emptiness_lp(
     for var, gen in zip(s_vars[1:], generators):
         e = e + mul_fixed(var.expansion, gen)
 
-    lp = LpProblem(alloc.count)
-    for expr in coefficient_system(e):
-        lp.add_eq(dict(expr.linear), -expr.constant)
-    for var in s_vars:
-        for row in dd_linear_constraints(var):
-            lp.add_ub(dict(row.linear), -row.constant)
-
+    lp = _identity_lp(alloc.count, e, s_vars)
     layout = EmptinessLayout(
         deg_s=deg_s,
         nvars=alloc.count,
-        reduced=reduce_basis,
         gram_basis=list(gram_basis),
         s_vars=s_vars,
         generators=generators,
@@ -714,6 +698,19 @@ def _resolved_single_schedule(
     return entries
 
 
+def _emptiness_schedule(cands: Sequence[CandidateCbf], opts: VerifierOptions) -> Dict[str, object]:
+    """The emptiness schedule as the sweep runs it and the reports record it."""
+    return {
+        "emptiness_deg_s": (
+            list(opts.emptiness_deg_s)
+            if opts.emptiness_deg_s is not None
+            else default_emptiness_deg_s(cands)
+        ),
+        "archimedean_C": opts.archimedean_C,
+        "reduce_basis": opts.reduce_basis,
+    }
+
+
 FARKAS_MARGIN = 1e-9
 FARKAS_LEVERAGE = 1e6
 
@@ -726,9 +723,12 @@ def _farkas_acceptable(lp: LpProblem, out: LpOutcome) -> bool:
     ||z||_1 >= g/d. Requiring g >= 1e-9 and g/d >= 1e6 certifies an
     enormous empty box; well-scaled problems clear the ratio by many
     orders of magnitude, while numerically weak certificates (huge
-    multipliers from badly mixed coefficient scales) are rejected.
+    multipliers from badly mixed coefficient scales) are rejected. So is a
+    negative inequality multiplier, which combines nothing valid.
     """
     if out.farkas is None:
+        return False
+    if any(u < -FARKAS_SIGN_TOL for u in out.farkas.ub_mults):
         return False
     combo, rhs = validate_farkas(lp, out.farkas)
     margin = -float(rhs)
@@ -737,16 +737,35 @@ def _farkas_acceptable(lp: LpProblem, out: LpOutcome) -> bool:
     return bool(combo <= margin / FARKAS_LEVERAGE)
 
 
-def _record(name: str, lp: LpProblem, out: LpOutcome, farkas_valid=None) -> LpRecord:
-    return LpRecord(
+def _solve_gated(
+    name: str, lp: LpProblem, extract: Callable[[np.ndarray], Certificate], opts: VerifierOptions
+) -> Tuple[LpRecord, Optional[Certificate], Optional[str]]:
+    """Solve one program and gate its answer: (record, certificate or None, warning or None).
+
+    A feasible point yields a certificate only when the extracted Grams are
+    diagonally dominant and the substitution residual is within tolerance.
+    An infeasible answer records whether its Farkas certificate holds.
+    """
+    out = solve_feasibility(lp, opts.solver_options())
+    logger.info("%s: %s in %d pivots", name, out.status.value, out.iterations)
+    record = LpRecord(
         name=name,
         status=out.status.value,
         rows=lp.nrows,
         cols=lp.nvars,
         iterations=out.iterations,
         seconds=out.wall_time,
-        farkas_valid=farkas_valid,
     )
+    if out.status is LpStatus.INFEASIBLE:
+        record.farkas_valid = _farkas_acceptable(lp, out)
+        return record, None, None
+    if out.status is LpStatus.ITERATION_LIMIT:
+        return record, None, "%s: iteration limit reached" % name
+    cert = extract(out.point)
+    if cert.grams_diagonally_dominant(opts.dd_tol) and cert.residual <= opts.residual_tol:
+        return record, cert, None
+    return record, None, "%s: feasible point failed the certificate gate (residual %.3g)" % (
+        name, cert.residual)
 
 
 def verify_single(
@@ -770,32 +789,19 @@ def verify_single(
             "reduce_basis": opts.reduce_basis,
         },
     )
-    solver_opts = opts.solver_options()
     for a, ds, dp in schedule:
         name = "single a=%d deg_s=%d deg_p=%d" % (a, ds, dp)
         lp, layout = assemble_single_lp(sys, cand, a, ds, dp, reduce_basis=opts.reduce_basis)
-        out = solve_feasibility(lp, solver_opts)
-        logger.info("%s: %s in %d pivots", name, out.status.value, out.iterations)
-        farkas_valid = None
-        if out.status is LpStatus.INFEASIBLE:
-            farkas_valid = _farkas_acceptable(lp, out)
-            if not farkas_valid:
-                # Nothing rests on a single-candidate infeasibility, it only
-                # advances the schedule; record quietly.
-                logger.debug("%s: infeasibility certificate is numerically weak", name)
-        outcome.lps.append(_record(name, lp, out, farkas_valid))
-        if out.status is LpStatus.FEASIBLE:
-            cert = extract_single_certificate(layout, out.point, sys, cand)
-            if cert.grams_diagonally_dominant(opts.dd_tol) and cert.residual <= opts.residual_tol:
-                outcome.verdict = Verdict.VERIFIED
-                outcome.certificate = cert
-                break
-            outcome.warnings.append(
-                "%s: feasible point failed the certificate gate "
-                "(residual %.3g); schedule continues" % (name, cert.residual)
-            )
-        elif out.status is LpStatus.ITERATION_LIMIT:
-            outcome.warnings.append("%s: iteration limit reached" % name)
+        record, cert, warning = _solve_gated(
+            name, lp, lambda z: extract_single_certificate(layout, z, sys, cand), opts
+        )
+        outcome.lps.append(record)
+        if warning is not None:
+            outcome.warnings.append(warning)
+        if cert is not None:
+            outcome.verdict = Verdict.VERIFIED
+            outcome.certificate = cert
+            break
     outcome.seconds = time.perf_counter() - t0
     return outcome
 
@@ -810,42 +816,22 @@ def _emptiness_sweep(
     """
     records: List[LpRecord] = []
     warnings: List[str] = []
-    degrees = (
-        list(opts.emptiness_deg_s)
-        if opts.emptiness_deg_s is not None
-        else default_emptiness_deg_s(cands)
-    )
-    solver_opts = opts.solver_options()
-    all_refuted = True
-    for ds in degrees:
+    for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]:
         name = "emptiness deg_s=%d" % ds
         lp, layout = assemble_emptiness_lp(
             cands, ds, archimedean_C=opts.archimedean_C, reduce_basis=opts.reduce_basis
         )
-        out = solve_feasibility(lp, solver_opts)
-        logger.info("%s: %s in %d pivots", name, out.status.value, out.iterations)
-        farkas_valid = None
-        if out.status is LpStatus.FEASIBLE:
-            cert = extract_emptiness_certificate(layout, out.point, cands)
-            records.append(_record(name, lp, out))
-            if cert.grams_diagonally_dominant(opts.dd_tol) and cert.residual <= opts.residual_tol:
-                return records, cert, False, warnings
-            warnings.append(
-                "%s: feasible point failed the certificate gate (residual %.3g)"
-                % (name, cert.residual)
-            )
-            all_refuted = False
-            continue
-        if out.status is LpStatus.INFEASIBLE:
-            farkas_valid = _farkas_acceptable(lp, out)
-            if not farkas_valid:
-                warnings.append("%s: infeasibility certificate failed revalidation" % name)
-                all_refuted = False
-        else:
-            all_refuted = False
-            if out.status is LpStatus.ITERATION_LIMIT:
-                warnings.append("%s: iteration limit reached" % name)
-        records.append(_record(name, lp, out, farkas_valid))
+        record, cert, warning = _solve_gated(
+            name, lp, lambda z: extract_emptiness_certificate(layout, z, cands), opts
+        )
+        records.append(record)
+        if warning is not None:
+            warnings.append(warning)
+        if record.farkas_valid is False:
+            warnings.append("%s: infeasibility certificate failed revalidation" % name)
+        if cert is not None:
+            return records, cert, False, warnings
+    all_refuted = all(r.farkas_valid is True for r in records)
     return records, None, all_refuted, warnings
 
 
@@ -870,15 +856,7 @@ def check_emptiness(
         lps=records,
         certificate=cert,
         warnings=warnings,
-        schedule={
-            "emptiness_deg_s": (
-                list(opts.emptiness_deg_s)
-                if opts.emptiness_deg_s is not None
-                else default_emptiness_deg_s(cands)
-            ),
-            "archimedean_C": opts.archimedean_C,
-            "reduce_basis": opts.reduce_basis,
-        },
+        schedule=_emptiness_schedule(cands, opts),
         seconds=time.perf_counter() - t0,
     )
 
@@ -912,17 +890,11 @@ def verify_multi(
                 "(set archimedean_C to enforce it)"
             )
 
-    def run_single(c: CandidateCbf) -> VerificationOutcome:
-        return verify_single(sys, c, opts)
-
-    if opts.parallel and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(cands) + 1)) as pool:
-            empt_future = pool.submit(_emptiness_sweep, cands, opts)
-            singles = list(pool.map(run_single, cands))
-            empt_records, empt_cert, empt_refuted, empt_warnings = empt_future.result()
-    else:
-        singles = [run_single(c) for c in cands]
-        empt_records, empt_cert, empt_refuted, empt_warnings = _emptiness_sweep(cands, opts)
+    workers = min(8, len(cands) + 1) if opts.parallel and len(cands) > 1 else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        empt_future = pool.submit(_emptiness_sweep, cands, opts)
+        singles = list(pool.map(lambda c: verify_single(sys, c, opts), cands))
+        empt_records, empt_cert, empt_refuted, empt_warnings = empt_future.result()
 
     warnings.extend(empt_warnings)
     for i, so in enumerate(singles):
@@ -935,22 +907,12 @@ def verify_multi(
     else:
         verdict = Verdict.MULTI_INCONCLUSIVE
 
-    outcome = VerificationOutcome(
+    return VerificationOutcome(
         verdict=verdict,
         lps=empt_records,
         certificate=empt_cert,
         singles=singles,
         warnings=warnings,
-        schedule={
-            "a_values": list(opts.a_values),
-            "emptiness_deg_s": (
-                list(opts.emptiness_deg_s)
-                if opts.emptiness_deg_s is not None
-                else default_emptiness_deg_s(cands)
-            ),
-            "archimedean_C": opts.archimedean_C,
-            "reduce_basis": opts.reduce_basis,
-        },
+        schedule={"a_values": list(opts.a_values), **_emptiness_schedule(cands, opts)},
         seconds=time.perf_counter() - t0,
     )
-    return outcome

@@ -1,11 +1,13 @@
 """Exit-code and report-artifact tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import barrierlp
 from barrierlp.cli import main
 from barrierlp.lpsolve import parse_lp_text
 
@@ -61,6 +63,26 @@ def test_verify_negative_exit_one(tmp_path):
     assert main(["verify", path, "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_verify_negative_farkas_multiplier_exit_one(tmp_path, capsys):
+    """The a=0 program's Farkas certificate has a negative inequality multiplier."""
+    doc = {
+        "schema": 1,
+        "variables": ["x", "y"],
+        "drift": ["0.617*x + 0.102*x*y", "-0.957*x + 0.501*y"],
+        "input_matrix": [["-0.062"], ["0"]],
+        "candidates": ["-0.6789401524044802 + 0.022002379019495626*x"
+                       " + 1.793176723680691*y - 1.9238419234594044*x^2"
+                       " - 0.7598631625574054*y^2"],
+    }
+    path = write_problem(tmp_path, "p.json", doc)
+    assert main(["verify", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    first = report["lps"][0]
+    assert first["name"].startswith("single a=0 ")
+    assert first["status"] == "Infeasible"
+    assert first["farkas_valid"] is False
+
+
 def test_verify_empty_pair_exit_two(tmp_path, capsys):
     path = write_problem(tmp_path, "p.json", disjoint_pair_doc())
     code = main(["verify", path])
@@ -90,6 +112,7 @@ def test_usage_errors_exit_three(tmp_path):
     assert main(["verify", path, "--bogus-flag"]) == 3
     assert main(["verify", str(tmp_path / "missing.json")]) == 3
     assert main(["bench-satellite", "--L", "0"]) == 3
+    assert main(["export-lp", path, "--a", "-1"]) == 3
 
 
 def test_malformed_problem_exit_three(tmp_path):
@@ -185,9 +208,13 @@ def test_bench_flag_overrides(capsys):
 
 def test_module_entry_point(tmp_path):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
+    # Run the package under test, also when pytest put src/ on the path.
+    src = os.path.dirname(os.path.dirname(barrierlp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part))
     proc = subprocess.run(
         [sys.executable, "-m", "barrierlp.cli", "verify", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Verified"

@@ -1,12 +1,20 @@
 """Tests for LP assembly, verdict drivers, and certificate gating."""
 
+import hashlib
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from barrierlp.lpsolve import LpStatus, solve_feasibility
+from barrierlp.lpsolve import (
+    FarkasCertificate,
+    LpOutcome,
+    LpProblem,
+    LpStatus,
+    export_lp_text,
+    solve_feasibility,
+)
 from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, monomial_basis
 from barrierlp.verifier import (
     CandidateCbf,
@@ -24,6 +32,7 @@ from barrierlp.verifier import (
     sign_symmetry_kernel,
     verify_multi,
     verify_single,
+    _farkas_acceptable,
     _invariant,
 )
 
@@ -223,6 +232,21 @@ def test_multi_with_unverifiable_member_inconclusive():
     bad = cand(_x(0, n), sys_bad)
     out = verify_multi(sys_bad, [good, bad])
     assert out.verdict is Verdict.MULTI_INCONCLUSIVE
+
+
+def test_multi_iteration_limit_warns_once_per_lp():
+    sys = single_integrator(1)
+    x = _x(0, 1)
+    cands = [cand(Polynomial.one(1) - x ** 2, sys),
+             cand(x ** 2 - Polynomial.constant(0.25, 1), sys)]
+    out = verify_multi(sys, cands, VerifierOptions(max_iters=1))
+    assert out.verdict is Verdict.MULTI_INCONCLUSIVE
+    records = out.lps + [r for s in out.singles for r in s.lps]
+    assert records and all(r.status == LpStatus.ITERATION_LIMIT.value for r in records)
+    expected = ["%s: iteration limit reached" % r.name for r in out.lps]
+    expected += ["candidate %d: %s: iteration limit reached" % (i, r.name)
+                 for i, s in enumerate(out.singles) for r in s.lps]
+    assert [w for w in out.warnings if "iteration limit" in w] == expected
 
 
 # -- fixed-term conventions ----------------------------------------------------
@@ -505,6 +529,21 @@ def test_system_shape_validation():
         ControlAffineSystem(f=PolyMatrix([[zero]]), g=PolyMatrix([[zero], [zero]]))
 
 
+# -- Farkas gate -------------------------------------------------------------------
+
+
+def test_farkas_gate_rejects_negative_inequality_multiplier():
+    lp = LpProblem(1)
+    lp.add_ub({0: 1.0}, 1.0)
+    out = LpOutcome(status=LpStatus.INFEASIBLE,
+                    farkas=FarkasCertificate(eq_mults=[], ub_mults=[-1.0]))
+    assert _farkas_acceptable(lp, out) is False
+    # A certificate of the wrong shape is a programming error, not a weak proof.
+    out.farkas = FarkasCertificate(eq_mults=[], ub_mults=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        _farkas_acceptable(lp, out)
+
+
 # -- determinism -------------------------------------------------------------------
 
 
@@ -530,3 +569,35 @@ def test_verify_multi_parallel_matches_serial():
     assert [(r.name, r.status, r.iterations) for r in par.lps] == \
         [(r.name, r.status, r.iterations) for r in ser.lps]
     assert [s.verdict for s in par.singles] == [s.verdict for s in ser.singles]
+
+
+# Digests of export_lp_text for the flagship programs. Any change to a row,
+# a column order or a coefficient changes them; re-record them only for a
+# deliberate change to the programs.
+PINNED_LP_DIGESTS = {
+    ("single", 0, True): "93f8118d581d95cbc310f203c73dd02134f40da5344c3f98cbfc572531c0dd4f",
+    ("single", 1, True): "830217c8ef2067e7df5bd6ec1828ea5bec4fa05d03ccb1305812d0b91fc7bc2e",
+    ("emptiness", 0, True): "f1bdf4418c26a5ffb980479d74c981830e9cfae894dfdab50b893828faa338de",
+    ("emptiness", 1, True): "ab98a265a80b6c7e4dd122a99dfbe4e2e293a69de68cf306e2bac0333ec5f868",
+    ("single", 0, False): "7e45bb246967c81a0d0aacb1f956de8726d4b332fe19e310c09358091eabb9e3",
+    ("single", 1, False): "63d0b0c69d69c2b225c8daaaf1a6c2da622ed89c3be17d8f7471996e652164cb",
+    ("emptiness", 0, False): "d667559a9afd7c890c612173980f78071bf6b63de0c410376b4c2a14a895ecf5",
+    ("emptiness", 1, False): "a0127ec5d82575221782299902be6fb9c3177dfcc5f4711a16a874d47d035441",
+}
+
+
+@pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
+def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
+    """Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at deg_s = degree."""
+    sys = single_integrator(1)
+    x = _x(0, 1)
+    disc = cand(Polynomial.one(1) - x ** 2, sys)
+    if family == "single":
+        lp, _ = assemble_single_lp(sys, disc, a=degree, deg_s=1,
+                                   deg_p=default_deg_p(disc, degree, 1),
+                                   reduce_basis=reduce_basis)
+    else:
+        ring = cand(x ** 2 - Polynomial.constant(0.25, 1), sys)
+        lp, _ = assemble_emptiness_lp([disc, ring], degree, reduce_basis=reduce_basis)
+    digest = hashlib.sha256(export_lp_text(lp).encode()).hexdigest()
+    assert digest == PINNED_LP_DIGESTS[(family, degree, reduce_basis)]
