@@ -205,6 +205,8 @@ def cmd_bench_satellite(args) -> int:
     if args.deterministic:
         for row in report["rows"]:
             row["seconds"] = 0.0
+            for lp in row.get("lps", ()):
+                lp["seconds"] = 0.0
     header = "%4s  %-20s  %10s" % ("L", "verdict", "seconds")
     print(header)
     print("-" * len(header))

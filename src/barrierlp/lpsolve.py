@@ -21,6 +21,9 @@ import numpy as np
 
 # Dense-tableau capacity: problems beyond this must go through export_lp_text.
 MAX_DENSE_VARS = 5000
+# Bytes of the tableau plus its equally sized work array. The largest
+# bench-satellite program at L=12 needs 0.38 GB of it.
+MAX_TABLEAU_BYTES = 2 ** 30
 # Inequality multipliers below -FARKAS_SIGN_TOL void a Farkas certificate.
 FARKAS_SIGN_TOL = 1e-9
 
@@ -28,7 +31,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class LpCapacityError(Exception):
-    """Problem exceeds the dense-tableau variable capacity."""
+    """Problem exceeds the dense-tableau variable or memory capacity."""
 
 
 class LpStatus(Enum):
@@ -52,11 +55,20 @@ class FarkasCertificate:
 
 @dataclass
 class LpOutcome:
+    """Result of solve_feasibility.
+
+    exit says why the simplex stopped: "optimal" (no improving column left,
+    or decided without pivoting), "max_iters" (pivot budget spent),
+    "stall_window" (too many pivots without lowering the artificial sum) or
+    "eroded" (every improving column has eroded below the pivot tolerance).
+    """
+
     status: LpStatus
     point: Optional[np.ndarray] = None
     farkas: Optional[FarkasCertificate] = None
     iterations: int = 0
     wall_time: float = 0.0
+    exit: str = "optimal"
 
 
 @dataclass
@@ -229,7 +241,17 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     n_ub = sum(1 for kind, _, _, _ in kept if kind == "ub")
     ncols = 2 * n + n_ub + m
     art0 = 2 * n + n_ub
+    need = 2 * (m + 1) * (ncols + 1) * 8
+    if need > MAX_TABLEAU_BYTES:
+        raise LpCapacityError(
+            "tableau of %d x %d needs %d bytes with its work array, capacity is %d;"
+            " export the LP instead" % (m + 1, ncols + 1, need, MAX_TABLEAU_BYTES)
+        )
     T = np.zeros((m + 1, ncols + 1))
+    # The one work array of every pivot update. A temporary of varying size
+    # per pivot would be mapped afresh each time, which costs millions of
+    # page faults on a long first solve.
+    scratch = np.empty_like(T)
     scale = np.ones(m)
     flip = np.ones(m)
 
@@ -255,12 +277,11 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     T[m, :] = -T[:m, :].sum(axis=0)
     T[m, art0 : art0 + m] += 1.0
 
-    basis = list(range(art0, art0 + m))
+    basis = np.arange(art0, art0 + m)
     left_basis = np.zeros(ncols, dtype=bool)  # artificials banned from re-entry
 
     iterations = 0
-    status: Optional[LpStatus] = None
-    stalled = False
+    reason = "optimal"
     best_value = math.inf
     no_progress = 0
     # A run this long without lowering the artificial sum is numerical
@@ -269,38 +290,50 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     progress_window = max(1000, 2 * (m + ncols))
     while True:
         if iterations >= opts.max_iters:
-            status = LpStatus.ITERATION_LIMIT
+            reason = "max_iters"
             break
         # Bland: entering column is the lowest eligible index. A column whose
         # entries have all eroded below the pivot tolerance cannot be pivoted
         # (phase 1 is never truly unbounded), so it is skipped; leaving the
-        # loop that way marks the tableau as stalled and the exit below is
+        # loop that way marks the tableau as eroded and the exit below is
         # gated instead of trusted.
         pc = -1
-        stalled = False
+        eroded = False
         objrow = T[m, :ncols]
         candidates = np.nonzero(objrow < -opts.pivot_tol)[0]
         for j in candidates:
             if j >= art0 and left_basis[j]:
                 continue
             if not np.any(T[:m, j] > opts.pivot_tol):
-                stalled = True
+                eroded = True
                 continue
             pc = int(j)
             break
         if pc < 0:
-            break  # optimal, or stalled with no usable column
+            if eroded:
+                reason = "eroded"
+            break
         col = T[:m, pc]
         eligible = np.nonzero(col > opts.pivot_tol)[0]
         ratios = T[eligible, ncols] / col[eligible]
         best = ratios.min()
         near = eligible[ratios <= best + opts.pivot_tol]
-        pr = int(min(near, key=lambda r: basis[r]))
-        # Pivot on (pr, pc).
+        pr = int(near[basis[near].argmin()])
+        # Pivot on (pr, pc). A row whose pivot-column entry is zero would
+        # change by exactly 0 * T[pr], so when at most half the rows have a
+        # nonzero entry only those are gathered, updated and scattered back.
         T[pr, :] /= T[pr, pc]
         colvals = T[:, pc].copy()
         colvals[pr] = 0.0
-        T -= np.outer(colvals, T[pr, :])
+        rows = np.flatnonzero(colvals)
+        k = rows.size
+        if 2 * k > m + 1:
+            T -= np.outer(colvals, T[pr], out=scratch)
+        else:
+            # mode="clip" gathers straight into scratch; "raise" would buffer.
+            blk = np.take(T, rows, axis=0, out=scratch[:k], mode="clip")
+            blk -= np.multiply(colvals[rows, None], T[pr], out=scratch[k : 2 * k])
+            T[rows] = blk
         old = basis[pr]
         if old >= art0:
             left_basis[old] = True
@@ -313,12 +346,15 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         else:
             no_progress += 1
             if no_progress >= progress_window:
-                stalled = True
+                reason = "stall_window"
                 break
 
     wall = time.perf_counter() - t0
-    if status is LpStatus.ITERATION_LIMIT:
-        return LpOutcome(status=status, iterations=iterations, wall_time=wall)
+    if reason == "max_iters":
+        return LpOutcome(
+            status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall, exit=reason
+        )
+    stalled = reason != "optimal"
 
     value = -T[m, ncols]
     if value > opts.infeas_margin:
@@ -349,12 +385,14 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
                     status=LpStatus.ITERATION_LIMIT,
                     iterations=iterations,
                     wall_time=wall,
+                    exit=reason,
                 )
         return LpOutcome(
             status=LpStatus.INFEASIBLE,
             farkas=cert,
             iterations=iterations,
             wall_time=wall,
+            exit=reason,
         )
 
     z = np.zeros(n)
@@ -367,10 +405,10 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             z[j - n] -= val
     if stalled and lp.max_violation(z) > opts.feas_tol:
         return LpOutcome(
-            status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall
+            status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall, exit=reason
         )
     return LpOutcome(
-        status=LpStatus.FEASIBLE, point=z, iterations=iterations, wall_time=wall
+        status=LpStatus.FEASIBLE, point=z, iterations=iterations, wall_time=wall, exit=reason
     )
 
 

@@ -20,7 +20,7 @@ for L >= 2, jointly, and reports verdicts, LP sizes, and wall time per L.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .polyring import Polynomial, PolyMatrix
@@ -154,7 +154,8 @@ def run_benchmark(
     Each row certifies the candidates for that L: a lone candidate through
     the single-candidate program, several through joint verification. Rows
     record the verdict, wall time, the largest LP dimensions encountered,
-    and the schedule; a failed row records its error and the sweep goes on.
+    every LP record and the schedule; a failed row records its error and
+    the sweep goes on.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1, got %d" % L_max)
@@ -179,6 +180,7 @@ def run_benchmark(
                 "lp_rows": max((r.rows for r in records), default=0),
                 "lp_cols": max((r.cols for r in records), default=0),
                 "lp_count": len(records),
+                "lps": [asdict(r) for r in records],
                 "schedule": outcome.schedule,
                 "warnings": list(outcome.warnings),
             })

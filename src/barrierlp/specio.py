@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import Monomial, Polynomial, PolyMatrix
@@ -468,16 +468,7 @@ def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
         "schedule": outcome.schedule,
         "warnings": list(outcome.warnings),
         "lps": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "rows": r.rows,
-                "cols": r.cols,
-                "iterations": r.iterations,
-                "seconds": 0.0 if deterministic else r.seconds,
-                "farkas_valid": r.farkas_valid,
-            }
-            for r in outcome.lps
+            dict(asdict(r), seconds=0.0 if deterministic else r.seconds) for r in outcome.lps
         ],
         "certificate": _certificate_block(outcome.certificate, deterministic),
     }
@@ -493,8 +484,8 @@ def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
     for r in outcome.lps:
         extra = "" if r.farkas_valid is None else "  farkas_valid=%s" % r.farkas_valid
         lines.append(
-            "  [%s] %s  %d rows x %d cols  %d iterations%s"
-            % (r.name, r.status, r.rows, r.cols, r.iterations, extra)
+            "  [%s] %s  %d rows x %d cols  %d iterations  exit=%s%s"
+            % (r.name, r.status, r.rows, r.cols, r.iterations, r.exit, extra)
         )
     cert = outcome.certificate
     if cert is not None:
@@ -508,8 +499,8 @@ def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
             lines.append("candidate %d: %s" % (i, s.verdict.value))
             for r in s.lps:
                 lines.append(
-                    "    [%s] %s  %d rows x %d cols  %d iterations"
-                    % (r.name, r.status, r.rows, r.cols, r.iterations)
+                    "    [%s] %s  %d rows x %d cols  %d iterations  exit=%s"
+                    % (r.name, r.status, r.rows, r.cols, r.iterations, r.exit)
                 )
     return "\n".join(lines) + "\n"
 

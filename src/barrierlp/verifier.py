@@ -234,6 +234,7 @@ class LpRecord:
     rows: int
     cols: int
     iterations: int
+    exit: str  # why the simplex stopped; see LpOutcome
     seconds: float
     farkas_valid: Optional[bool] = None
 
@@ -747,13 +748,14 @@ def _solve_gated(
     An infeasible answer records whether its Farkas certificate holds.
     """
     out = solve_feasibility(lp, opts.solver_options())
-    logger.info("%s: %s in %d pivots", name, out.status.value, out.iterations)
+    logger.info("%s: %s in %d pivots (%s)", name, out.status.value, out.iterations, out.exit)
     record = LpRecord(
         name=name,
         status=out.status.value,
         rows=lp.nrows,
         cols=lp.nvars,
         iterations=out.iterations,
+        exit=out.exit,
         seconds=out.wall_time,
     )
     if out.status is LpStatus.INFEASIBLE:

@@ -198,12 +198,19 @@ def test_bench_satellite_table_and_report(tmp_path, capsys):
     assert all(row["seconds"] == 0.0 for row in report["rows"])
 
 
-def test_bench_flag_overrides(capsys):
+def test_bench_flag_overrides(tmp_path, capsys):
+    report_path = tmp_path / "bench.json"
     code = main(["bench-satellite", "--L", "1", "--mass", "3.0",
-                 "--thrust", "0.75", "--deterministic"])
+                 "--thrust", "0.75", "--deterministic", "--report", str(report_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "Verified" in out
+    # The a=0 program stops through the progress window, not the pivot budget.
+    first = json.loads(report_path.read_text())["rows"][0]["lps"][0]
+    assert first["name"].startswith("single a=0 ")
+    assert (first["status"], first["iterations"], first["exit"]) == \
+        ("IterationLimit", 6748, "stall_window")
+    assert first["seconds"] == 0.0
 
 
 def test_module_entry_point(tmp_path):

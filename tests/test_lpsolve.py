@@ -1,6 +1,7 @@
 """Feasibility solver, Farkas certificates, and LP text round-trips."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,10 +100,10 @@ def test_free_variable_feasibility_without_vertices():
     assert lp.max_violation(out.point) <= 1e-8
 
 
-def random_lp(rng):
-    n = rng.randrange(1, 7)
+def random_lp(rng, max_vars=6, max_rows=10):
+    n = rng.randrange(1, max_vars + 1)
     lp = LpProblem(n)
-    nrows = rng.randrange(1, 11)
+    nrows = rng.randrange(1, max_rows + 1)
     for _ in range(nrows):
         coefs = {}
         for i in range(n):
@@ -118,13 +119,11 @@ def random_lp(rng):
     return lp
 
 
-def test_random_suite_matches_elimination_oracle():
-    """50 random systems: solver status equals the exact oracle's verdict,
-    and every Infeasible answer carries a certificate that revalidates."""
-    rng = random.Random(20260816)
+def assert_matches_oracle(lps):
+    """Each solver status equals the exact oracle's verdict, and every
+    Infeasible answer carries a certificate that revalidates."""
     n_infeasible = 0
-    for trial in range(50):
-        lp = random_lp(rng)
+    for trial, lp in enumerate(lps):
         out = solve_feasibility(lp)
         expected = fm_feasible(lp.eq_rows, lp.ub_rows, lp.nvars)
         if expected:
@@ -138,6 +137,41 @@ def test_random_suite_matches_elimination_oracle():
             n_infeasible += 1
     # The suite must actually exercise both verdicts.
     assert 5 <= n_infeasible <= 45
+
+
+def test_random_suite_matches_elimination_oracle():
+    """50 random systems; most pivots take the full tableau update."""
+    rng = random.Random(20260816)
+    assert_matches_oracle(random_lp(rng) for _ in range(50))
+
+
+def block_diagonal_lp(rng, nblocks):
+    """nblocks small random systems on disjoint variables, at most one infeasible.
+
+    A pivot column touches only its own block's rows and the objective row,
+    so the pivots take the row-sparse update.
+    """
+    blocks = []
+    infeasible_at = rng.randrange(2 * nblocks)  # no infeasible block half the time
+    while len(blocks) < nblocks:
+        block = random_lp(rng, max_vars=3, max_rows=5)
+        if fm_feasible(block.eq_rows, block.ub_rows, block.nvars) == (len(blocks) != infeasible_at):
+            blocks.append(block)
+    lp = LpProblem(sum(block.nvars for block in blocks))
+    offset = 0
+    for block in blocks:
+        for coefs, rhs in block.eq_rows:
+            lp.add_eq({offset + i: c for i, c in coefs.items()}, rhs)
+        for coefs, rhs in block.ub_rows:
+            lp.add_ub({offset + i: c for i, c in coefs.items()}, rhs)
+        offset += block.nvars
+    return lp
+
+
+def test_block_diagonal_suite_matches_elimination_oracle():
+    """50 systems of 8 independent blocks; every pivot takes the row-sparse update."""
+    rng = random.Random(20261018)
+    assert_matches_oracle(block_diagonal_lp(rng, 8) for _ in range(50))
 
 
 def test_determinism_status_and_pivot_count():
@@ -156,12 +190,29 @@ def test_iteration_limit_is_reported():
     out = solve_feasibility(lp, SolverOptions(max_iters=0))
     assert out.status is LpStatus.ITERATION_LIMIT
     assert out.point is None and out.farkas is None
+    assert out.exit == "max_iters"
 
 
 def test_capacity_refusal():
     lp = LpProblem(5001)
     with pytest.raises(LpCapacityError):
         solve_feasibility(lp)
+
+
+def test_capacity_refusal_by_tableau_bytes():
+    # 5000 variables pass the variable guard, but the 5001 x 15001 tableau
+    # and its work array need 1.2 GB; the refusal comes before allocation.
+    lp = LpProblem(5000)
+    for i in range(5000):
+        lp.add_eq({i: 1.0}, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LpCapacityError):
+            solve_feasibility(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
 
 
 def test_nonfinite_rejected_at_load():
