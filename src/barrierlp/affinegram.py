@@ -1,86 +1,28 @@
 """Polynomials with decision-variable coefficients and the DSOS machinery.
 
-An AffineExpr is an affine function of a global decision vector z. An
-AffinePolynomial carries one AffineExpr per monomial, so a polynomial
-identity in the ring variables becomes a list of affine equations in z
-(one per monomial). DSOS membership of a Gram matrix is linearized with a
-symmetric bounding matrix tau; both matrices live in the same z space.
+A polynomial whose coefficients are linear in a global decision vector z is
+a plain dict: each monomial maps to its sparse row of decision columns,
+``{monomial: {column: coefficient}}`` (a LinearPoly). A polynomial identity
+is such a linear part plus one fixed Polynomial, and it becomes one
+equality row ``(coefs, rhs)`` per monomial. DSOS membership of a Gram
+matrix is linearized with a symmetric bounding matrix tau; both matrices
+live in the same z space, and their rows use the same ``(coefs, rhs)``
+shape that LpProblem stores.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import add
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyring import Monomial, Polynomial, grlex_key, monomial_basis
+from .polyring import PRUNE_TOL, Monomial, Polynomial, grlex_key, monomial_basis
 
-COEF_PRUNE = 1e-14
-
-
-class AffineExpr:
-    """constant + sum_j linear[j] * z_j, stored sparsely."""
-
-    __slots__ = ("constant", "linear")
-
-    def __init__(self, constant: float = 0.0, linear: Optional[Mapping[int, float]] = None):
-        c = float(constant)
-        if not math.isfinite(c):
-            raise ValueError("non-finite constant %r" % c)
-        lin: Dict[int, float] = {}
-        if linear:
-            for idx, coef in linear.items():
-                v = float(coef)
-                if not math.isfinite(v):
-                    raise ValueError("non-finite coefficient %r on z%d" % (v, idx))
-                if abs(v) >= COEF_PRUNE:
-                    lin[int(idx)] = v
-        self.constant = c
-        self.linear = lin
-
-    @classmethod
-    def variable(cls, index: int, coef: float = 1.0) -> "AffineExpr":
-        return cls(0.0, {index: coef})
-
-    def is_zero(self) -> bool:
-        return self.constant == 0.0 and not self.linear
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return AffineExpr(self.constant + float(other), self.linear)
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        lin = dict(self.linear)
-        for idx, coef in other.linear.items():
-            lin[idx] = lin.get(idx, 0.0) + coef
-        return AffineExpr(self.constant + other.constant, lin)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineExpr(-self.constant, {i: -c for i, c in self.linear.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return AffineExpr(self.constant - float(other), self.linear)
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor: float) -> "AffineExpr":
-        f = float(factor)
-        return AffineExpr(self.constant * f, {i: c * f for i, c in self.linear.items()})
-
-    def value(self, z: Sequence[float]) -> float:
-        return self.constant + sum(c * z[i] for i, c in self.linear.items())
-
-    def __repr__(self):
-        parts = [] if self.constant == 0.0 else ["%g" % self.constant]
-        for idx in sorted(self.linear):
-            parts.append("%g*z%d" % (self.linear[idx], idx + 1))
-        return "AffineExpr(%s)" % (" + ".join(parts) if parts else "0")
+# A sparse row of decision columns, and a polynomial with such coefficients.
+Row = Dict[int, float]
+LinearPoly = Dict[Monomial, Row]
 
 
 class DecisionAllocator:
@@ -107,103 +49,80 @@ class DecisionAllocator:
         return idx
 
 
-class AffinePolynomial:
-    """Sparse polynomial whose coefficients are AffineExprs in z."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, terms: Mapping[Monomial, AffineExpr], nvars: int):
-        canon: Dict[Monomial, AffineExpr] = {}
-        for exps, expr in terms.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != nvars:
-                raise ValueError(
-                    "monomial has %d exponents, ring has %d variables" % (len(key), nvars)
-                )
-            if not expr.is_zero():
-                canon[key] = expr
-        self.terms = canon
-        self.nvars = nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "AffinePolynomial":
-        return cls({}, nvars)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "AffinePolynomial":
-        return cls({e: AffineExpr(c) for e, c in p.terms.items()}, p.nvars)
-
-    def __add__(self, other):
-        if isinstance(other, Polynomial):
-            other = AffinePolynomial.from_polynomial(other)
-        if not isinstance(other, AffinePolynomial):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("ring mismatch: %d vs %d variables" % (self.nvars, other.nvars))
-        acc = dict(self.terms)
-        for exps, expr in other.terms.items():
-            acc[exps] = acc.get(exps, AffineExpr()) + expr
-        return AffinePolynomial(acc, self.nvars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffinePolynomial({e: -x for e, x in self.terms.items()}, self.nvars)
-
-    def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            other = AffinePolynomial.from_polynomial(other)
-        if not isinstance(other, AffinePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def sorted_terms(self) -> List[Tuple[Monomial, AffineExpr]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def instantiate(self, z: Sequence[float]) -> Polynomial:
-        return Polynomial({e: expr.value(z) for e, expr in self.terms.items()}, self.nvars)
+def _accumulate(acc: LinearPoly, mono: Monomial, row: Row, scale: float) -> None:
+    """acc[mono] += scale * row, pruning each product term and each partial sum."""
+    target = acc.setdefault(mono, {})
+    for col, c in row.items():
+        v = c * scale
+        if abs(v) < PRUNE_TOL:
+            continue
+        v = target.get(col, 0.0) + v
+        if abs(v) < PRUNE_TOL:
+            target.pop(col, None)
+        else:
+            target[col] = v
 
 
-def mul_fixed(ap: AffinePolynomial, p: Polynomial) -> AffinePolynomial:
+def linear_sum(parts: Iterable[Tuple[float, LinearPoly]]) -> LinearPoly:
+    """sum_k sign_k * part_k, term by term in the order given.
+
+    Monomials left without columns are dropped at the end.
+    """
+    acc: LinearPoly = {}
+    for sign, part in parts:
+        for mono, row in part.items():
+            _accumulate(acc, mono, row, sign)
+    return {mono: row for mono, row in acc.items() if row}
+
+
+def mul_fixed(lin: LinearPoly, p: Polynomial) -> LinearPoly:
     """Multiply by a polynomial with no decision dependence.
 
-    Coefficients stay affine in z, so the product never leaves the class.
+    Coefficients stay linear in z. Terms are summed in the left operand's
+    monomial order, then p's term order.
     """
-    if ap.nvars != p.nvars:
-        raise ValueError("ring mismatch: %d vs %d variables" % (ap.nvars, p.nvars))
-    acc: Dict[Monomial, AffineExpr] = {}
-    for ea, expr in ap.terms.items():
+    ring = len(next(iter(lin), ()))
+    if lin and ring != p.nvars:
+        raise ValueError("ring mismatch: %d vs %d variables" % (ring, p.nvars))
+    acc: LinearPoly = {}
+    for ea, row in lin.items():
         for eb, coef in p.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc[key] = acc.get(key, AffineExpr()) + expr.scale(coef)
-    return AffinePolynomial(acc, ap.nvars)
+            _accumulate(acc, tuple(map(add, ea, eb)), row, coef)
+    return {mono: row for mono, row in acc.items() if row}
 
 
-def coefficient_system(e: AffinePolynomial) -> List[AffineExpr]:
-    """One affine expression per monomial of e, in the global term order.
+def instantiate(lin: LinearPoly, z: Sequence[float], nvars: int) -> Polynomial:
+    """The polynomial lin takes at the decision point z."""
+    return Polynomial({mono: sum(c * z[i] for i, c in row.items()) for mono, row in lin.items()},
+                      nvars)
 
-    Forcing every expression to zero is equivalent to e being the zero
-    polynomial identically, which is how a Gram-style matching condition is
-    imposed here: one equality per monomial, independent of any particular
-    Gram basis convention.
+
+def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> List[Tuple[Row, float]]:
+    """Rows (coefs, rhs) of lin + fixed == 0, one per monomial in the global term order.
+
+    Satisfying every row is equivalent to the identity holding as
+    polynomials, which is how a Gram-style matching condition is imposed
+    here: one equality per monomial, independent of any particular Gram
+    basis convention. A monomial without a fixed term gets rhs -0.0, which
+    exported LP text prints as -0.
     """
-    return [expr for _, expr in e.sorted_terms()]
+    monos = sorted(set(lin).union(fixed.terms), key=grlex_key)
+    return [(lin.get(mono, {}), -fixed.terms.get(mono, 0.0)) for mono in monos]
 
 
 class SymVarMatrix:
     """Symmetric k x k matrix of decision variables, possibly with pruned entries.
 
-    Entry (i, j) and (j, i) share one variable. ``pairs`` lists the stored
-    upper-triangle coordinates in allocation order; pruned coordinates are
-    structurally zero.
+    Entry (i, j) and (j, i) share one variable. ``index`` maps the stored
+    upper-triangle coordinates to their variables in allocation order;
+    pruned coordinates are structurally zero.
     """
 
-    __slots__ = ("dim", "index", "pairs")
+    __slots__ = ("dim", "index")
 
-    def __init__(self, dim: int, index: Mapping[Tuple[int, int], int], pairs: Sequence[Tuple[int, int]]):
+    def __init__(self, dim: int, index: Dict[Tuple[int, int], int]):
         self.dim = dim
-        self.index = dict(index)
-        self.pairs = list(pairs)
+        self.index = index
 
     @classmethod
     def allocate(
@@ -213,13 +132,11 @@ class SymVarMatrix:
         keep: Optional[Callable[[int, int], bool]] = None,
     ) -> "SymVarMatrix":
         index: Dict[Tuple[int, int], int] = {}
-        pairs: List[Tuple[int, int]] = []
         for i in range(dim):
             for j in range(i, dim):
                 if keep is None or keep(i, j):
                     index[(i, j)] = alloc.fresh()
-                    pairs.append((i, j))
-        return cls(dim, index, pairs)
+        return cls(dim, index)
 
     def has(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.index
@@ -231,7 +148,7 @@ class SymVarMatrix:
         return self.index[key]
 
     def nvariables(self) -> int:
-        return len(self.pairs)
+        return len(self.index)
 
     def materialize(self, z: Sequence[float]) -> np.ndarray:
         M = np.zeros((self.dim, self.dim))
@@ -248,7 +165,7 @@ class DsosVar:
     basis: List[Monomial]
     Q: SymVarMatrix
     tau: SymVarMatrix
-    expansion: AffinePolynomial
+    expansion: LinearPoly
 
     @property
     def dim(self) -> int:
@@ -260,7 +177,7 @@ def fresh_free_poly(
     nvars: int,
     degree: int,
     basis: Optional[Sequence[Monomial]] = None,
-) -> AffinePolynomial:
+) -> LinearPoly:
     """c^T m(x) with one fresh decision variable per basis monomial.
 
     Variables are allocated in basis order. A restricted basis may be passed
@@ -270,8 +187,7 @@ def fresh_free_poly(
         raise ValueError("degree must be >= 0, got %d" % degree)
     if basis is None:
         basis = monomial_basis(nvars, degree)
-    terms = {m: AffineExpr.variable(alloc.fresh()) for m in basis}
-    return AffinePolynomial(terms, nvars)
+    return {mono: {alloc.fresh(): 1.0} for mono in basis}
 
 
 def fresh_dsos_poly(
@@ -312,39 +228,38 @@ def fresh_dsos_poly(
 
     tau = SymVarMatrix.allocate(alloc, k, keep=_keep_tau)
 
-    acc: Dict[Monomial, AffineExpr] = {}
-    for (i, j) in Q.pairs:
-        mono = tuple(a + b for a, b in zip(basis[i], basis[j]))
-        weight = 1.0 if i == j else 2.0
-        acc[mono] = acc.get(mono, AffineExpr()) + AffineExpr.variable(Q.var(i, j), weight)
-    expansion = AffinePolynomial(acc, nvars)
+    expansion: LinearPoly = {}
+    for (i, j), idx in Q.index.items():
+        mono = tuple(map(add, basis[i], basis[j]))
+        expansion.setdefault(mono, {})[idx] = 1.0 if i == j else 2.0
     return DsosVar(basis=basis, Q=Q, tau=tau, expansion=expansion)
 
 
-def dd_linear_constraints(v: DsosVar) -> List[AffineExpr]:
-    """Rows expr <= 0 forcing Q to be diagonally dominant.
+def dd_linear_constraints(v: DsosVar) -> List[Tuple[Row, float]]:
+    """Rows (coefs, rhs) meaning coefs . z <= rhs that force Q to be diagonally dominant.
 
     Per row i: -Q_ii + sum_{j != i} tau_ij <= 0; per stored unordered pair
     i < j: Q_ij - tau_ij <= 0 and -Q_ij - tau_ij <= 0. Symmetric entries
     share variables, so each unordered pair is emitted once; with a full
     Gram that is k + k(k-1) rows. tau_ij >= 0 is implied by the pair of
-    rows, never added separately.
+    rows, never added separately. The signs of the zero right-hand sides
+    (-0 on the per-row and Q_ij - tau_ij rows, 0 on the -Q_ij - tau_ij
+    rows) show in exported LP text, whose pinned digests depend on them.
     """
-    rows: List[AffineExpr] = []
+    rows: List[Tuple[Row, float]] = []
     k = v.dim
     for i in range(k):
-        expr = AffineExpr.variable(v.Q.var(i, i), -1.0)
+        coefs = {v.Q.var(i, i): -1.0}
         for j in range(k):
             if j != i and v.Q.has(i, j):
-                expr = expr + AffineExpr.variable(v.tau.var(i, j), 1.0)
-        rows.append(expr)
-    for (i, j) in v.Q.pairs:
+                coefs[v.tau.var(i, j)] = 1.0
+        rows.append((coefs, -0.0))
+    for (i, j), q in v.Q.index.items():
         if i == j:
             continue
-        q = AffineExpr.variable(v.Q.var(i, j), 1.0)
-        t = AffineExpr.variable(v.tau.var(i, j), 1.0)
-        rows.append(q - t)
-        rows.append(-q - t)
+        t = v.tau.var(i, j)
+        rows.append(({q: 1.0, t: -1.0}, -0.0))
+        rows.append(({q: -1.0, t: -1.0}, 0.0))
     return rows
 
 

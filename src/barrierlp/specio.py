@@ -285,7 +285,7 @@ def _parse_poly_field(text, variables, path: str) -> Polynomial:
         raise ProblemFormatError(path, "expected a polynomial string")
     try:
         return parse_polynomial(text, variables)
-    except PolyParseError as exc:
+    except ValueError as exc:  # grammar errors and out-of-range coefficients or exponents
         raise ProblemFormatError(path, str(exc)) from exc
 
 

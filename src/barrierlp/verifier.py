@@ -42,15 +42,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .affinegram import (
-    AffinePolynomial,
     DecisionAllocator,
     DsosVar,
+    LinearPoly,
     coefficient_system,
     dd_linear_constraints,
     fresh_dsos_poly,
     fresh_free_poly,
     gram_expansion,
+    instantiate,
     is_diagonally_dominant,
+    linear_sum,
     mul_fixed,
 )
 from .lpsolve import (
@@ -189,6 +191,8 @@ class VerifierOptions:
                 raise ValueError("deg_p and deg_s schedules must have equal length")
         if self.archimedean_C is not None and self.archimedean_C < 1:
             raise ValueError("archimedean_C must be a positive integer")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(max_iters=self.max_iters)
@@ -348,7 +352,8 @@ class SingleLayout:
 
     Allocation order: p10, p20, p1 (m polynomials), p2 (m polynomials),
     then s1 (Gram, bounding matrix), then s2. With shared full bases of
-    size k this totals 2k^2 + (2m + 4)k variables.
+    size k this totals 2k^2 + (2m + 4)k variables. The identity is
+    ``identity + fixed == 0`` with fixed = -Lfb^(2a).
     """
 
     a: int
@@ -357,13 +362,14 @@ class SingleLayout:
     nvars: int
     free_basis: List[Monomial]
     gram_basis: List[Monomial]
-    p10: AffinePolynomial
-    p20: AffinePolynomial
-    p1: List[Optional[AffinePolynomial]]
-    p2: List[Optional[AffinePolynomial]]
+    p10: LinearPoly
+    p20: LinearPoly
+    p1: List[Optional[LinearPoly]]
+    p2: List[Optional[LinearPoly]]
     s1: DsosVar
     s2: DsosVar
-    identity: AffinePolynomial
+    identity: LinearPoly
+    fixed: Polynomial
 
 
 @dataclass
@@ -372,7 +378,8 @@ class EmptinessLayout:
 
     Allocation order: s0, then one DSOS variable per generator (candidates
     first, the compactness generator last when present). With a shared full
-    basis of size k and no augmentation this totals (k^2 + k)(L + 1).
+    basis of size k and no augmentation this totals (k^2 + k)(L + 1). The
+    identity is ``identity + fixed == 0`` with fixed = 1.
     """
 
     deg_s: int
@@ -381,13 +388,8 @@ class EmptinessLayout:
     s_vars: List[DsosVar]
     generators: List[Polynomial]
     augmented: bool
-    identity: AffinePolynomial
-
-
-def _instantiated_or_zero(ap: Optional[AffinePolynomial], z, nvars: int) -> Polynomial:
-    if ap is None:
-        return Polynomial.zero(nvars)
-    return ap.instantiate(z)
+    identity: LinearPoly
+    fixed: Polynomial
 
 
 def _bases(
@@ -414,15 +416,15 @@ def _bases(
 
 
 def _identity_lp(
-    nvars: int, identity: AffinePolynomial, dsos_vars: Sequence[DsosVar]
+    nvars: int, identity: LinearPoly, fixed: Polynomial, dsos_vars: Sequence[DsosVar]
 ) -> LpProblem:
-    """Equality rows zeroing every coefficient of the identity, then DD rows."""
+    """Equality rows zeroing every coefficient of identity + fixed, then DD rows."""
     lp = LpProblem(nvars)
-    for expr in coefficient_system(identity):
-        lp.add_eq(dict(expr.linear), -expr.constant)
+    for coefs, rhs in coefficient_system(identity, fixed):
+        lp.add_eq(coefs, rhs)
     for var in dsos_vars:
-        for row in dd_linear_constraints(var):
-            lp.add_ub(dict(row.linear), -row.constant)
+        for coefs, rhs in dd_linear_constraints(var):
+            lp.add_ub(coefs, rhs)
     return lp
 
 
@@ -452,23 +454,20 @@ def assemble_single_lp(
     alloc = DecisionAllocator()
     p10 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
     p20 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
-    p1: List[Optional[AffinePolynomial]] = [None] * m
-    p2: List[Optional[AffinePolynomial]] = [None] * m
+    p1: List[Optional[LinearPoly]] = [None] * m
+    p2: List[Optional[LinearPoly]] = [None] * m
     for channel in (p1, p2):
         for j in live:
             channel[j] = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
     s1 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
     s2 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
 
-    power_term = Polynomial.one(n) if a == 0 else lfb ** (2 * a)
+    fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
 
-    h1 = s1.expansion + mul_fixed(p10, b)
-    for j in live:
-        h1 = h1 + mul_fixed(p1[j], lgb_entries[j])
-    e = mul_fixed(h1, lfb) - s2.expansion - mul_fixed(p20, b)
-    for j in live:
-        e = e - mul_fixed(p2[j], lgb_entries[j])
-    e = e - AffinePolynomial.from_polynomial(power_term)
+    h1 = linear_sum([(1.0, s1.expansion), (1.0, mul_fixed(p10, b))]
+                    + [(1.0, mul_fixed(p1[j], lgb_entries[j])) for j in live])
+    e = linear_sum([(1.0, mul_fixed(h1, lfb)), (-1.0, s2.expansion), (-1.0, mul_fixed(p20, b))]
+                   + [(-1.0, mul_fixed(p2[j], lgb_entries[j])) for j in live])
 
     # A fixed term of higher degree than any multiplier product cannot be
     # matched; assemble anyway, the resulting infeasibility is informative.
@@ -476,15 +475,15 @@ def assemble_single_lp(
     for gen in [b] + lgb_entries:
         if not gen.is_zero():
             reach.append(gen.degree() + deg_p + max(lfb.degree(), 0))
-    if power_term.degree() > max(reach):
+    if fixed.degree() > max(reach):
         logger.warning(
             "fixed term of degree %d exceeds every multiplier product (max %d); "
             "the program will be infeasible at this schedule",
-            power_term.degree(),
+            fixed.degree(),
             max(reach),
         )
 
-    lp = _identity_lp(alloc.count, e, (s1, s2))
+    lp = _identity_lp(alloc.count, e, fixed, (s1, s2))
     layout = SingleLayout(
         a=a,
         deg_s=deg_s,
@@ -499,6 +498,7 @@ def assemble_single_lp(
         s1=s1,
         s2=s2,
         identity=e,
+        fixed=fixed,
     )
     return lp, layout
 
@@ -575,11 +575,11 @@ def assemble_emptiness_lp(
         for _ in range(1 + len(generators))
     ]
 
-    e = AffinePolynomial.from_polynomial(Polynomial.one(n)) + s_vars[0].expansion
-    for var, gen in zip(s_vars[1:], generators):
-        e = e + mul_fixed(var.expansion, gen)
+    e = linear_sum([(1.0, s_vars[0].expansion)]
+                   + [(1.0, mul_fixed(v.expansion, gen)) for v, gen in zip(s_vars[1:], generators)])
+    fixed = Polynomial.one(n)
 
-    lp = _identity_lp(alloc.count, e, s_vars)
+    lp = _identity_lp(alloc.count, e, fixed, s_vars)
     layout = EmptinessLayout(
         deg_s=deg_s,
         nvars=alloc.count,
@@ -588,6 +588,7 @@ def assemble_emptiness_lp(
         generators=generators,
         augmented=augmented,
         identity=e,
+        fixed=fixed,
     )
     return lp, layout
 
@@ -605,10 +606,10 @@ def extract_single_certificate(
         a=layout.a,
         deg_s=layout.deg_s,
         deg_p=layout.deg_p,
-        p10=layout.p10.instantiate(z),
-        p20=layout.p20.instantiate(z),
-        p1=[_instantiated_or_zero(ap, z, n) for ap in layout.p1],
-        p2=[_instantiated_or_zero(ap, z, n) for ap in layout.p2],
+        p10=instantiate(layout.p10, z, n),
+        p20=instantiate(layout.p20, z, n),
+        p1=[instantiate(lin or {}, z, n) for lin in layout.p1],
+        p2=[instantiate(lin or {}, z, n) for lin in layout.p2],
     )
     cert.residual = certificate_residual(cert, sys, cand)
     return cert

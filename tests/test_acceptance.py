@@ -15,6 +15,7 @@ import numpy as np
 from _oracles import fm_feasible
 from barrierlp.affinegram import (
     DecisionAllocator,
+    coefficient_system,
     dd_linear_constraints,
     dsos_decomposition,
     expand_decomposition,
@@ -25,7 +26,7 @@ from barrierlp.affinegram import (
     mul_fixed,
 )
 from barrierlp.lpsolve import LpProblem, LpStatus, solve_feasibility, validate_farkas
-from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, monomial_basis
+from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, grlex_key, monomial_basis
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.verifier import (
     CandidateCbf,
@@ -88,12 +89,11 @@ def test_criterion_01_gram_example_fidelity():
         (3,): {1: 1.0},
         (4,): {2: 1.0},
     }
-    terms = dict(prod.sorted_terms())
-    assert set(terms) == set(expected)
-    for mono, want in expected.items():
-        expr = terms[mono]
-        assert expr.constant == 0.0
-        assert expr.linear == want
+    assert prod == expected
+    # The equality rows carry the same forms in term order, with zero right-hand sides.
+    rows = coefficient_system(prod, Polynomial.zero(1))
+    assert [coefs for coefs, _ in rows] == [expected[m] for m in sorted(expected, key=grlex_key)]
+    assert all(rhs == 0.0 for _, rhs in rows)
 
 
 @criterion(2, "dominance rows agree with the direct test, 200 cases")
@@ -115,9 +115,9 @@ def test_criterion_02_dd_linearization_correctness():
         v = fresh_dsos_poly(alloc, nvars=1, halfdeg=k - 1)
         assert v.dim == k
         lp = LpProblem(alloc.count)
-        for expr in dd_linear_constraints(v):
-            lp.add_ub(dict(expr.linear), -expr.constant)
-        for (i, j) in v.Q.pairs:
+        for coefs, rhs in dd_linear_constraints(v):
+            lp.add_ub(coefs, rhs)
+        for (i, j) in v.Q.index:
             lp.add_eq({v.Q.var(i, j): 1.0}, float(M[i, j]))
         out = solve_feasibility(lp)
         assert out.status in (LpStatus.FEASIBLE, LpStatus.INFEASIBLE), "trial %d" % trial

@@ -1,13 +1,12 @@
 """Decision-coefficient polynomials, DSOS variables, DD rows, decompositions."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from barrierlp.affinegram import (
-    AffineExpr,
-    AffinePolynomial,
     DecisionAllocator,
     coefficient_system,
     dd_linear_constraints,
@@ -16,10 +15,16 @@ from barrierlp.affinegram import (
     fresh_dsos_poly,
     fresh_free_poly,
     gram_expansion,
+    instantiate,
     is_diagonally_dominant,
+    linear_sum,
     mul_fixed,
 )
-from barrierlp.polyring import Polynomial, monomial_basis
+from barrierlp.polyring import Polynomial, grlex_key, monomial_basis
+
+
+def row_value(coefs, z):
+    return sum(c * z[i] for i, c in coefs.items())
 
 
 def random_dd_matrix(rng, k, scale=2.0):
@@ -37,11 +42,8 @@ def test_fresh_free_poly_univariate_quadratic():
     alloc = DecisionAllocator()
     ap = fresh_free_poly(alloc, 1, 2)
     assert alloc.count == 3
-    assert set(ap.terms) == {(0,), (1,), (2,)}
     # One fresh variable per basis monomial, in basis order.
-    assert ap.terms[(0,)].linear == {0: 1.0}
-    assert ap.terms[(1,)].linear == {1: 1.0}
-    assert ap.terms[(2,)].linear == {2: 1.0}
+    assert ap == {(0,): {0: 1.0}, (1,): {1: 1.0}, (2,): {2: 1.0}}
 
 
 def test_fresh_free_poly_counts():
@@ -57,10 +59,11 @@ def test_fresh_dsos_expansion_univariate():
     v = fresh_dsos_poly(alloc, 1, 1)
     # Basis [1, x]: expansion Q11 + 2 Q12 x + Q22 x^2 with Q allocated first.
     assert v.basis == [(0,), (1,)]
-    e = v.expansion
-    assert e.terms[(0,)].linear == {v.Q.var(0, 0): 1.0}
-    assert e.terms[(1,)].linear == {v.Q.var(0, 1): 2.0}
-    assert e.terms[(2,)].linear == {v.Q.var(1, 1): 1.0}
+    assert v.expansion == {
+        (0,): {v.Q.var(0, 0): 1.0},
+        (1,): {v.Q.var(0, 1): 2.0},
+        (2,): {v.Q.var(1, 1): 1.0},
+    }
 
 
 def test_fresh_dsos_degree_zero():
@@ -70,7 +73,7 @@ def test_fresh_dsos_degree_zero():
     # Single Gram entry, single DD row -Q11 <= 0.
     assert v.dim == 1
     assert len(rows) == 1
-    assert rows[0].linear == {v.Q.var(0, 0): -1.0}
+    assert rows[0] == ({v.Q.var(0, 0): -1.0}, 0.0)
 
 
 def test_fresh_dsos_variable_counts():
@@ -88,23 +91,25 @@ def test_mul_fixed_reproduces_multiplier_row():
     ap = fresh_free_poly(alloc, 1, 2)
     x = Polynomial.variable(0, 1)
     prod = mul_fixed(ap, x**2 - 4)
-    assert prod.terms[(0,)].linear == {0: -4.0}
-    assert prod.terms[(1,)].linear == {1: -4.0}
-    assert prod.terms[(2,)].linear == {0: 1.0, 2: -4.0}
-    assert prod.terms[(3,)].linear == {1: 1.0}
-    assert prod.terms[(4,)].linear == {2: 1.0}
-    assert all(expr.constant == 0.0 for expr in prod.terms.values())
+    assert prod == {
+        (0,): {0: -4.0},
+        (1,): {1: -4.0},
+        (2,): {0: 1.0, 2: -4.0},
+        (3,): {1: 1.0},
+        (4,): {2: 1.0},
+    }
+    # Column order follows the order of addition: c1 x^2 first, then -4 c3.
+    assert list(prod[(2,)]) == [0, 2]
 
 
 def test_mul_fixed_identity_and_zero():
     alloc = DecisionAllocator()
     ap = fresh_free_poly(alloc, 2, 1)
     one = Polynomial.one(2)
-    same = mul_fixed(ap, one)
-    assert same.terms.keys() == ap.terms.keys()
-    for key in ap.terms:
-        assert same.terms[key].linear == ap.terms[key].linear
-    assert mul_fixed(ap, Polynomial.zero(2)).terms == {}
+    assert mul_fixed(ap, one) == ap
+    assert mul_fixed(ap, Polynomial.zero(2)) == {}
+    with pytest.raises(ValueError):
+        mul_fixed(ap, Polynomial.one(3))
 
 
 def test_coefficient_system_examples():
@@ -112,20 +117,20 @@ def test_coefficient_system_examples():
     ap = fresh_free_poly(alloc, 1, 2)
     x = Polynomial.variable(0, 1)
     prod = mul_fixed(ap, x**2 - 4)
-    system = coefficient_system(prod)
+    system = coefficient_system(prod, Polynomial.zero(1))
     assert len(system) == 5
     # Third entry is the x^2 coefficient c1 - 4 c3.
-    assert system[2].linear == {0: 1.0, 2: -4.0}
+    assert system[2] == ({0: 1.0, 2: -4.0}, 0.0)
+    # Without a fixed term the right-hand side is -0.0.
+    assert all(math.copysign(1.0, rhs) == -1.0 for _, rhs in system)
 
-    assert coefficient_system(AffinePolynomial.zero(3)) == []
+    assert coefficient_system({}, Polynomial.zero(3)) == []
 
+    # 1 + s0 == 0: the fixed 1 moves to the right-hand side.
     alloc = DecisionAllocator()
     s0 = fresh_dsos_poly(alloc, 1, 0)
-    e = AffinePolynomial.from_polynomial(Polynomial.one(1)) + s0.expansion
-    system = coefficient_system(e)
-    assert len(system) == 1
-    assert system[0].constant == 1.0
-    assert system[0].linear == {s0.Q.var(0, 0): 1.0}
+    system = coefficient_system(s0.expansion, Polynomial.one(1))
+    assert system == [({s0.Q.var(0, 0): 1.0}, -1.0)]
 
 
 def test_dd_rows_k2_exact_set():
@@ -135,7 +140,7 @@ def test_dd_rows_k2_exact_set():
     t12 = v.tau.var(0, 1)
     rows = dd_linear_constraints(v)
     assert len(rows) == 4
-    got = {tuple(sorted(r.linear.items())) for r in rows}
+    got = {tuple(sorted(coefs.items())) for coefs, _ in rows}
     expected = {
         tuple(sorted({q11: -1.0, t12: 1.0}.items())),
         tuple(sorted({q22: -1.0, t12: 1.0}.items())),
@@ -143,7 +148,9 @@ def test_dd_rows_k2_exact_set():
         tuple(sorted({q12: -1.0, t12: -1.0}.items())),
     }
     assert got == expected
-    assert all(r.constant == 0.0 for r in rows)
+    # Zero right-hand sides: -0 on the per-row and Q_ij - tau_ij rows, 0 on -Q_ij - tau_ij.
+    assert [math.copysign(1.0, rhs) for _, rhs in rows] == [-1.0, -1.0, -1.0, 1.0]
+    assert all(rhs == 0.0 for _, rhs in rows)
 
 
 def test_dd_row_count_formula():
@@ -163,11 +170,11 @@ def test_dd_feasible_assignment_is_dd():
         assert v.dim == k
         M = random_dd_matrix(rng, k)
         z = np.zeros(alloc.count)
-        for (i, j) in v.Q.pairs:
+        for (i, j) in v.Q.index:
             z[v.Q.var(i, j)] = M[i, j]
             z[v.tau.var(i, j)] = abs(M[i, j]) if i != j else 0.0
-        for row in dd_linear_constraints(v):
-            assert row.value(z) <= 1e-12
+        for coefs, rhs in dd_linear_constraints(v):
+            assert row_value(coefs, z) <= rhs + 1e-12
         assert is_diagonally_dominant(v.Q.materialize(z), tol=1e-9)
 
 
@@ -226,11 +233,15 @@ def test_linearity_is_preserved_everywhere():
     x1 = Polynomial.variable(0, 2)
     x2 = Polynomial.variable(1, 2)
     fixed = 2 * x1**2 - x2 + 0.5
-    e = mul_fixed(ap + v.expansion, fixed) - fixed
+    # e = (ap + s) * fixed - fixed
+    lin = mul_fixed(linear_sum([(1.0, ap), (1.0, v.expansion)]), fixed)
     z = [rng.uniform(-2, 2) for _ in range(alloc.count)]
-    inst = e.instantiate(z)
-    for mono, expr in e.terms.items():
-        assert abs(inst.terms.get(mono, 0.0) - expr.value(z)) <= 1e-12
+    inst = instantiate(lin, z, 2) - fixed
+    monos = sorted(set(lin) | set(fixed.terms), key=grlex_key)
+    rows = coefficient_system(lin, -fixed)
+    assert len(rows) == len(monos)
+    for mono, (coefs, rhs) in zip(monos, rows):
+        assert abs(inst.coefficient(mono) - (row_value(coefs, z) - rhs)) <= 1e-12
 
 
 def test_coefficient_system_zero_implies_zero_polynomial():
@@ -240,18 +251,24 @@ def test_coefficient_system_zero_implies_zero_polynomial():
     x = Polynomial.variable(0, 1)
     # e = (c0 + c1 x)(x - 1) + (x^2 - x) c with c fixed to 1: solving the
     # coefficient system forces e to vanish identically.
-    e = mul_fixed(ap, x - 1) + (x**2 - x)
-    system = coefficient_system(e)
+    lin = mul_fixed(ap, x - 1)
+    fixed = x**2 - x
+    system = coefficient_system(lin, fixed)
     # c0 = 0, c1 = -1 solves the system.
     z = [0.0, -1.0]
-    assert all(abs(expr.value(z)) <= 1e-12 for expr in system)
-    inst = e.instantiate(z)
+    assert all(abs(row_value(coefs, z) - rhs) <= 1e-12 for coefs, rhs in system)
+    inst = instantiate(lin, z, 1) + fixed
     for _ in range(100):
         pt = [rng.uniform(-3, 3)]
         assert abs(inst(pt)) <= 1e-8
 
 
-def test_affine_expr_prunes_zero_entries():
-    e = AffineExpr(1.0, {0: 1.0}) - AffineExpr(0.0, {0: 1.0})
-    assert e.linear == {}
-    assert e.constant == 1.0
+def test_linear_sum_prunes_cancelled_entries():
+    one = {(0,): {0: 1.0, 1: 2.0}}
+    assert linear_sum([(1.0, one), (-1.0, one)]) == {}
+    assert linear_sum([(1.0, one), (-1.0, {(0,): {0: 1.0}})]) == {(0,): {1: 2.0}}
+    # A partial sum below the pruning tolerance is dropped as well.
+    assert linear_sum([(1.0, {(0,): {0: 1.0}}), (-1.0, {(0,): {0: 1.0 - 1e-15}})]) == {}
+    # A monomial whose columns cancel still gets a row from its fixed term.
+    assert coefficient_system(linear_sum([(1.0, one), (-1.0, one)]),
+                              Polynomial.one(1)) == [({}, -1.0)]

@@ -113,9 +113,13 @@ def test_usage_errors_exit_three(tmp_path):
     assert main(["verify", str(tmp_path / "missing.json")]) == 3
     assert main(["bench-satellite", "--L", "0"]) == 3
     assert main(["export-lp", path, "--a", "-1"]) == 3
+    assert main(["verify", path, "--max-iters", "-5"]) == 3
+    doc = unit_disc_doc()
+    doc["options"] = {"max_iters": -5}
+    assert main(["verify", write_problem(tmp_path, "neg.json", doc)]) == 3
 
 
-def test_malformed_problem_exit_three(tmp_path):
+def test_malformed_problem_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad)]) == 3
@@ -127,6 +131,13 @@ def test_malformed_problem_exit_three(tmp_path):
     doc["candidates"] = ["1 - q^2"]
     path2 = write_problem(tmp_path, "q.json", doc)
     assert main(["verify", path2]) == 3
+    # Out-of-range coefficients and exponents are format errors, not internal ones.
+    capsys.readouterr()
+    for i, text in enumerate(["1 - 1e999*x^2", "1e308*x^2 + 1e308*x^2", "1 - x^70000"]):
+        doc = unit_disc_doc()
+        doc["candidates"] = [text]
+        assert main(["verify", write_problem(tmp_path, "r%d.json" % i, doc)]) == 3
+        assert "candidates[0]: " in capsys.readouterr().err
 
 
 def test_bad_schedule_flags_exit_three(tmp_path):

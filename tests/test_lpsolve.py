@@ -22,15 +22,6 @@ from barrierlp.lpsolve import (
 )
 
 
-def affine_rows_to_lp(nvars, eq_exprs=(), ub_exprs=()):
-    lp = LpProblem(nvars)
-    for expr in eq_exprs:
-        lp.add_eq(dict(expr.linear), -expr.constant)
-    for expr in ub_exprs:
-        lp.add_ub(dict(expr.linear), -expr.constant)
-    return lp
-
-
 def test_box_is_feasible():
     lp = LpProblem(1)
     lp.add_ub({0: 1.0}, 1.0)
@@ -55,7 +46,9 @@ def test_dd_system_with_negative_diagonal_is_infeasible():
     # DD rows force Q11 >= 0; pinning Q11 = -1 contradicts them.
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 1, 1)
-    lp = affine_rows_to_lp(alloc.count, ub_exprs=dd_linear_constraints(v))
+    lp = LpProblem(alloc.count)
+    for coefs, rhs in dd_linear_constraints(v):
+        lp.add_ub(coefs, rhs)
     lp.add_eq({v.Q.var(0, 0): 1.0}, -1.0)
     out = solve_feasibility(lp)
     assert out.status is LpStatus.INFEASIBLE

@@ -16,6 +16,7 @@ from barrierlp.lpsolve import (
     solve_feasibility,
 )
 from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, monomial_basis
+from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.verifier import (
     CandidateCbf,
     Certificate,
@@ -29,6 +30,7 @@ from barrierlp.verifier import (
     augment_archimedean,
     certificate_residual,
     default_deg_p,
+    default_deg_s,
     sign_symmetry_kernel,
     verify_multi,
     verify_single,
@@ -65,7 +67,8 @@ def test_single_layout_size_small():
     assert lay.nvars == 20
     assert lp.nvars == 20
     # equality rows: one per monomial of the identity; dd rows: k^2 per Gram.
-    assert lp.nrows == len(set(m for m, _ in lay.identity.sorted_terms())) + 2 * 4
+    assert len(lp.eq_rows) == len(set(lay.identity) | set(lay.fixed.terms))
+    assert lp.nrows == len(lp.eq_rows) + 2 * 4
 
 
 def test_single_layout_size_k3():
@@ -83,11 +86,9 @@ def test_single_layout_allocation_order():
     _, lay = assemble_single_lp(sys, cand(b, sys), a=0, deg_s=1, deg_p=1)
     k = len(lay.gram_basis)
     kp = len(lay.free_basis)
-    p10_vars = sorted(
-        idx for _, e in lay.p10.sorted_terms() for idx in e.linear
-    )
+    p10_vars = sorted(idx for row in lay.p10.values() for idx in row)
     assert p10_vars == list(range(kp))
-    p20_vars = sorted(idx for _, e in lay.p20.sorted_terms() for idx in e.linear)
+    p20_vars = sorted(idx for row in lay.p20.values() for idx in row)
     assert p20_vars == list(range(kp, 2 * kp))
     s1_first = lay.s1.Q.var(0, 0)
     assert s1_first == 4 * kp  # after p10, p20, p1, p2
@@ -258,10 +259,10 @@ def test_zero_power_convention():
     b = Polynomial.one(1) - _x(0, 1) ** 2
     c = cand(b, sys)
     assert c.lfb.is_zero()
-    _, lay = assemble_single_lp(sys, c, a=0, deg_s=1, deg_p=1)
-    zero_mono = (0,)
-    const_row = dict(lay.identity.sorted_terms())[zero_mono]
-    assert const_row.constant == -1.0
+    lp, lay = assemble_single_lp(sys, c, a=0, deg_s=1, deg_p=1)
+    assert lay.fixed == -Polynomial.one(1)
+    # The constant monomial comes first in the term order; its row reads ... = 1.
+    assert lp.eq_rows[0][1] == 1.0
 
 
 def test_zero_certificate_residual_is_one():
@@ -502,6 +503,9 @@ def test_options_validation():
         VerifierOptions(deg_s=[1, 2], deg_p=[1])
     with pytest.raises(ValueError):
         VerifierOptions(archimedean_C=0)
+    with pytest.raises(ValueError):
+        VerifierOptions(max_iters=-5)
+    assert VerifierOptions(max_iters=0).max_iters == 0
 
 
 def test_explicit_schedule_is_respected():
@@ -583,16 +587,31 @@ PINNED_LP_DIGESTS = {
     ("single", 1, False): "63d0b0c69d69c2b225c8daaaf1a6c2da622ed89c3be17d8f7471996e652164cb",
     ("emptiness", 0, False): "d667559a9afd7c890c612173980f78071bf6b63de0c410376b4c2a14a895ecf5",
     ("emptiness", 1, False): "a0127ec5d82575221782299902be6fb9c3177dfcc5f4711a16a874d47d035441",
+    # One-chaser inspection single program (367 x 154). Its Lfb is nonzero, so
+    # mul_fixed(h1, Lfb) sums several products into one column: this pins the
+    # order of those additions.
+    ("satellite", 0, True): "21e490b0659a9e29b64478d13efe1e8631c798390bd89019e1a9f5d85fe6a899",
+    ("satellite", 1, True): "4f3ca6efca191f1b2e294e681153bea7ad0d56349d1faf4c496b6573d94bc49c",
 }
 
 
 @pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
 def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
-    """Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at deg_s = degree."""
+    """Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at deg_s = degree;
+    the satellite single program of CwParams(L=1) at a = degree."""
     sys = single_integrator(1)
     x = _x(0, 1)
     disc = cand(Polynomial.one(1) - x ** 2, sys)
-    if family == "single":
+    if family == "satellite":
+        params = CwParams(L=1)
+        sys = build_cw_system(params)
+        sat = build_inspection_cbf(params, 0, sys)
+        ds = default_deg_s(sat.b)
+        lp, _ = assemble_single_lp(sys, sat, a=degree, deg_s=ds,
+                                   deg_p=default_deg_p(sat, degree, ds),
+                                   reduce_basis=reduce_basis)
+        assert (lp.nrows, lp.nvars) == (367, 154)
+    elif family == "single":
         lp, _ = assemble_single_lp(sys, disc, a=degree, deg_s=1,
                                    deg_p=default_deg_p(disc, degree, 1),
                                    reduce_basis=reduce_basis)
