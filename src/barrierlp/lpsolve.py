@@ -2,10 +2,14 @@
 
 Every program here minimizes the constant zero; the only question is whether
 the constraint system admits a point. Feasibility is decided by a dense
-phase-1 simplex (split free variables, slacks, one artificial per row,
-Bland's anti-cycling rule). An infeasible run returns row multipliers that
-combine the constraints into 0^T z <= -delta with delta > 0, so negative
-verdicts carry their own proof and can be revalidated by substitution.
+phase-1 simplex (split free variables, slacks, one artificial per row). The
+entering column is Bland's lowest eligible index; the leaving row comes from
+Harris's two-pass ratio test (Math. Prog. 5, 1973), which prefers the largest
+pivot entry among near-ties. That pairing has no anti-cycling guarantee: the
+progress window bounds any cycle, and its exit is gated like every other.
+An infeasible run returns row multipliers that combine the constraints into
+0^T z <= -delta with delta > 0, so negative verdicts carry their own proof
+and can be revalidated by substitution.
 """
 
 from __future__ import annotations
@@ -313,12 +317,18 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             if eroded:
                 reason = "eroded"
             break
+        # Harris two-pass ratio test: pass 1 bounds the step with every
+        # right-hand side relaxed by pivot_tol; pass 2 takes, among the rows
+        # whose exact ratio fits under that bound, the largest pivot entry
+        # (the first on a tie). Pivoting on the smallest-index tie instead
+        # lets entries near pivot_tol through and blows the tableau up.
         col = T[:m, pc]
         eligible = np.nonzero(col > opts.pivot_tol)[0]
-        ratios = T[eligible, ncols] / col[eligible]
-        best = ratios.min()
-        near = eligible[ratios <= best + opts.pivot_tol]
-        pr = int(near[basis[near].argmin()])
+        a = col[eligible]
+        rhs = T[eligible, ncols]
+        bound = ((np.maximum(rhs, 0.0) + opts.pivot_tol) / a).min()
+        fits = rhs / a <= bound
+        pr = int(eligible[np.where(fits, a, -np.inf).argmax()])
         # Pivot on (pr, pc). A row whose pivot-column entry is zero would
         # change by exactly 0 * T[pr], so when at most half the rows have a
         # nonzero entry only those are gathered, updated and scattered back.

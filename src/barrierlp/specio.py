@@ -353,12 +353,14 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
         raise ProblemFormatError("candidates", "at least one candidate is required")
 
     system = ControlAffineSystem(f=PolyMatrix(f_rows), g=PolyMatrix(g_rows))
-    candidates = [
-        CandidateCbf.from_system(
-            _parse_poly_field(s, variables, "candidates[%d]" % i), system
-        )
-        for i, s in enumerate(cand_strs)
-    ]
+    candidates = []
+    for i, s in enumerate(cand_strs):
+        path = "candidates[%d]" % i
+        b = _parse_poly_field(s, variables, path)
+        try:
+            candidates.append(CandidateCbf.from_system(b, system))
+        except ValueError as exc:  # a Lie derivative overflows to a non-finite coefficient
+            raise ProblemFormatError(path, str(exc)) from exc
 
     opt_doc = document.get("options", {})
     if not isinstance(opt_doc, dict):

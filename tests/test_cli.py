@@ -63,8 +63,8 @@ def test_verify_negative_exit_one(tmp_path):
     assert main(["verify", path, "--report", str(tmp_path / "r.json")]) == 1
 
 
-def test_verify_negative_farkas_multiplier_exit_one(tmp_path, capsys):
-    """The a=0 program's Farkas certificate has a negative inequality multiplier."""
+def test_verify_refuted_schedule_exit_one(tmp_path, capsys):
+    """Every program of the schedule is refuted by a valid Farkas certificate."""
     doc = {
         "schema": 1,
         "variables": ["x", "y"],
@@ -77,10 +77,10 @@ def test_verify_negative_farkas_multiplier_exit_one(tmp_path, capsys):
     path = write_problem(tmp_path, "p.json", doc)
     assert main(["verify", path]) == 1
     report = json.loads(capsys.readouterr().out)
-    first = report["lps"][0]
-    assert first["name"].startswith("single a=0 ")
-    assert first["status"] == "Infeasible"
-    assert first["farkas_valid"] is False
+    assert report["verdict"] == "Inconclusive"
+    assert [lp["name"].split()[1] for lp in report["lps"]] == ["a=0", "a=1"]
+    for lp in report["lps"]:
+        assert (lp["status"], lp["exit"], lp["farkas_valid"]) == ("Infeasible", "optimal", True)
 
 
 def test_verify_empty_pair_exit_two(tmp_path, capsys):
@@ -138,6 +138,12 @@ def test_malformed_problem_exit_three(tmp_path, capsys):
         doc["candidates"] = [text]
         assert main(["verify", write_problem(tmp_path, "r%d.json" % i, doc)]) == 3
         assert "candidates[0]: " in capsys.readouterr().err
+    # Finite fields whose Lie derivative overflows are format errors too.
+    doc = unit_disc_doc()
+    doc["drift"] = ["1e200*x"]
+    doc["candidates"] = ["1 - 1e200*x^2"]
+    assert main(["verify", write_problem(tmp_path, "lie.json", doc)]) == 3
+    assert "candidates[0]: non-finite coefficient" in capsys.readouterr().err
 
 
 def test_bad_schedule_flags_exit_three(tmp_path):
@@ -216,11 +222,12 @@ def test_bench_flag_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Verified" in out
-    # The a=0 program stops through the progress window, not the pivot budget.
+    # The a=0 program is refuted by a valid certificate, far inside the pivot budget.
     first = json.loads(report_path.read_text())["rows"][0]["lps"][0]
     assert first["name"].startswith("single a=0 ")
     assert (first["status"], first["iterations"], first["exit"]) == \
-        ("IterationLimit", 6748, "stall_window")
+        ("Infeasible", 202, "optimal")
+    assert first["farkas_valid"] is True
     assert first["seconds"] == 0.0
 
 

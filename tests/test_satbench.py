@@ -155,7 +155,7 @@ def test_benchmark_l1_exercises_only_single_programs():
     assert "emptiness_deg_s" not in row["schedule"]
     # Pivot counts of the simplex on the reference one-chaser programs.
     assert [(lp["name"].split()[1], lp["status"], lp["iterations"]) for lp in row["lps"]] == \
-        [("a=0", "Infeasible", 326), ("a=1", "Feasible", 256)]
+        [("a=0", "Infeasible", 202), ("a=1", "Feasible", 190)]
 
 
 def test_benchmark_rejects_bad_lmax():

@@ -17,6 +17,7 @@ from barrierlp.lpsolve import (
 )
 from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, monomial_basis
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
+from barrierlp.specio import load_problem
 from barrierlp.verifier import (
     CandidateCbf,
     Certificate,
@@ -248,6 +249,51 @@ def test_multi_iteration_limit_warns_once_per_lp():
     expected += ["candidate %d: %s: iteration limit reached" % (i, r.name)
                  for i, s in enumerate(out.singles) for r in s.lps]
     assert [w for w in out.warnings if "iteration limit" in w] == expected
+
+
+# Two random-corpus problems whose single programs end in the gated simplex
+# exits: the second candidate of the first stalls, both programs of
+# the first candidate of the second erode.
+STALL_WINDOW_DOC = {
+    "schema": 1,
+    "variables": ["x", "y", "z"],
+    "drift": ["-0.401*x - 0.497*y*z", "-0.965*x - 0.919*y", "-0.356*z^2"],
+    "input_matrix": [["0.832"], ["0"], ["-0.595"]],
+    "candidates": [
+        "-22.365430963735474 + 7.497291145236693*x + 6.7631084156466255*y"
+        " - 7.632351021554244*z - 1.7402913295991769*x^2 - 1.73657661217652*y^2"
+        " - 1.7401129638705124*z^2",
+        "-4.690742812512076 + 2.587213766627865*x - 0.3253333268842045*y"
+        " + 4.061466828630052*z - 0.7396104810113378*x^2 - 1.0930695320041433*y^2"
+        " - 1.343662147670617*z^2",
+    ],
+}
+ERODED_DOC = {
+    "schema": 1,
+    "variables": ["x", "y"],
+    "drift": ["-0.648*y + 0.573*y^2", "0"],
+    "input_matrix": [["0.894", "-0.277"], ["-0.003", "0"]],
+    "candidates": [
+        "0.42090776061134705 - 0.11369365240264244*x + 0.05228692490650986*y"
+        " - 1.1306771714927375*x^2 - 1.1014869376719174*y^2",
+        "0.7027857399711359 + 0.8933957997137121*x - 0.029176448213229487*y"
+        " - 1.8708580925161276*x^2 - 1.8744116199266863*y^2",
+    ],
+}
+
+
+@pytest.mark.parametrize("doc, index, expected", [
+    (STALL_WINDOW_DOC, 1, [("Infeasible", "optimal"), ("IterationLimit", "stall_window")]),
+    (ERODED_DOC, 0, [("IterationLimit", "eroded"), ("IterationLimit", "eroded")]),
+])
+def test_gated_simplex_exits_on_real_programs(doc, index, expected):
+    spec = load_problem(doc)
+    out = verify_single(spec.system, spec.candidates[index], spec.options)
+    assert out.verdict is Verdict.INCONCLUSIVE
+    assert [(r.status, r.exit) for r in out.lps] == expected
+    assert [w for w in out.warnings if "iteration limit" in w] == \
+        ["%s: iteration limit reached" % r.name for r in out.lps
+         if r.status == LpStatus.ITERATION_LIMIT.value]
 
 
 # -- fixed-term conventions ----------------------------------------------------
