@@ -87,7 +87,7 @@ def _add_option_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-reduce-basis", action="store_true",
                      help="assemble over full monomial bases")
     sub.add_argument("--no-parallel", action="store_true",
-                     help="solve independent programs sequentially")
+                     help="accepted for compatibility; programs always run sequentially")
 
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
@@ -113,7 +113,6 @@ def _options_from_args(args, problem_options: Optional[VerifierOptions]) -> Veri
                           else base.archimedean_C),
         "max_iters": args.max_iters if args.max_iters is not None else base.max_iters,
         "reduce_basis": False if args.no_reduce_basis else base.reduce_basis,
-        "parallel": False if args.no_parallel else base.parallel,
     }
     try:
         return VerifierOptions(**kwargs)

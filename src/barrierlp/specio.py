@@ -374,6 +374,9 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
             if kind in (list, tuple):
                 if not isinstance(value, list):
                     raise ProblemFormatError("options.%s" % key, "expected a list")
+                for i, entry in enumerate(value):
+                    if not isinstance(entry, int) or isinstance(entry, bool):
+                        raise ProblemFormatError("options.%s[%d]" % (key, i), "expected an integer")
                 value = kind(value)
             elif kind is bool:
                 if not isinstance(value, bool):

@@ -34,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -156,7 +155,7 @@ class VerifierOptions:
         C - sum_i x_i^2; when unset a warning records that compactness of
         the described region is the caller's responsibility.
     reduce_basis: apply support restriction and sign-symmetry pruning.
-    parallel: solve independent programs on worker threads.
+    parallel: accepted and ignored; programs are solved one after another.
     """
 
     a_values: Sequence[int] = (0, 1)
@@ -173,11 +172,7 @@ class VerifierOptions:
     def __post_init__(self):
         if not self.a_values:
             raise ValueError("a_values must be non-empty")
-        if any(a < 0 for a in self.a_values):
-            raise ValueError("a_values must be non-negative")
-        if list(self.a_values) != sorted(self.a_values):
-            raise ValueError("a_values must be non-decreasing")
-        for name in ("deg_s", "deg_p", "emptiness_deg_s"):
+        for name in ("a_values", "deg_s", "deg_p", "emptiness_deg_s"):
             sched = getattr(self, name)
             if sched is not None:
                 if len(sched) == 0:
@@ -193,6 +188,9 @@ class VerifierOptions:
             raise ValueError("archimedean_C must be a positive integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
+        for name in ("dd_tol", "residual_tol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and non-negative" % name)
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(max_iters=self.max_iters)
@@ -440,9 +438,9 @@ def assemble_single_lp(
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows are the diagonal-dominance linearizations for s1 and s2.
+    The candidate's Lie derivatives are trusted as built by
+    CandidateCbf.from_system; verify_single re-checks them once per call.
     """
-    if not cand.caches_valid(sys):
-        raise ValueError("candidate caches do not match the system")
     n = sys.n
     m = sys.m
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
@@ -779,10 +777,12 @@ def verify_single(
     The first feasible program whose extracted certificate passes both the
     diagonal-dominance and residual gates yields Verified. An exhausted
     schedule yields Inconclusive, never a refutation: failing to find a
-    DSOS certificate proves nothing about b.
+    DSOS certificate proves nothing about b. Stale Lie caches raise ValueError.
     """
     if opts is None:
         opts = VerifierOptions()
+    if not cand.caches_valid(sys):
+        raise ValueError("candidate caches do not match the system")
     t0 = time.perf_counter()
     schedule = _resolved_single_schedule(cand, opts)
     outcome = VerificationOutcome(
@@ -893,11 +893,8 @@ def verify_multi(
                 "(set archimedean_C to enforce it)"
             )
 
-    workers = min(8, len(cands) + 1) if opts.parallel and len(cands) > 1 else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        empt_future = pool.submit(_emptiness_sweep, cands, opts)
-        singles = list(pool.map(lambda c: verify_single(sys, c, opts), cands))
-        empt_records, empt_cert, empt_refuted, empt_warnings = empt_future.result()
+    empt_records, empt_cert, empt_refuted, empt_warnings = _emptiness_sweep(cands, opts)
+    singles = [verify_single(sys, c, opts) for c in cands]
 
     warnings.extend(empt_warnings)
     for i, so in enumerate(singles):

@@ -144,6 +144,13 @@ def test_malformed_problem_exit_three(tmp_path, capsys):
     doc["candidates"] = ["1 - 1e200*x^2"]
     assert main(["verify", write_problem(tmp_path, "lie.json", doc)]) == 3
     assert "candidates[0]: non-finite coefficient" in capsys.readouterr().err
+    # Every entry of a schedule list is an integer, and a boolean is not one.
+    for key, entries, bad in [("a_values", ["x"], 0), ("deg_s", [1.5], 0), ("deg_s", [None], 0),
+                              ("a_values", [0, 0.5], 1), ("emptiness_deg_s", [True], 0)]:
+        doc = unit_disc_doc()
+        doc["options"] = {key: entries}
+        assert main(["verify", write_problem(tmp_path, "opt.json", doc)]) == 3
+        assert "options.%s[%d]: expected an integer" % (key, bad) in capsys.readouterr().err
 
 
 def test_bad_schedule_flags_exit_three(tmp_path):

@@ -158,6 +158,14 @@ def test_benchmark_l1_exercises_only_single_programs():
         [("a=0", "Infeasible", 202), ("a=1", "Feasible", 190)]
 
 
+def test_benchmark_lp_seconds_fit_in_their_row():
+    # Programs run one after another, so a row's LP times cannot exceed it.
+    report = run_benchmark(CwParams(), 3)
+    assert [row["L"] for row in report["rows"]] == [1, 2, 3]
+    for row in report["rows"]:
+        assert sum(lp["seconds"] for lp in row["lps"]) <= row["seconds"]
+
+
 def test_benchmark_rejects_bad_lmax():
     with pytest.raises(ValueError):
         run_benchmark(CwParams(L=1), L_max=0)

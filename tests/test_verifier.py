@@ -15,9 +15,15 @@ from barrierlp.lpsolve import (
     export_lp_text,
     solve_feasibility,
 )
-from barrierlp.polyring import Polynomial, PolyMatrix, evaluate, monomial_basis
+from barrierlp.polyring import (
+    Polynomial,
+    PolyMatrix,
+    evaluate,
+    lie_derivative_drift,
+    monomial_basis,
+)
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
-from barrierlp.specio import load_problem
+from barrierlp.specio import load_problem, write_report
 from barrierlp.verifier import (
     CandidateCbf,
     Certificate,
@@ -552,6 +558,13 @@ def test_options_validation():
     with pytest.raises(ValueError):
         VerifierOptions(max_iters=-5)
     assert VerifierOptions(max_iters=0).max_iters == 0
+    # An infinite or NaN gate tolerance would pass every feasible point unchecked.
+    for tol in (-1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            VerifierOptions(dd_tol=tol)
+        with pytest.raises(ValueError):
+            VerifierOptions(residual_tol=tol)
+    assert VerifierOptions(dd_tol=0.0, residual_tol=0.0).dd_tol == 0.0
 
 
 def test_explicit_schedule_is_respected():
@@ -569,8 +582,32 @@ def test_stale_candidate_cache_rejected():
     good = cand(b, sys)
     stale = CandidateCbf(b=b, lfb=Polynomial.one(1), lgb=good.lgb)
     assert not stale.caches_valid(sys)
-    with pytest.raises(ValueError):
-        assemble_single_lp(sys, stale, a=0, deg_s=1, deg_p=1)
+    with pytest.raises(ValueError, match="caches"):
+        verify_single(sys, stale)
+    with pytest.raises(ValueError, match="caches"):
+        verify_multi(sys, [good, stale])
+
+
+def test_lie_derivatives_checked_once_per_candidate(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    params = CwParams()
+    sys = build_cw_system(params)
+    c = build_inspection_cbf(params, 0, sys)
+    calls = []
+
+    def counting_drift(poly, f):
+        calls.append(poly)
+        return lie_derivative_drift(poly, f)
+
+    monkeypatch.setattr(verifier, "lie_derivative_drift", counting_drift)
+    # The one-chaser a=0 program is refuted, so the schedule runs both entries.
+    out = verify_single(sys, c)
+    assert [lp.name.split()[1] for lp in out.lps] == ["a=0", "a=1"]
+    assert len(calls) == 1
+    calls.clear()
+    verify_multi(sys, [c, c])
+    assert len(calls) == 2
 
 
 def test_system_shape_validation():
@@ -608,17 +645,17 @@ def test_verify_single_deterministic():
         assert np.array_equal(qa, qb)
 
 
-def test_verify_multi_parallel_matches_serial():
+def test_parallel_option_is_a_no_op():
     sys = single_integrator(1)
     x = _x(0, 1)
     cands = [cand(Polynomial.one(1) - x ** 2, sys),
              cand(x ** 2 - Polynomial.constant(0.25, 1), sys)]
-    par = verify_multi(sys, cands, VerifierOptions(parallel=True))
-    ser = verify_multi(sys, cands, VerifierOptions(parallel=False))
-    assert par.verdict is ser.verdict
-    assert [(r.name, r.status, r.iterations) for r in par.lps] == \
-        [(r.name, r.status, r.iterations) for r in ser.lps]
-    assert [s.verdict for s in par.singles] == [s.verdict for s in ser.singles]
+    reports = [
+        write_report(verify_multi(sys, cands, VerifierOptions(parallel=flag)),
+                     fmt="json", deterministic=True)
+        for flag in (True, False)
+    ]
+    assert reports[0] == reports[1]
 
 
 # Digests of export_lp_text for the flagship programs. Any change to a row,
