@@ -195,17 +195,18 @@ def fresh_dsos_poly(
     nvars: int,
     halfdeg: int,
     basis: Optional[Sequence[Monomial]] = None,
-    keep_pair: Optional[Callable[[Monomial, Monomial], bool]] = None,
+    keep_pair: Optional[Callable[[int, int], bool]] = None,
     tau_diagonal: bool = True,
 ) -> DsosVar:
     """Allocate a DSOS variable: Gram matrix Q, bounding matrix tau, expansion.
 
     Q is allocated first (upper triangle, row-major), then tau; the expansion
     accumulates Q(i,j) onto the monomial m_i*m_j, with off-diagonal entries
-    counted twice by symmetry. ``keep_pair`` prunes Gram entries whose basis
-    product is known to be zero in any solution of interest; diagonal entries
-    are always kept. ``tau_diagonal=False`` skips the never-constrained tau
-    diagonal (used by reduced assemblies; the full layout retains it).
+    counted twice by symmetry. ``keep_pair(i, j)`` prunes the Gram entries,
+    by basis position, whose basis product is known to be zero in any
+    solution of interest; diagonal entries are always kept.
+    ``tau_diagonal=False`` skips the never-constrained tau diagonal (used by
+    reduced assemblies; the full layout retains it).
     """
     if halfdeg < 0:
         raise ValueError("halfdeg must be >= 0, got %d" % halfdeg)
@@ -217,7 +218,7 @@ def fresh_dsos_poly(
     def _keep_q(i: int, j: int) -> bool:
         if i == j:
             return True
-        return keep_pair is None or keep_pair(basis[i], basis[j])
+        return keep_pair is None or keep_pair(i, j)
 
     Q = SymVarMatrix.allocate(alloc, k, keep=_keep_q)
 

@@ -273,7 +273,8 @@ def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise ProblemFormatError(path + key, "missing required field")
     value = doc[key]
-    if not isinstance(value, kind):
+    # A JSON boolean loads as a bool, which Python counts as an int.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ProblemFormatError(
             path + key, "expected %s, got %s" % (kind.__name__, type(value).__name__)
         )
@@ -347,6 +348,9 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
     inputs = document.get("inputs", ["u%d" % (j + 1) for j in range(m)])
     if not isinstance(inputs, list) or len(inputs) != m:
         raise ProblemFormatError("inputs", "expected %d input names" % m)
+    for j, name in enumerate(inputs):
+        if not isinstance(name, str):
+            raise ProblemFormatError("inputs[%d]" % j, "expected a name string")
 
     cand_strs = _require(document, "candidates", list, "")
     if not cand_strs:

@@ -27,6 +27,19 @@ maps any full solution onto the restricted space, and averaging a solution
 over the sign-flip group zeroes exactly the pruned entries while preserving
 diagonal dominance, so the reduced program is feasible if and only if the
 full one is; verdicts in both directions survive the reduction.
+
+Single programs are assembled in the candidate's support ring (SupportRing):
+only the state variables occurring in b, Lfb or Lgb, in ascending order, and
+only the nonzero Lgb channels. Dropping variables that every basis monomial
+leaves at exponent zero keeps the graded lexicographic order, so the program
+is row for row the one the reduced full ring gives, over shorter monomials.
+The projected (b, Lfb, Lgb) terms are the candidate's class key: candidates
+that differ only by a renaming of variables and channels, like the chasers
+of the satellite fleet, share a key and therefore a program. Within one call
+each program of a key is solved once; every candidate then lifts the point
+back to its own variables and channels and passes both certificate gates in
+its own full ring before it counts as verified. With reduce_basis off the
+support ring is the full ring.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -141,6 +154,64 @@ class CandidateCbf:
         )
 
 
+@dataclass(frozen=True)
+class SupportRing:
+    """A candidate projected onto the variables and input channels its data uses.
+
+    Support-ring variable p is full-ring variable ``variables[p]`` and
+    channel q is input ``channels[q]``; ``cand`` holds b, Lfb and the kept
+    Lgb entries over the support ring. ``key`` is equal for candidates whose
+    projected data agree term by term, in term order, so they assemble the
+    same single programs.
+    """
+
+    variables: Tuple[int, ...]
+    channels: Tuple[int, ...]
+    nvars: int  # variables of the full ring
+    ninputs: int  # input channels of the full system
+    cand: CandidateCbf
+
+    @property
+    def key(self) -> tuple:
+        polys = [self.cand.b, self.cand.lfb] + self.cand.lgb.entry_list()
+        return (len(self.variables),) + tuple(tuple(p.terms.items()) for p in polys)
+
+    def lift_monomial(self, mono: Monomial) -> Monomial:
+        full = [0] * self.nvars
+        for v, e in zip(self.variables, mono):
+            full[v] = e
+        return tuple(full)
+
+    def lift(self, p: Polynomial) -> Polynomial:
+        return Polynomial({self.lift_monomial(mo): c for mo, c in p.terms.items()}, self.nvars)
+
+
+def support_ring(cand: CandidateCbf, reduce_basis: bool) -> SupportRing:
+    """Project cand onto its support ring; the identity when reduce_basis is off.
+
+    A ring needs one variable and a matrix one column, so when no variable or
+    no channel is live the first one is kept; a kept zero channel is dropped
+    by the reduced assembly all the same.
+    """
+    lgb = cand.lgb.entry_list()
+    n, m = cand.b.nvars, len(lgb)
+    if not reduce_basis:
+        return SupportRing(tuple(range(n)), tuple(range(m)), n, m, cand)
+    variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
+    channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
+
+    def project(p: Polynomial) -> Polynomial:
+        return Polynomial({tuple(mo[v] for v in variables): c for mo, c in p.terms.items()},
+                          len(variables))
+
+    projected = CandidateCbf(
+        b=project(cand.b),
+        lfb=project(cand.lfb),
+        lgb=PolyMatrix([[project(lgb[j]) for j in channels]]),
+    )
+    return SupportRing(variables, channels, n, m, projected)
+
+
 @dataclass
 class VerifierOptions:
     """Search schedule and gate tolerances.
@@ -237,8 +308,9 @@ class LpRecord:
     cols: int
     iterations: int
     exit: str  # why the simplex stopped; see LpOutcome
-    seconds: float
+    seconds: float  # 0.0 when reused
     farkas_valid: Optional[bool] = None
+    reused: bool = False  # the same program was solved earlier in the call
 
 
 @dataclass
@@ -304,9 +376,18 @@ def sign_symmetry_kernel(polys: Sequence[Polynomial], nvars: int) -> List[int]:
     return kernel
 
 
-def _invariant(mono: Monomial, kernel: Sequence[int]) -> bool:
+def _flip_parities(mono: Monomial, kernel: Sequence[int]) -> int:
+    """Bit t is set when the flip kernel[t] changes the sign of mono.
+
+    Parities add under multiplication: the product of two monomials has the
+    XOR of their parities, so it is invariant exactly when they are equal.
+    """
     m = _parity_mask(mono)
-    return all((m & w).bit_count() % 2 == 0 for w in kernel)
+    return sum(((m & w).bit_count() & 1) << t for t, w in enumerate(kernel))
+
+
+def _invariant(mono: Monomial, kernel: Sequence[int]) -> bool:
+    return _flip_parities(mono, kernel) == 0
 
 
 def _union_support(polys: Sequence[Polynomial]) -> List[int]:
@@ -405,11 +486,12 @@ def _bases(
     free_basis = [
         mo for mo in monomial_basis_on_support(n, deg_p, support) if _invariant(mo, kernel)
     ]
-
-    def keep_pair(mi: Monomial, mj: Monomial) -> bool:
-        return _invariant(tuple(x + y for x, y in zip(mi, mj)), kernel)
-
     gram_basis = monomial_basis_on_support(n, deg_s, support)
+    parities = [_flip_parities(mo, kernel) for mo in gram_basis]
+
+    def keep_pair(i: int, j: int) -> bool:
+        return parities[i] == parities[j]
+
     return gram_basis, free_basis, {"keep_pair": keep_pair, "tau_diagonal": False}
 
 
@@ -438,12 +520,15 @@ def assemble_single_lp(
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows are the diagonal-dominance linearizations for s1 and s2.
-    The candidate's Lie derivatives are trusted as built by
-    CandidateCbf.from_system; verify_single re-checks them once per call.
+    The program lives in the candidate's own ring, whose sizes are read from
+    cand rather than sys: a full-ring candidate and its support_ring
+    projection give the same rows. The candidate's Lie derivatives are
+    trusted as built by CandidateCbf.from_system; verify_single re-checks
+    them once per call.
     """
-    n = sys.n
-    m = sys.m
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
+    n = b.nvars
+    m = lgb.cols
     lgb_entries = lgb.entry_list()
     gram_basis, free_basis, dsos_kw = _bases([b, lfb] + lgb_entries, n, deg_s, deg_p, reduce_basis)
     # A reduced program drops the channels that never enter the identity.
@@ -594,20 +679,40 @@ def assemble_emptiness_lp(
 # -- certificate extraction and validation -----------------------------------
 
 def extract_single_certificate(
-    layout: SingleLayout, z: Sequence[float], sys: ControlAffineSystem, cand: CandidateCbf
+    layout: SingleLayout,
+    z: Sequence[float],
+    sys: ControlAffineSystem,
+    cand: CandidateCbf,
+    ring: SupportRing,
 ) -> Certificate:
-    n = sys.n
+    """cand's certificate from a point of a program assembled in a support ring.
+
+    The program may have been assembled for another candidate with the same
+    class key as ring: Gram bases and multipliers are lifted to cand's own
+    variables and channels (a dropped channel gets zero multipliers), and
+    the residual is recomputed against cand in its full ring.
+    """
+    k = len(ring.variables)
+
+    def lift(lin: Optional[LinearPoly]) -> Polynomial:
+        return ring.lift(instantiate(lin or {}, z, k))
+
+    p1 = [Polynomial.zero(ring.nvars)] * ring.ninputs
+    p2 = list(p1)
+    for q, j in enumerate(ring.channels):
+        p1[j] = lift(layout.p1[q])
+        p2[j] = lift(layout.p2[q])
     cert = Certificate(
         kind="single",
-        gram_bases=[list(layout.s1.basis), list(layout.s2.basis)],
+        gram_bases=[[ring.lift_monomial(mo) for mo in v.basis] for v in (layout.s1, layout.s2)],
         grams=[layout.s1.Q.materialize(z), layout.s2.Q.materialize(z)],
         a=layout.a,
         deg_s=layout.deg_s,
         deg_p=layout.deg_p,
-        p10=instantiate(layout.p10, z, n),
-        p20=instantiate(layout.p20, z, n),
-        p1=[instantiate(lin or {}, z, n) for lin in layout.p1],
-        p2=[instantiate(lin or {}, z, n) for lin in layout.p2],
+        p10=lift(layout.p10),
+        p20=lift(layout.p20),
+        p1=p1,
+        p2=p2,
     )
     cert.residual = certificate_residual(cert, sys, cand)
     return cert
@@ -737,14 +842,10 @@ def _farkas_acceptable(lp: LpProblem, out: LpOutcome) -> bool:
     return bool(combo <= margin / FARKAS_LEVERAGE)
 
 
-def _solve_gated(
-    name: str, lp: LpProblem, extract: Callable[[np.ndarray], Certificate], opts: VerifierOptions
-) -> Tuple[LpRecord, Optional[Certificate], Optional[str]]:
-    """Solve one program and gate its answer: (record, certificate or None, warning or None).
+def _solve(name: str, lp: LpProblem, opts: VerifierOptions) -> Tuple[LpRecord, LpOutcome]:
+    """Solve one program and record it.
 
-    A feasible point yields a certificate only when the extracted Grams are
-    diagonally dominant and the substitution residual is within tolerance.
-    An infeasible answer records whether its Farkas certificate holds.
+    An infeasible answer's record says whether its Farkas certificate holds.
     """
     out = solve_feasibility(lp, opts.solver_options())
     logger.info("%s: %s in %d pivots (%s)", name, out.status.value, out.iterations, out.exit)
@@ -759,13 +860,25 @@ def _solve_gated(
     )
     if out.status is LpStatus.INFEASIBLE:
         record.farkas_valid = _farkas_acceptable(lp, out)
-        return record, None, None
+    return record, out
+
+
+def _gate(
+    name: str, out: LpOutcome, extract: Callable[[np.ndarray], Certificate], opts: VerifierOptions
+) -> Tuple[Optional[Certificate], Optional[str]]:
+    """Gate a solved program's answer: (certificate or None, warning or None).
+
+    A feasible point yields a certificate only when the extracted Grams are
+    diagonally dominant and the substitution residual is within tolerance.
+    """
+    if out.status is LpStatus.INFEASIBLE:
+        return None, None
     if out.status is LpStatus.ITERATION_LIMIT:
-        return record, None, "%s: iteration limit reached" % name
+        return None, "%s: iteration limit reached" % name
     cert = extract(out.point)
     if cert.grams_diagonally_dominant(opts.dd_tol) and cert.residual <= opts.residual_tol:
-        return record, cert, None
-    return record, None, "%s: feasible point failed the certificate gate (residual %.3g)" % (
+        return cert, None
+    return None, "%s: feasible point failed the certificate gate (residual %.3g)" % (
         name, cert.residual)
 
 
@@ -781,32 +894,59 @@ def verify_single(
     """
     if opts is None:
         opts = VerifierOptions()
-    if not cand.caches_valid(sys):
-        raise ValueError("candidate caches do not match the system")
-    t0 = time.perf_counter()
-    schedule = _resolved_single_schedule(cand, opts)
-    outcome = VerificationOutcome(
-        verdict=Verdict.INCONCLUSIVE,
-        schedule={
-            "entries": [[a, ds, dp] for a, ds, dp in schedule],
-            "reduce_basis": opts.reduce_basis,
-        },
-    )
-    for a, ds, dp in schedule:
-        name = "single a=%d deg_s=%d deg_p=%d" % (a, ds, dp)
-        lp, layout = assemble_single_lp(sys, cand, a, ds, dp, reduce_basis=opts.reduce_basis)
-        record, cert, warning = _solve_gated(
-            name, lp, lambda z: extract_single_certificate(layout, z, sys, cand), opts
+    return _verify_singles(sys, [cand], opts)[0]
+
+
+def _verify_singles(
+    sys: ControlAffineSystem, cands: Sequence[CandidateCbf], opts: VerifierOptions
+) -> List[VerificationOutcome]:
+    """verify_single for each candidate, solving each program once per class key.
+
+    A program's first use records its solve; a later candidate of the same
+    class gets a copy with seconds 0.0 and reused set, and gates the same
+    point in its own ring. Nothing is kept beyond the call.
+    """
+    for cand in cands:
+        if not cand.caches_valid(sys):
+            raise ValueError("candidate caches do not match the system")
+    solved: Dict[tuple, Tuple[LpRecord, LpOutcome, SingleLayout]] = {}
+    outcomes = []
+    for cand in cands:
+        t0 = time.perf_counter()
+        ring = support_ring(cand, opts.reduce_basis)
+        class_key = ring.key
+        schedule = _resolved_single_schedule(ring.cand, opts)
+        outcome = VerificationOutcome(
+            verdict=Verdict.INCONCLUSIVE,
+            schedule={
+                "entries": [[a, ds, dp] for a, ds, dp in schedule],
+                "reduce_basis": opts.reduce_basis,
+            },
         )
-        outcome.lps.append(record)
-        if warning is not None:
-            outcome.warnings.append(warning)
-        if cert is not None:
-            outcome.verdict = Verdict.VERIFIED
-            outcome.certificate = cert
-            break
-    outcome.seconds = time.perf_counter() - t0
-    return outcome
+        for a, ds, dp in schedule:
+            name = "single a=%d deg_s=%d deg_p=%d" % (a, ds, dp)
+            key = (class_key, a, ds, dp)
+            if key in solved:
+                record, out, layout = solved[key]
+                record = replace(record, seconds=0.0, reused=True)
+            else:
+                lp, layout = assemble_single_lp(sys, ring.cand, a, ds, dp,
+                                                reduce_basis=opts.reduce_basis)
+                record, out = _solve(name, lp, opts)
+                solved[key] = record, out, layout
+            cert, warning = _gate(
+                name, out, lambda z: extract_single_certificate(layout, z, sys, cand, ring), opts
+            )
+            outcome.lps.append(record)
+            if warning is not None:
+                outcome.warnings.append(warning)
+            if cert is not None:
+                outcome.verdict = Verdict.VERIFIED
+                outcome.certificate = cert
+                break
+        outcome.seconds = time.perf_counter() - t0
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _emptiness_sweep(
@@ -824,8 +964,9 @@ def _emptiness_sweep(
         lp, layout = assemble_emptiness_lp(
             cands, ds, archimedean_C=opts.archimedean_C, reduce_basis=opts.reduce_basis
         )
-        record, cert, warning = _solve_gated(
-            name, lp, lambda z: extract_emptiness_certificate(layout, z, cands), opts
+        record, out = _solve(name, lp, opts)
+        cert, warning = _gate(
+            name, out, lambda z: extract_emptiness_certificate(layout, z, cands), opts
         )
         records.append(record)
         if warning is not None:
@@ -894,7 +1035,7 @@ def verify_multi(
             )
 
     empt_records, empt_cert, empt_refuted, empt_warnings = _emptiness_sweep(cands, opts)
-    singles = [verify_single(sys, c, opts) for c in cands]
+    singles = _verify_singles(sys, cands, opts)
 
     warnings.extend(empt_warnings)
     for i, so in enumerate(singles):

@@ -151,6 +151,12 @@ def test_malformed_problem_exit_three(tmp_path, capsys):
         doc["options"] = {key: entries}
         assert main(["verify", write_problem(tmp_path, "opt.json", doc)]) == 3
         assert "options.%s[%d]: expected an integer" % (key, bad) in capsys.readouterr().err
+    # A boolean schema is not version 1, and input names are strings.
+    for key, value, path in [("schema", True, "schema"), ("inputs", [5], "inputs[0]")]:
+        doc = unit_disc_doc()
+        doc[key] = value
+        assert main(["verify", write_problem(tmp_path, "field.json", doc)]) == 3
+        assert "%s: expected " % path in capsys.readouterr().err
 
 
 def test_bad_schedule_flags_exit_three(tmp_path):

@@ -36,19 +36,30 @@ def highs_status(lp):
 
 
 def gated_answers(monkeypatch, run):
-    """Run a verification and return (lp, record, certificate) of every program it solves."""
-    seen = []
-    solve_gated = verifier._solve_gated
+    """Run a verification and return (lp, record, certificate) of every program it solves.
 
-    def capture(name, lp, extract, opts):
-        record, cert, warning = solve_gated(name, lp, extract, opts)
-        seen.append((lp, record, cert))
-        return record, cert, warning
+    The certificate is one that passed the gate on the program's point, for
+    any candidate that gated it, or None.
+    """
+    solved, certs = [], {}
+    solve, gate = verifier._solve, verifier._gate
+
+    def capture_solve(name, lp, opts):
+        record, out = solve(name, lp, opts)
+        solved.append((lp, record, out))
+        return record, out
+
+    def capture_gate(name, out, extract, opts):
+        cert, warning = gate(name, out, extract, opts)
+        if cert is not None:
+            certs[id(out)] = cert
+        return cert, warning
 
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_solve_gated", capture)
+        patch.setattr(verifier, "_solve", capture_solve)
+        patch.setattr(verifier, "_gate", capture_gate)
         run()
-    return seen
+    return [(lp, record, certs.get(id(out))) for lp, record, out in solved]
 
 
 def assert_agrees_with_highs(answers):

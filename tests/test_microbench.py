@@ -1,16 +1,21 @@
-"""Micro-benchmarks of LP assembly and the simplex pivot loop (need pytest-benchmark)."""
+"""Micro-benchmarks of polynomial products, LP assembly, the simplex pivot loop and a
+joint verification (need pytest-benchmark)."""
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+import barrierlp.verifier as verifier
 from barrierlp.lpsolve import LpStatus, solve_feasibility
+from barrierlp.polyring import evaluate, mul
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.verifier import (
+    Verdict,
     assemble_emptiness_lp,
     assemble_single_lp,
     default_deg_p,
     default_deg_s,
+    verify_multi,
 )
 
 
@@ -24,6 +29,35 @@ def fleet(L):
 def single_args(sys, cand, a=0):
     deg_s = default_deg_s(cand.b)
     return sys, cand, a, deg_s, default_deg_p(cand, a, deg_s)
+
+
+def test_mul_fleet_operands(benchmark):
+    """b^2 * Lfb of the first chaser in the L=6 fleet: 28 x 4 terms over 36 variables."""
+    _, cands = fleet(6)
+    c = cands[0]
+    p = c.b * c.b
+    out = benchmark.pedantic(mul, args=(p, c.lfb), rounds=5, iterations=20)
+    assert (out.nvars, len(p.terms), len(c.lfb.terms), len(out.terms)) == (36, 28, 4, 112)
+    point = [0.1 * (i % 7) - 0.2 for i in range(36)]
+    assert abs(evaluate(out, point) - evaluate(p, point) * evaluate(c.lfb, point)) < 1e-12
+
+
+def test_verify_multi_six_chasers(benchmark, monkeypatch):
+    """Joint verification of the L=6 fleet: the six relabelled candidates share 2 single programs."""
+    sys, cands = fleet(6)
+    shapes = []
+
+    def counting(lp, opts=None):
+        shapes.append((lp.nrows, lp.nvars))
+        return solve_feasibility(lp, opts)
+
+    monkeypatch.setattr(verifier, "solve_feasibility", counting)
+    out = benchmark.pedantic(verify_multi, args=(sys, cands), rounds=3, iterations=1)
+    assert out.verdict is Verdict.MULTI_VERIFIED
+    # Per round: the deg_s=0 and deg_s=1 emptiness programs, then a=0 and a=1 once.
+    assert len(shapes) == 3 * 4
+    assert shapes.count((367, 154)) == 3 * 2
+    assert shapes.count((962, 259)) == 3
 
 
 def test_pivot_sweep_one_chaser_a0(benchmark):

@@ -39,6 +39,7 @@ from barrierlp.verifier import (
     default_deg_p,
     default_deg_s,
     sign_symmetry_kernel,
+    support_ring,
     verify_multi,
     verify_single,
     _farkas_acceptable,
@@ -512,6 +513,134 @@ def test_reduced_assembly_is_smaller():
     _, red = assemble_single_lp(sys, c, a=0, deg_s=1, deg_p=1, reduce_basis=True)
     assert red.nvars < full.nvars
     assert len(red.gram_basis) < len(full.gram_basis)
+
+
+# -- support ring and relabelling classes -------------------------------------------
+
+
+def fleet(params):
+    sys = build_cw_system(params)
+    return sys, [build_inspection_cbf(params, i, sys) for i in range(params.L)]
+
+
+def counting_solves(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    calls = []
+
+    def counting(lp, opts=None):
+        calls.append((lp.nrows, lp.nvars))
+        return solve_feasibility(lp, opts)
+
+    monkeypatch.setattr(verifier, "solve_feasibility", counting)
+    return calls
+
+
+def test_support_ring_program_is_the_full_ring_program():
+    """Projection keeps grlex order: the same LP text, over 6-tuples instead of 18-tuples."""
+    sys, cands = fleet(CwParams(L=3))
+    for i, c in enumerate(cands):
+        ring = support_ring(c, reduce_basis=True)
+        assert ring.variables == tuple(range(6 * i, 6 * i + 6))
+        assert ring.channels == (3 * i, 3 * i + 1, 3 * i + 2)
+        ds = default_deg_s(c.b)
+        for a in (0, 1):
+            dp = default_deg_p(c, a, ds)
+            assert dp == default_deg_p(ring.cand, a, ds)
+            full, _ = assemble_single_lp(sys, c, a, ds, dp, reduce_basis=True)
+            small, layout = assemble_single_lp(sys, ring.cand, a, ds, dp, reduce_basis=True)
+            assert export_lp_text(small) == export_lp_text(full)
+            assert all(len(mo) == 6 for mo in layout.gram_basis)
+    keys = {support_ring(c, True).key for c in cands}
+    assert len(keys) == 1
+    # Without reduction the projection is the identity, and no two keys agree.
+    assert support_ring(cands[1], False).cand is cands[1]
+    assert len({support_ring(c, False).key for c in cands}) == 3
+
+
+def test_relabelled_candidates_solve_each_program_once(monkeypatch):
+    sys, cands = fleet(CwParams(L=3))
+    calls = counting_solves(monkeypatch)
+    out = verify_multi(sys, cands)
+    assert out.verdict is Verdict.MULTI_VERIFIED
+    assert len(calls) == 4  # two emptiness degrees, then a=0 and a=1 once
+    first, *rest = out.singles
+    assert [r.reused for r in first.lps] == [False, False]
+    for so in rest:
+        assert [r.reused for r in so.lps] == [True, True]
+        for mine, solved in zip(so.lps, first.lps):
+            assert mine.seconds == 0.0
+            assert (mine.status, mine.rows, mine.cols, mine.iterations, mine.exit,
+                    mine.farkas_valid) == (solved.status, solved.rows, solved.cols,
+                                           solved.iterations, solved.exit, solved.farkas_valid)
+    # Nothing is kept between calls.
+    verify_multi(sys, cands)
+    assert len(calls) == 8
+
+
+def test_every_reused_certificate_holds_in_its_own_ring():
+    sys, cands = fleet(CwParams(L=3))
+    out = verify_multi(sys, cands)
+    for i, (so, c) in enumerate(zip(out.singles, cands)):
+        cert = so.certificate
+        assert so.verdict is Verdict.VERIFIED
+        assert cert.grams_diagonally_dominant()
+        assert certificate_residual(cert, sys, c) <= 1e-6
+        # The Gram bases and multipliers sit on candidate i's own block.
+        block = set(range(6 * i, 6 * i + 6))
+        assert all(set(v for v, e in enumerate(mo) if e) <= block
+                   for basis in cert.gram_bases for mo in basis)
+        live = [j for j, q in enumerate(cert.p1) if not q.is_zero()]
+        assert set(live) <= {3 * i, 3 * i + 1, 3 * i + 2}
+
+
+def test_distinct_classes_solve_separately(monkeypatch):
+    sys, cands = fleet(CwParams(L=2, masses=(2.0, 3.0)))
+    assert support_ring(cands[0], True).key != support_ring(cands[1], True).key
+    calls = counting_solves(monkeypatch)
+    out = verify_multi(sys, cands)
+    singles = [r for so in out.singles for r in so.lps]
+    assert not any(r.reused for r in singles)
+    assert len(calls) == len(out.lps) + len(singles)
+
+
+def test_class_key_separates_candidates_that_differ_only_in_drift():
+    """1 - x^2 and 1 - y^2 project to the same b and Lgb, but y drifts and x does not."""
+    n = 2
+    zero, one = Polynomial.zero(n), Polynomial.one(n)
+    sys = ControlAffineSystem(f=PolyMatrix([[zero], [_x(1, n)]]),
+                              g=PolyMatrix([[one, zero], [zero, one]]))
+    cands = [cand(one - _x(0, n) ** 2, sys), cand(one - _x(1, n) ** 2, sys)]
+    rings = [support_ring(c, True) for c in cands]
+    assert rings[0].cand.b == rings[1].cand.b and rings[0].cand.lgb == rings[1].cand.lgb
+    assert rings[0].key != rings[1].key
+    joint = verify_multi(sys, cands)
+    for so, c in zip(joint.singles, cands):
+        alone = verify_single(sys, c)
+        assert so.verdict is alone.verdict
+        assert [(r.status, r.iterations, r.reused) for r in so.lps] == \
+            [(r.status, r.iterations, False) for r in alone.lps]
+
+
+def test_failed_regate_leaves_the_class_member_inconclusive(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    sys, cands = fleet(CwParams(L=3))
+    real = verifier.certificate_residual
+
+    def residual(cert, sys_, cand_or_cands):
+        if cand_or_cands is cands[1]:
+            return 1.0
+        return real(cert, sys_, cand_or_cands)
+
+    monkeypatch.setattr(verifier, "certificate_residual", residual)
+    out = verify_multi(sys, cands)
+    assert [so.verdict for so in out.singles] == [
+        Verdict.VERIFIED, Verdict.INCONCLUSIVE, Verdict.VERIFIED]
+    assert out.singles[1].certificate is None
+    assert any("failed the certificate gate" in w for w in out.singles[1].warnings)
+    assert out.verdict is Verdict.MULTI_INCONCLUSIVE
+    assert any(w.startswith("candidate 1: ") for w in out.warnings)
 
 
 # -- schedules and options --------------------------------------------------------
