@@ -192,13 +192,16 @@ def cmd_export_lp(args) -> int:
 def cmd_bench_satellite(args) -> int:
     if args.L < 1:
         raise _UsageError("--L must be >= 1, got %d" % args.L)
-    params = CwParams(
-        L=1,
-        n_mean_motion=args.n_mean_motion,
-        masses=(args.mass,),
-        thrusts=(args.thrust,),
-        R_t=args.R_t,
-    )
+    try:
+        params = CwParams(
+            L=1,
+            n_mean_motion=args.n_mean_motion,
+            masses=(args.mass,),
+            thrusts=(args.thrust,),
+            R_t=args.R_t,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     opts = _options_from_args(args, None)
     report = run_benchmark(params, args.L, opts)
     if args.deterministic:
@@ -292,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ProblemFormatError, PolyParseError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except LpCapacityError as exc:

@@ -23,11 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Dense-tableau capacity: problems beyond this must go through export_lp_text.
-MAX_DENSE_VARS = 5000
-# Bytes of the tableau plus its equally sized work array. The largest
+# Dense-tableau capacity: bytes of the tableau plus its equally sized work
+# array. Problems beyond this must go through export_lp_text. The largest
 # bench-satellite program at L=12 needs 0.38 GB of it.
 MAX_TABLEAU_BYTES = 2 ** 30
+# Entries at or below PIVOT_TOL never pivot; rows are met within FEAS_TOL;
+# an artificial sum above INFEAS_MARGIN at the end means infeasible.
+PIVOT_TOL = 1e-9
+FEAS_TOL = 1e-8
+INFEAS_MARGIN = 1e-9
 # Inequality multipliers below -FARKAS_SIGN_TOL void a Farkas certificate.
 FARKAS_SIGN_TOL = 1e-9
 
@@ -35,7 +39,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class LpCapacityError(Exception):
-    """Problem exceeds the dense-tableau variable or memory capacity."""
+    """Problem's dense tableau would exceed MAX_TABLEAU_BYTES."""
 
 
 class LpStatus(Enum):
@@ -78,9 +82,6 @@ class LpOutcome:
 @dataclass
 class SolverOptions:
     max_iters: int = 200000
-    pivot_tol: float = 1e-9
-    feas_tol: float = 1e-8
-    infeas_margin: float = 1e-9
 
 
 SparseRow = Tuple[Dict[int, float], float]
@@ -190,19 +191,13 @@ def validate_farkas(
 def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> LpOutcome:
     """Decide feasibility with a phase-1 simplex.
 
-    Returns Feasible with a point satisfying every row within feas_tol,
+    Returns Feasible with a point satisfying every row within FEAS_TOL,
     Infeasible with a Farkas certificate, or IterationLimit.
     """
     if opts is None:
         opts = SolverOptions()
     t0 = time.perf_counter()
     n = lp.nvars
-    if n > MAX_DENSE_VARS:
-        raise LpCapacityError(
-            "problem has %d variables, dense capacity is %d; export the LP instead"
-            % (n, MAX_DENSE_VARS)
-        )
-
     n_eq = len(lp.eq_rows)
     eq_mults = [0.0] * n_eq
     ub_mults = [0.0] * len(lp.ub_rows)
@@ -213,7 +208,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     for r, (coefs, beta) in enumerate(lp.eq_rows):
         if coefs:
             kept.append(("eq", r, coefs, beta))
-        elif abs(beta) > opts.feas_tol:
+        elif abs(beta) > FEAS_TOL:
             eq_mults[r] = -1.0 / beta
             return LpOutcome(
                 status=LpStatus.INFEASIBLE,
@@ -224,7 +219,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     for r, (coefs, beta) in enumerate(lp.ub_rows):
         if coefs:
             kept.append(("ub", r, coefs, beta))
-        elif beta < -opts.feas_tol:
+        elif beta < -FEAS_TOL:
             ub_mults[r] = 1.0
             return LpOutcome(
                 status=LpStatus.INFEASIBLE,
@@ -282,7 +277,6 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     T[m, art0 : art0 + m] += 1.0
 
     basis = np.arange(art0, art0 + m)
-    left_basis = np.zeros(ncols, dtype=bool)  # artificials banned from re-entry
 
     iterations = 0
     reason = "optimal"
@@ -296,19 +290,18 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         if iterations >= opts.max_iters:
             reason = "max_iters"
             break
-        # Bland: entering column is the lowest eligible index. A column whose
-        # entries have all eroded below the pivot tolerance cannot be pivoted
-        # (phase 1 is never truly unbounded), so it is skipped; leaving the
-        # loop that way marks the tableau as eroded and the exit below is
-        # gated instead of trusted.
+        # Bland: entering column is the lowest eligible index. Artificials
+        # never enter: a basic one keeps reduced cost exactly 0, and one that
+        # has left stays out. A column whose entries have all eroded below
+        # the pivot tolerance cannot be pivoted (phase 1 is never truly
+        # unbounded), so it is skipped; leaving the loop that way marks the
+        # tableau as eroded and the exit below is gated instead of trusted.
         pc = -1
         eroded = False
-        objrow = T[m, :ncols]
-        candidates = np.nonzero(objrow < -opts.pivot_tol)[0]
+        objrow = T[m, :art0]
+        candidates = np.nonzero(objrow < -PIVOT_TOL)[0]
         for j in candidates:
-            if j >= art0 and left_basis[j]:
-                continue
-            if not np.any(T[:m, j] > opts.pivot_tol):
+            if not np.any(T[:m, j] > PIVOT_TOL):
                 eroded = True
                 continue
             pc = int(j)
@@ -318,15 +311,15 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
                 reason = "eroded"
             break
         # Harris two-pass ratio test: pass 1 bounds the step with every
-        # right-hand side relaxed by pivot_tol; pass 2 takes, among the rows
+        # right-hand side relaxed by PIVOT_TOL; pass 2 takes, among the rows
         # whose exact ratio fits under that bound, the largest pivot entry
         # (the first on a tie). Pivoting on the smallest-index tie instead
-        # lets entries near pivot_tol through and blows the tableau up.
+        # lets entries near PIVOT_TOL through and blows the tableau up.
         col = T[:m, pc]
-        eligible = np.nonzero(col > opts.pivot_tol)[0]
+        eligible = np.nonzero(col > PIVOT_TOL)[0]
         a = col[eligible]
         rhs = T[eligible, ncols]
-        bound = ((np.maximum(rhs, 0.0) + opts.pivot_tol) / a).min()
+        bound = ((np.maximum(rhs, 0.0) + PIVOT_TOL) / a).min()
         fits = rhs / a <= bound
         pr = int(eligible[np.where(fits, a, -np.inf).argmax()])
         # Pivot on (pr, pc). A row whose pivot-column entry is zero would
@@ -344,13 +337,10 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             blk = np.take(T, rows, axis=0, out=scratch[:k], mode="clip")
             blk -= np.multiply(colvals[rows, None], T[pr], out=scratch[k : 2 * k])
             T[rows] = blk
-        old = basis[pr]
-        if old >= art0:
-            left_basis[old] = True
         basis[pr] = pc
         iterations += 1
         value_now = -T[m, ncols]
-        if value_now < best_value - opts.pivot_tol:
+        if value_now < best_value - PIVOT_TOL:
             best_value = value_now
             no_progress = 0
         else:
@@ -367,7 +357,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     stalled = reason != "optimal"
 
     value = -T[m, ncols]
-    if value > opts.infeas_margin:
+    if value > INFEAS_MARGIN:
         # Simplex multipliers: y_r = 1 - reduced cost of row r's artificial.
         # Undo scaling and flips, negate, and the rows combine to 0 <= -value.
         for r, (kind, orig, _, _) in enumerate(kept):
@@ -376,7 +366,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             if kind == "eq":
                 eq_mults[orig] = u
             else:
-                ub_mults[orig] = max(u, 0.0) if u > -opts.feas_tol else u
+                ub_mults[orig] = max(u, 0.0) if u > -FEAS_TOL else u
         cert = FarkasCertificate(eq_mults, ub_mults)
         if stalled:
             # A stalled tableau proves nothing by itself; only a certificate
@@ -390,7 +380,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
                 + [abs(u) for u in eq_mults]
                 + [abs(u) for u in ub_mults]
             )
-            if rhs > -opts.infeas_margin or combo > 1e-7 * leverage:
+            if rhs > -INFEAS_MARGIN or combo > 1e-7 * leverage:
                 return LpOutcome(
                     status=LpStatus.ITERATION_LIMIT,
                     iterations=iterations,
@@ -413,7 +403,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             z[j] += val
         elif j < 2 * n:
             z[j - n] -= val
-    if stalled and lp.max_violation(z) > opts.feas_tol:
+    if stalled and lp.max_violation(z) > FEAS_TOL:
         return LpOutcome(
             status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall, exit=reason
         )

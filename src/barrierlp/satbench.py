@@ -19,6 +19,7 @@ for L >= 2, jointly, and reports verdicts, LP sizes, and wall time per L.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -62,10 +63,9 @@ class CwParams:
             object.__setattr__(self, "thrusts", tuple(float(v) for v in self.thrusts))
         if len(self.masses) != self.L or len(self.thrusts) != self.L:
             raise ValueError("masses and thrusts must list one value per chaser")
-        if self.n_mean_motion <= 0 or self.R_t <= 0:
-            raise ValueError("n_mean_motion and R_t must be positive")
-        if any(v <= 0 for v in self.masses) or any(v <= 0 for v in self.thrusts):
-            raise ValueError("masses and thrusts must be positive")
+        if not all(0 < v < math.inf
+                   for v in (self.n_mean_motion, self.R_t) + self.masses + self.thrusts):
+            raise ValueError("n_mean_motion, R_t, masses and thrusts must be positive and finite")
 
     def with_L(self, L: int) -> "CwParams":
         """Same physical constants replicated for a different chaser count."""

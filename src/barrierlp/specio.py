@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import Monomial, Polynomial, PolyMatrix
@@ -404,7 +404,11 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
 
 def load_problem_file(path: str) -> ProblemSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError("<document>", "not UTF-8 text: %s" % exc) from exc
+    return load_problem(text)
 
 
 def problem_document(

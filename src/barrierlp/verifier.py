@@ -28,18 +28,19 @@ over the sign-flip group zeroes exactly the pruned entries while preserving
 diagonal dominance, so the reduced program is feasible if and only if the
 full one is; verdicts in both directions survive the reduction.
 
-Single programs are assembled in the candidate's support ring (SupportRing):
-only the state variables occurring in b, Lfb or Lgb, in ascending order, and
-only the nonzero Lgb channels. Dropping variables that every basis monomial
-leaves at exponent zero keeps the graded lexicographic order, so the program
-is row for row the one the reduced full ring gives, over shorter monomials.
-The projected (b, Lfb, Lgb) terms are the candidate's class key: candidates
-that differ only by a renaming of variables and channels, like the chasers
-of the satellite fleet, share a key and therefore a program. Within one call
-each program of a key is solved once; every candidate then lifts the point
-back to its own variables and channels and passes both certificate gates in
-its own full ring before it counts as verified. With reduce_basis off the
-support ring is the full ring.
+A candidate derives Lfb and Lgb once, from the system it is built with.
+Single programs are assembled in its support ring (SupportRing): system and
+candidate projected onto the state variables occurring in b, Lfb or Lgb, in
+ascending order, and the nonzero Lgb channels. Dropping variables that every
+basis monomial leaves at exponent zero keeps the graded lexicographic order,
+so the program is row for row the one the reduced full ring gives, over
+shorter monomials. The projected (b, Lfb, Lgb) terms are the class key:
+candidates that differ only by a renaming of variables and channels, like
+the chasers of the satellite fleet, share a key and therefore a program.
+Within one call each program of a key is solved once; every candidate then
+lifts the point back to its own variables and channels and passes both
+certificate gates in its own full ring before it counts as verified. With
+reduce_basis off the support ring is the full ring.
 """
 
 from __future__ import annotations
@@ -129,29 +130,24 @@ class ControlAffineSystem:
 
 @dataclass(frozen=True)
 class CandidateCbf:
-    """Candidate barrier b with cached Lie derivatives along f and g."""
+    """Candidate barrier b of sys, with Lie derivatives along f and g derived at construction."""
 
     b: Polynomial
-    lfb: Polynomial
-    lgb: PolyMatrix  # 1 x m
+    sys: ControlAffineSystem
+    lfb: Polynomial = field(init=False, compare=False)
+    lgb: PolyMatrix = field(init=False, compare=False)  # 1 x m
+
+    def __post_init__(self):
+        if self.b.nvars != self.sys.n:
+            raise ValueError(
+                "candidate has %d variables, system has %d states" % (self.b.nvars, self.sys.n)
+            )
+        object.__setattr__(self, "lfb", lie_derivative_drift(self.b, self.sys.f))
+        object.__setattr__(self, "lgb", lie_derivative_input(self.b, self.sys.g))
 
     @classmethod
     def from_system(cls, b: Polynomial, sys: ControlAffineSystem) -> "CandidateCbf":
-        if b.nvars != sys.n:
-            raise ValueError(
-                "candidate has %d variables, system has %d states" % (b.nvars, sys.n)
-            )
-        return cls(
-            b=b,
-            lfb=lie_derivative_drift(b, sys.f),
-            lgb=lie_derivative_input(b, sys.g),
-        )
-
-    def caches_valid(self, sys: ControlAffineSystem) -> bool:
-        return (
-            self.lfb == lie_derivative_drift(self.b, sys.f)
-            and self.lgb == lie_derivative_input(self.b, sys.g)
-        )
+        return cls(b, sys)
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,8 @@ class SupportRing:
     """A candidate projected onto the variables and input channels its data uses.
 
     Support-ring variable p is full-ring variable ``variables[p]`` and
-    channel q is input ``channels[q]``; ``cand`` holds b, Lfb and the kept
-    Lgb entries over the support ring. ``key`` is equal for candidates whose
+    channel q is input ``channels[q]``; ``cand`` is a candidate of the
+    system projected onto them. ``key`` is equal for candidates whose
     projected data agree term by term, in term order, so they assemble the
     same single programs.
     """
@@ -187,29 +183,36 @@ class SupportRing:
 
 
 def support_ring(cand: CandidateCbf, reduce_basis: bool) -> SupportRing:
-    """Project cand onto its support ring; the identity when reduce_basis is off.
+    """Project cand and its system onto its support ring.
 
-    A ring needs one variable and a matrix one column, so when no variable or
-    no channel is live the first one is kept; a kept zero channel is dropped
-    by the reduced assembly all the same.
+    Projection sets the dropped variables to zero. That is a ring
+    homomorphism, and none of them occurs in b, Lfb or Lgb, so the Lie
+    derivatives derived in the support ring are the projected full-ring
+    ones, term for term. With reduce_basis off, or nothing to drop, the ring
+    candidate is cand itself. A ring needs one variable and a matrix one
+    column, so when no variable or no channel is live the first one is kept;
+    a kept zero channel is dropped by the reduced assembly all the same.
     """
-    lgb = cand.lgb.entry_list()
-    n, m = cand.b.nvars, len(lgb)
-    if not reduce_basis:
-        return SupportRing(tuple(range(n)), tuple(range(m)), n, m, cand)
-    variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
-    channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
+    sys = cand.sys
+    n, m = sys.n, sys.m
+    full = tuple(range(n)), tuple(range(m))
+    variables, channels = full
+    if reduce_basis:
+        lgb = cand.lgb.entry_list()
+        variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
+        channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
+    if (variables, channels) == full:
+        return SupportRing(variables, channels, n, m, cand)
 
     def project(p: Polynomial) -> Polynomial:
-        return Polynomial({tuple(mo[v] for v in variables): c for mo, c in p.terms.items()},
-                          len(variables))
+        return Polynomial({tuple(mo[v] for v in variables): c for mo, c in p.terms.items()
+                           if sum(mo) == sum(mo[v] for v in variables)}, len(variables))
 
-    projected = CandidateCbf(
-        b=project(cand.b),
-        lfb=project(cand.lfb),
-        lgb=PolyMatrix([[project(lgb[j]) for j in channels]]),
+    ring_sys = ControlAffineSystem(
+        f=PolyMatrix([[project(sys.f[i, 0])] for i in variables]),
+        g=PolyMatrix([[project(sys.g[i, j]) for j in channels] for i in variables]),
     )
-    return SupportRing(variables, channels, n, m, projected)
+    return SupportRing(variables, channels, n, m, CandidateCbf(project(cand.b), ring_sys))
 
 
 @dataclass
@@ -520,11 +523,7 @@ def assemble_single_lp(
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows are the diagonal-dominance linearizations for s1 and s2.
-    The program lives in the candidate's own ring, whose sizes are read from
-    cand rather than sys: a full-ring candidate and its support_ring
-    projection give the same rows. The candidate's Lie derivatives are
-    trusted as built by CandidateCbf.from_system; verify_single re-checks
-    them once per call.
+    cand is a candidate of sys, so its Lie derivatives are sys's.
     """
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
     n = b.nvars
@@ -681,7 +680,6 @@ def assemble_emptiness_lp(
 def extract_single_certificate(
     layout: SingleLayout,
     z: Sequence[float],
-    sys: ControlAffineSystem,
     cand: CandidateCbf,
     ring: SupportRing,
 ) -> Certificate:
@@ -714,7 +712,7 @@ def extract_single_certificate(
         p1=p1,
         p2=p2,
     )
-    cert.residual = certificate_residual(cert, sys, cand)
+    cert.residual = certificate_residual(cert, cand.sys, cand)
     return cert
 
 
@@ -890,15 +888,18 @@ def verify_single(
     The first feasible program whose extracted certificate passes both the
     diagonal-dominance and residual gates yields Verified. An exhausted
     schedule yields Inconclusive, never a refutation: failing to find a
-    DSOS certificate proves nothing about b. Stale Lie caches raise ValueError.
+    DSOS certificate proves nothing about b. A candidate built for another
+    system raises ValueError.
     """
     if opts is None:
         opts = VerifierOptions()
-    return _verify_singles(sys, [cand], opts)[0]
+    if cand.sys != sys:
+        raise ValueError("candidate was built for another system")
+    return _verify_singles([cand], opts)[0]
 
 
 def _verify_singles(
-    sys: ControlAffineSystem, cands: Sequence[CandidateCbf], opts: VerifierOptions
+    cands: Sequence[CandidateCbf], opts: VerifierOptions
 ) -> List[VerificationOutcome]:
     """verify_single for each candidate, solving each program once per class key.
 
@@ -906,9 +907,6 @@ def _verify_singles(
     class gets a copy with seconds 0.0 and reused set, and gates the same
     point in its own ring. Nothing is kept beyond the call.
     """
-    for cand in cands:
-        if not cand.caches_valid(sys):
-            raise ValueError("candidate caches do not match the system")
     solved: Dict[tuple, Tuple[LpRecord, LpOutcome, SingleLayout]] = {}
     outcomes = []
     for cand in cands:
@@ -930,12 +928,12 @@ def _verify_singles(
                 record, out, layout = solved[key]
                 record = replace(record, seconds=0.0, reused=True)
             else:
-                lp, layout = assemble_single_lp(sys, ring.cand, a, ds, dp,
+                lp, layout = assemble_single_lp(ring.cand.sys, ring.cand, a, ds, dp,
                                                 reduce_basis=opts.reduce_basis)
                 record, out = _solve(name, lp, opts)
                 solved[key] = record, out, layout
             cert, warning = _gate(
-                name, out, lambda z: extract_single_certificate(layout, z, sys, cand, ring), opts
+                name, out, lambda z: extract_single_certificate(layout, z, cand, ring), opts
             )
             outcome.lps.append(record)
             if warning is not None:
@@ -1016,12 +1014,15 @@ def verify_multi(
     infeasible (with a revalidated certificate) at every scheduled degree;
     then the verdict is MultiVerified. A feasible emptiness program that
     passes the certificate gate certifies the joint safe set empty, which is
-    reported as EmptinessCertified. Anything else is MultiInconclusive.
+    reported as EmptinessCertified. Anything else is MultiInconclusive. A
+    candidate built for another system raises ValueError.
     """
     if opts is None:
         opts = VerifierOptions()
     if len(cands) < 1:
         raise ValueError("need at least one candidate")
+    if any(c.sys != sys for c in cands):
+        raise ValueError("candidate was built for another system")
     t0 = time.perf_counter()
 
     warnings: List[str] = []
@@ -1035,7 +1036,7 @@ def verify_multi(
             )
 
     empt_records, empt_cert, empt_refuted, empt_warnings = _emptiness_sweep(cands, opts)
-    singles = _verify_singles(sys, cands, opts)
+    singles = _verify_singles(cands, opts)
 
     warnings.extend(empt_warnings)
     for i, so in enumerate(singles):

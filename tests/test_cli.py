@@ -117,12 +117,23 @@ def test_usage_errors_exit_three(tmp_path):
     doc = unit_disc_doc()
     doc["options"] = {"max_iters": -5}
     assert main(["verify", write_problem(tmp_path, "neg.json", doc)]) == 3
+    # Physical parameters must be positive and finite.
+    for flag, value in [("--mass", "-1"), ("--thrust", "0"), ("--R-t", "0"),
+                        ("--n-mean-motion", "0"), ("--mass", "nan"), ("--thrust", "inf")]:
+        assert main(["bench-satellite", "--L", "1", flag, value]) == 3
+    # A path that is a directory is a file error, read or written.
+    assert main(["verify", str(tmp_path)]) == 3
+    assert main(["verify", path, "--report", str(tmp_path)]) == 3
 
 
 def test_malformed_problem_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad)]) == 3
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(unit_disc_doc()).replace("x^2", "\u00e9").encode("latin-1"))
+    assert main(["verify", str(latin1)]) == 3
+    assert "<document>: not UTF-8 text" in capsys.readouterr().err
     doc = unit_disc_doc()
     del doc["drift"]
     path = write_problem(tmp_path, "p.json", doc)

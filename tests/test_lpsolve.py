@@ -186,15 +186,22 @@ def test_iteration_limit_is_reported():
     assert out.exit == "max_iters"
 
 
-def test_capacity_refusal():
+def test_wide_lp_with_few_rows_solves():
+    # The tableau bytes are the only capacity limit: 5001 columns over
+    # three rows make a tableau of 4 x 10007, well within it.
     lp = LpProblem(5001)
-    with pytest.raises(LpCapacityError):
-        solve_feasibility(lp)
+    lp.add_eq({i: 1.0 for i in range(0, 5001, 2)}, 3.0)
+    lp.add_eq({5000: 1.0, 7: -1.0}, 2.0)
+    lp.add_ub({0: 1.0, 4999: 1.0}, -1.0)
+    out = solve_feasibility(lp)
+    assert out.status is LpStatus.FEASIBLE
+    assert lp.max_violation(out.point) <= 1e-8
 
 
 def test_capacity_refusal_by_tableau_bytes():
-    # 5000 variables pass the variable guard, but the 5001 x 15001 tableau
-    # and its work array need 1.2 GB; the refusal comes before allocation.
+    # 5000 equality rows over 5000 variables make a 5001 x 15001 tableau,
+    # which with its work array needs 1.2 GB; the refusal comes before
+    # allocation.
     lp = LpProblem(5000)
     for i in range(5000):
         lp.add_eq({i: 1.0}, 0.0)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from barrierlp.polyring import Polynomial, evaluate
+from barrierlp.polyring import (
+    Polynomial,
+    evaluate,
+    lie_derivative_drift,
+    lie_derivative_input,
+)
 from barrierlp.satbench import (
     CwParams,
     build_cw_system,
@@ -26,6 +31,9 @@ def test_params_defaults_and_validation():
         CwParams(L=1, masses=(-2.0,))
     with pytest.raises(ValueError):
         CwParams(L=1, n_mean_motion=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CwParams(L=1, thrusts=(bad,))
 
 
 def test_drift_row_for_xddot():
@@ -90,7 +98,10 @@ def test_candidate_caches_are_valid():
     p = CwParams(L=2)
     sys = build_cw_system(p)
     for i in range(2):
-        assert build_inspection_cbf(p, i, sys).caches_valid(sys)
+        c = build_inspection_cbf(p, i, sys)
+        assert c.sys is sys
+        assert c.lfb == lie_derivative_drift(c.b, sys.f)
+        assert c.lgb == lie_derivative_input(c.b, sys.g)
 
 
 def test_chaser_index_range():

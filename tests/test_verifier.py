@@ -20,6 +20,7 @@ from barrierlp.polyring import (
     PolyMatrix,
     evaluate,
     lie_derivative_drift,
+    lie_derivative_input,
     monomial_basis,
 )
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
@@ -548,7 +549,8 @@ def test_support_ring_program_is_the_full_ring_program():
             dp = default_deg_p(c, a, ds)
             assert dp == default_deg_p(ring.cand, a, ds)
             full, _ = assemble_single_lp(sys, c, a, ds, dp, reduce_basis=True)
-            small, layout = assemble_single_lp(sys, ring.cand, a, ds, dp, reduce_basis=True)
+            small, layout = assemble_single_lp(ring.cand.sys, ring.cand, a, ds, dp,
+                                               reduce_basis=True)
             assert export_lp_text(small) == export_lp_text(full)
             assert all(len(mo) == 6 for mo in layout.gram_basis)
     keys = {support_ring(c, True).key for c in cands}
@@ -556,6 +558,38 @@ def test_support_ring_program_is_the_full_ring_program():
     # Without reduction the projection is the identity, and no two keys agree.
     assert support_ring(cands[1], False).cand is cands[1]
     assert len({support_ring(c, False).key for c in cands}) == 3
+
+
+def _projected_key(c, ring):
+    """The class key of c's full-ring data with the dropped variables and channels cut out."""
+    def project(p):
+        return tuple((tuple(mo[v] for v in ring.variables), coef) for mo, coef in p.terms.items())
+
+    lgb = c.lgb.entry_list()
+    return ((len(ring.variables), project(c.b), project(c.lfb))
+            + tuple(project(lgb[j]) for j in ring.channels))
+
+
+def test_ring_derivatives_are_the_projected_full_ring_ones():
+    """Lfb and Lgb derived in the support ring agree term for term, in term order."""
+    sys, cands = fleet(CwParams(L=3))
+    for c in cands:
+        ring = support_ring(c, True)
+        assert ring.cand.sys.n == 6 and ring.cand.sys.m == 3
+        assert ring.key == _projected_key(c, ring)
+    # b = x1 + x2 under f = [y, -y, 0]: Lfb = y - y cancels, so y is dropped
+    # although the drift rows of x1 and x2 contain it.
+    n = 3
+    zero, one = Polynomial.zero(n), Polynomial.one(n)
+    y = _x(2, n)
+    sys = ControlAffineSystem(f=PolyMatrix([[y], [-y], [zero]]),
+                              g=PolyMatrix([[one], [zero], [zero]]))
+    c = cand(_x(0, n) + _x(1, n), sys)
+    assert c.lfb.is_zero()
+    ring = support_ring(c, True)
+    assert ring.variables == (0, 1) and ring.channels == (0,)
+    assert all(p.is_zero() for p in ring.cand.sys.f.entry_list())
+    assert ring.key == _projected_key(c, ring)
 
 
 def test_relabelled_candidates_solve_each_program_once(monkeypatch):
@@ -705,38 +739,55 @@ def test_explicit_schedule_is_respected():
     assert out.schedule["entries"][0] == [0, 1, 1]
 
 
-def test_stale_candidate_cache_rejected():
+def test_candidate_carries_its_system():
     sys = single_integrator(1)
     b = Polynomial.one(1) - _x(0, 1) ** 2
-    good = cand(b, sys)
-    stale = CandidateCbf(b=b, lfb=Polynomial.one(1), lgb=good.lgb)
-    assert not stale.caches_valid(sys)
-    with pytest.raises(ValueError, match="caches"):
-        verify_single(sys, stale)
-    with pytest.raises(ValueError, match="caches"):
-        verify_multi(sys, [good, stale])
+    c = CandidateCbf(b, sys)
+    assert c == CandidateCbf.from_system(b, sys)
+    assert c.lfb == lie_derivative_drift(b, sys.f) and c.lgb == lie_derivative_input(b, sys.g)
+    # The Lie derivatives are derived, never passed in.
+    for derived in ("lfb", "lgb"):
+        with pytest.raises(TypeError):
+            CandidateCbf(b=b, sys=sys, **{derived: getattr(c, derived)})
+    with pytest.raises(ValueError, match="variables"):
+        CandidateCbf(Polynomial.one(2), sys)
+    # An equal system built separately is the same system.
+    assert verify_single(single_integrator(1), c).verdict is Verdict.VERIFIED
+    # Same b, changed drift: built for another system.
+    other = cand(b, ControlAffineSystem(f=PolyMatrix([[_x(0, 1)]]), g=sys.g))
+    with pytest.raises(ValueError, match="another system"):
+        verify_single(sys, other)
+    with pytest.raises(ValueError, match="another system"):
+        verify_multi(sys, [c, other])
 
 
-def test_lie_derivatives_checked_once_per_candidate(monkeypatch):
+def test_lie_derivatives_derived_once_per_candidate(monkeypatch):
+    """Verification derives nothing in the 18-variable ring, once per candidate in its 6."""
     import barrierlp.verifier as verifier
 
-    params = CwParams()
-    sys = build_cw_system(params)
-    c = build_inspection_cbf(params, 0, sys)
-    calls = []
+    sys, cands = fleet(CwParams(L=3))
+    rings = []
 
-    def counting_drift(poly, f):
-        calls.append(poly)
-        return lie_derivative_drift(poly, f)
+    def counting(derive):
+        def counted(b, field):
+            rings.append((derive.__name__, b.nvars))
+            return derive(b, field)
+        return counted
 
-    monkeypatch.setattr(verifier, "lie_derivative_drift", counting_drift)
-    # The one-chaser a=0 program is refuted, so the schedule runs both entries.
-    out = verify_single(sys, c)
-    assert [lp.name.split()[1] for lp in out.lps] == ["a=0", "a=1"]
-    assert len(calls) == 1
-    calls.clear()
-    verify_multi(sys, [c, c])
-    assert len(calls) == 2
+    for name in ("lie_derivative_drift", "lie_derivative_input"):
+        monkeypatch.setattr(verifier, name, counting(getattr(verifier, name)))
+    assert verify_multi(sys, cands).verdict is Verdict.MULTI_VERIFIED
+    assert sorted(rings) == [("lie_derivative_drift", 6)] * 3 + [("lie_derivative_input", 6)] * 3
+    rings.clear()
+    verify_multi(sys, cands, VerifierOptions(reduce_basis=False))
+    assert rings == []
+    # A lone chaser uses every variable and channel: its ring is its own.
+    sys, (lone,) = fleet(CwParams(L=1))
+    assert rings == [("lie_derivative_drift", 6), ("lie_derivative_input", 6)]
+    rings.clear()
+    assert support_ring(lone, True).cand is lone
+    verify_single(sys, lone)
+    assert rings == []
 
 
 def test_system_shape_validation():
