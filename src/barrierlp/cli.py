@@ -129,6 +129,22 @@ def _report_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
+def _check_report_destination(path: Optional[str]) -> None:
+    """Raise OSError now, before anything is solved, if the report cannot be written.
+
+    The probe opens for append, so an existing report is not truncated, and
+    a file it had to create is removed again.
+    """
+    dest = _report_path(path)
+    if dest is None:
+        return
+    existed = os.path.lexists(dest)
+    with open(dest, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(dest)
+
+
 def _emit_report(outcome, args) -> None:
     dest = _report_path(args.report)
     text = write_report(outcome, fmt=args.format,
@@ -142,6 +158,7 @@ def _emit_report(outcome, args) -> None:
 def cmd_verify(args) -> int:
     spec = load_problem_file(args.problem)
     opts = _options_from_args(args, spec.options)
+    _check_report_destination(args.report)
     if len(spec.candidates) == 1:
         outcome = verify_single(spec.system, spec.candidates[0], opts)
     else:
@@ -153,6 +170,7 @@ def cmd_verify(args) -> int:
 def cmd_empty_check(args) -> int:
     spec = load_problem_file(args.problem)
     opts = _options_from_args(args, spec.options)
+    _check_report_destination(args.report)
     outcome = check_emptiness(spec.candidates, opts)
     _emit_report(outcome, args)
     return _VERDICT_EXIT[outcome.verdict]
@@ -203,6 +221,7 @@ def cmd_bench_satellite(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     opts = _options_from_args(args, None)
+    _check_report_destination(args.report)
     report = run_benchmark(params, args.L, opts)
     if args.deterministic:
         for row in report["rows"]:

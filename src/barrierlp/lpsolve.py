@@ -2,14 +2,21 @@
 
 Every program here minimizes the constant zero; the only question is whether
 the constraint system admits a point. Feasibility is decided by a dense
-phase-1 simplex (split free variables, slacks, one artificial per row). The
-entering column is Bland's lowest eligible index; the leaving row comes from
-Harris's two-pass ratio test (Math. Prog. 5, 1973), which prefers the largest
-pivot entry among near-ties. That pairing has no anti-cycling guarantee: the
-progress window bounds any cycle, and its exit is gated like every other.
-An infeasible run returns row multipliers that combine the constraints into
-0^T z <= -delta with delta > 0, so negative verdicts carry their own proof
-and can be revalidated by substitution.
+phase-1 simplex over split free variables z = z+ - z-, slacks and one
+artificial per row. Only the z+ columns and the slacks are stored: a z-
+column is the exact negative of its z+ column and enters by pivoting on the
+negated column, and the artificials, which never re-enter, are not stored
+at all. The entering column is Bland's lowest eligible index in the order
+(z+, z-, slacks); the leaving row comes from Harris's two-pass ratio test
+(Math. Prog. 5, 1973), which prefers the largest pivot entry among
+near-ties. That pairing has no anti-cycling guarantee: the progress window
+bounds any cycle, and its exit is gated like every other.
+Every pivot appends one entry to an eta file, the product form of the basis
+inverse (Dantzig & Orchard-Hays 1954). An infeasible run recovers the
+multipliers y = c_B^T B^-1 of its final basis from it in one backward pass;
+they combine the constraints into 0^T z <= -delta with delta > 0, so
+negative verdicts carry their own proof and can be revalidated by
+substitution.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Dense-tableau capacity: bytes of the tableau plus its equally sized work
-# array. Problems beyond this must go through export_lp_text. The largest
-# bench-satellite program at L=12 needs 0.38 GB of it.
+# Dense-tableau capacity: bytes of the (m+1) x (n+n_ub+1) tableau, its
+# equally sized work array and the eta file. A tableau beyond it is refused
+# before allocation (export_lp_text is the way out); a run whose eta file
+# would cross it ends IterationLimit. The largest bench-satellite program at
+# L=12 needs 0.11 GB of it.
 MAX_TABLEAU_BYTES = 2 ** 30
 # Entries at or below PIVOT_TOL never pivot; rows are met within FEAS_TOL;
 # an artificial sum above INFEAS_MARGIN at the end means infeasible.
@@ -66,7 +75,8 @@ class LpOutcome:
     """Result of solve_feasibility.
 
     exit says why the simplex stopped: "optimal" (no improving column left,
-    or decided without pivoting), "max_iters" (pivot budget spent),
+    or decided without pivoting), "max_iters" (pivot budget spent, or the eta
+    file would cross MAX_TABLEAU_BYTES),
     "stall_window" (too many pivots without lowering the artificial sum) or
     "eroded" (every improving column has eroded below the pivot tolerance).
     """
@@ -238,15 +248,21 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         )
 
     n_ub = sum(1 for kind, _, _, _ in kept if kind == "ub")
-    ncols = 2 * n + n_ub + m
+    # Logical columns are the n plus columns, the n minus columns, the
+    # slacks and one artificial per row; basis codes number them in that
+    # order. Only plus columns and slacks are stored: minus column j is
+    # exactly -T[:, j] (every update is linear, negation is exact), and the
+    # artificials never re-enter, so their block is replaced by the eta file.
+    w = n + n_ub  # stored columns; the right-hand side sits at column w
     art0 = 2 * n + n_ub
-    need = 2 * (m + 1) * (ncols + 1) * 8
-    if need > MAX_TABLEAU_BYTES:
+    ncols = art0 + m
+    tableau_bytes = 2 * (m + 1) * (w + 1) * 8
+    if tableau_bytes > MAX_TABLEAU_BYTES:
         raise LpCapacityError(
             "tableau of %d x %d needs %d bytes with its work array, capacity is %d;"
-            " export the LP instead" % (m + 1, ncols + 1, need, MAX_TABLEAU_BYTES)
+            " export the LP instead" % (m + 1, w + 1, tableau_bytes, MAX_TABLEAU_BYTES)
         )
-    T = np.zeros((m + 1, ncols + 1))
+    T = np.zeros((m + 1, w + 1))
     # The one work array of every pivot update. A temporary of varying size
     # per pivot would be mapped afresh each time, which costs millions of
     # page faults on a long first solve.
@@ -262,21 +278,23 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         sigma = -1.0 if b < 0 else 1.0
         flip[r] = sigma
         for i, c in coefs.items():
-            v = sigma * c / rho
-            T[r, i] = v
-            T[r, n + i] = -v
+            T[r, i] = sigma * c / rho
         if kind == "ub":
-            T[r, 2 * n + slack_pos] = sigma
+            T[r, n + slack_pos] = sigma
             slack_pos += 1
-        T[r, art0 + r] = 1.0
-        T[r, ncols] = sigma * b
+        T[r, w] = sigma * b
 
     # Objective row holds reduced costs for min(sum of artificials); the
     # starting basis is the artificials themselves.
     T[m, :] = -T[:m, :].sum(axis=0)
-    T[m, art0 : art0 + m] += 1.0
 
     basis = np.arange(art0, art0 + m)
+    # Product-form inverse (Dantzig & Orchard-Hays 1954): one entry
+    # (pivot row, pivot, rows, values) per pivot, where rows and values are
+    # the nonzero entries of the entering column outside the pivot row, or
+    # rows is None and values the whole column with a zero at the pivot row.
+    eta: List[Tuple[int, float, Optional[np.ndarray], np.ndarray]] = []
+    eta_bytes = 0
 
     iterations = 0
     reason = "optimal"
@@ -290,21 +308,27 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         if iterations >= opts.max_iters:
             reason = "max_iters"
             break
-        # Bland: entering column is the lowest eligible index. Artificials
-        # never enter: a basic one keeps reduced cost exactly 0, and one that
-        # has left stays out. A column whose entries have all eroded below
-        # the pivot tolerance cannot be pivoted (phase 1 is never truly
-        # unbounded), so it is skipped; leaving the loop that way marks the
-        # tableau as eroded and the exit below is gated instead of trusted.
+        # Bland: entering column is the lowest eligible logical index. A
+        # minus column's reduced cost is minus its plus column's.
+        # Artificials never enter: a basic one keeps reduced cost exactly 0,
+        # and one that has left stays out. A column whose entries have all
+        # eroded below the pivot tolerance cannot be pivoted (phase 1 is
+        # never truly unbounded), so it is skipped; leaving the loop that
+        # way marks the tableau as eroded and the exit below is gated
+        # instead of trusted.
         pc = -1
         eroded = False
-        objrow = T[m, :art0]
-        candidates = np.nonzero(objrow < -PIVOT_TOL)[0]
-        for j in candidates:
-            if not np.any(T[:m, j] > PIVOT_TOL):
+        objrow = T[m, :w]
+        neg = objrow < -PIVOT_TOL
+        candidates = np.concatenate((neg[:n], objrow[:n] > PIVOT_TOL, neg[n:])).nonzero()[0]
+        for code in candidates.tolist():
+            j = code if code < n else code - n
+            col = -T[:m, j] if n <= code < 2 * n else T[:m, j]
+            up = col > PIVOT_TOL
+            if not up.any():
                 eroded = True
                 continue
-            pc = int(j)
+            pc = code
             break
         if pc < 0:
             if eroded:
@@ -315,31 +339,43 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         # whose exact ratio fits under that bound, the largest pivot entry
         # (the first on a tie). Pivoting on the smallest-index tie instead
         # lets entries near PIVOT_TOL through and blows the tableau up.
-        col = T[:m, pc]
-        eligible = np.nonzero(col > PIVOT_TOL)[0]
+        eligible = up.nonzero()[0]
         a = col[eligible]
-        rhs = T[eligible, ncols]
+        rhs = T[eligible, w]
         bound = ((np.maximum(rhs, 0.0) + PIVOT_TOL) / a).min()
         fits = rhs / a <= bound
         pr = int(eligible[np.where(fits, a, -np.inf).argmax()])
         # Pivot on (pr, pc). A row whose pivot-column entry is zero would
         # change by exactly 0 * T[pr], so when at most half the rows have a
         # nonzero entry only those are gathered, updated and scattered back.
-        T[pr, :] /= T[pr, pc]
-        colvals = T[:, pc].copy()
+        piv = col[pr]
+        colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
         colvals[pr] = 0.0
-        rows = np.flatnonzero(colvals)
+        rows = colvals.nonzero()[0]
         k = rows.size
-        if 2 * k > m + 1:
-            T -= np.outer(colvals, T[pr], out=scratch)
+        dense = 2 * k > m + 1
+        if dense:
+            # Filed whole: m+1 floats take fewer bytes than k index-value pairs.
+            rows, vals = None, colvals
+            eta_bytes += vals.nbytes
+        else:
+            vals = colvals[rows]
+            eta_bytes += rows.nbytes + vals.nbytes
+        if tableau_bytes + eta_bytes > MAX_TABLEAU_BYTES:
+            reason = "max_iters"
+            break
+        eta.append((pr, piv, rows, vals))
+        T[pr, :] /= piv
+        if dense:
+            T -= np.multiply(colvals[:, None], T[pr], out=scratch)
         else:
             # mode="clip" gathers straight into scratch; "raise" would buffer.
             blk = np.take(T, rows, axis=0, out=scratch[:k], mode="clip")
-            blk -= np.multiply(colvals[rows, None], T[pr], out=scratch[k : 2 * k])
+            blk -= np.multiply(vals[:, None], T[pr], out=scratch[k : 2 * k])
             T[rows] = blk
         basis[pr] = pc
         iterations += 1
-        value_now = -T[m, ncols]
+        value_now = -T[m, w]
         if value_now < best_value - PIVOT_TOL:
             best_value = value_now
             no_progress = 0
@@ -356,13 +392,19 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         )
     stalled = reason != "optimal"
 
-    value = -T[m, ncols]
+    value = -T[m, w]
     if value > INFEAS_MARGIN:
-        # Simplex multipliers: y_r = 1 - reduced cost of row r's artificial.
-        # Undo scaling and flips, negate, and the rows combine to 0 <= -value.
+        # Simplex multipliers y = c_B^T B^-1, where c_B marks the rows whose
+        # basic column is an artificial and B^-1 = E_T ... E_1 is the eta
+        # file, applied from the left in one pass back. y[m] stays 0 so
+        # that filed objective-row entries drop out. Undo scaling and flips,
+        # negate, and the rows combine to 0 <= -value.
+        y = np.zeros(m + 1)
+        y[:m] = basis >= art0
+        for pr, piv, rows, vals in reversed(eta):
+            y[pr] = (y[pr] - np.dot(y if rows is None else y[rows], vals)) / piv
         for r, (kind, orig, _, _) in enumerate(kept):
-            y = 1.0 - T[m, art0 + r]
-            u = -y * flip[r] / scale[r]
+            u = -y[r] * flip[r] / scale[r]
             if kind == "eq":
                 eq_mults[orig] = u
             else:
@@ -398,7 +440,7 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     z = np.zeros(n)
     for r in range(m):
         j = basis[r]
-        val = T[r, ncols]
+        val = T[r, w]
         if j < n:
             z[j] += val
         elif j < 2 * n:

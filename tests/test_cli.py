@@ -126,6 +126,40 @@ def test_usage_errors_exit_three(tmp_path):
     assert main(["verify", path, "--report", str(tmp_path)]) == 3
 
 
+def test_unwritable_report_fails_before_solving(tmp_path, monkeypatch):
+    import barrierlp.verifier as verifier
+
+    solved = []
+    solve = verifier.solve_feasibility
+
+    def counted(*args):
+        solved.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(verifier, "solve_feasibility", counted)
+    path = write_problem(tmp_path, "p.json", disjoint_pair_doc())
+    for cmd in (["verify", path], ["empty-check", path], ["bench-satellite", "--L", "1"]):
+        for dest in (tmp_path, tmp_path / "missing" / "r.json"):
+            assert main(cmd + ["--report", str(dest)]) == 3
+    assert solved == []
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
+def test_report_check_keeps_an_existing_report(tmp_path, monkeypatch):
+    path = write_problem(tmp_path, "p.json", unit_disc_doc())
+    old = tmp_path / "old.json"
+    old.write_text("previous report\n")
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr("barrierlp.verifier.solve_feasibility", crash)
+    assert main(["verify", path, "--report", str(old)]) == 4
+    assert old.read_text() == "previous report\n"
+    assert main(["verify", path, "--report", str(tmp_path / "new.json")]) == 4
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_malformed_problem_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import fm_feasible
+from barrierlp import lpsolve
 from barrierlp.affinegram import DecisionAllocator, dd_linear_constraints, fresh_dsos_poly
 from barrierlp.lpsolve import (
     FarkasCertificate,
@@ -199,11 +200,11 @@ def test_wide_lp_with_few_rows_solves():
 
 
 def test_capacity_refusal_by_tableau_bytes():
-    # 5000 equality rows over 5000 variables make a 5001 x 15001 tableau,
-    # which with its work array needs 1.2 GB; the refusal comes before
+    # 9000 equality rows over 9000 variables make a 9001 x 9001 tableau,
+    # which with its work array needs 1.3 GB; the refusal comes before
     # allocation.
-    lp = LpProblem(5000)
-    for i in range(5000):
+    lp = LpProblem(9000)
+    for i in range(9000):
         lp.add_eq({i: 1.0}, 0.0)
     tracemalloc.start()
     try:
@@ -213,6 +214,48 @@ def test_capacity_refusal_by_tableau_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 24
+
+
+def repeated_rows_lp(nvars=100, copies=6):
+    """Each variable pinned by `copies` scaled copies of one row: m >> n."""
+    lp = LpProblem(nvars)
+    for c in range(1, copies + 1):
+        for i in range(nvars):
+            lp.add_eq({i: float(c)}, c * (i / 10.0 - 5.0))
+    return lp
+
+
+def test_tableau_stores_neither_minus_nor_artificial_columns():
+    # 600 x 100 equality rows: the split tableau with artificials,
+    # (m+1) x (2n+m+1) plus its work array, would take 7.7 MB; the stored
+    # (m+1) x (n+1) one takes 0.97 MB, and storing either dropped block
+    # again would at least double it.
+    lp = repeated_rows_lp()
+    m, n = lp.nrows, lp.nvars
+    split_bytes = 2 * (m + 1) * (2 * n + m + 1) * 8
+    tracemalloc.start()
+    try:
+        out = solve_feasibility(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.status is LpStatus.FEASIBLE
+    assert lp.max_violation(out.point) <= 1e-8
+    assert peak < split_bytes / 5
+
+
+def test_eta_file_counts_against_capacity(monkeypatch):
+    lp = repeated_rows_lp()
+    full = solve_feasibility(lp)
+    assert full.iterations == 100
+    tableau_bytes = 2 * (lp.nrows + 1) * (lp.nvars + 1) * 8
+    # Each pivot files the entering column's 6 other nonzero entries
+    # (5 rows and the objective) as an index and a value: 96 bytes.
+    monkeypatch.setattr(lpsolve, "MAX_TABLEAU_BYTES", tableau_bytes + 10 * 96)
+    out = solve_feasibility(lp)
+    assert out.status is LpStatus.ITERATION_LIMIT
+    assert out.exit == "max_iters"
+    assert out.iterations == 10
 
 
 def test_nonfinite_rejected_at_load():

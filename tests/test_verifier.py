@@ -304,6 +304,35 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
          if r.status == LpStatus.ITERATION_LIMIT.value]
 
 
+# corpus P097 (the corpus generator's draw 97 from seed 2212). Candidate 1's
+# a=1 program is refuted in 215 pivots. Multipliers read off artificial
+# columns carried through those pivots combine the rows to a coefficient
+# residual of 22; those recomputed from the final basis through the eta
+# file combine to 2e-11 and pass the Farkas gate.
+REFUTED_DOC = {
+    "schema": 1,
+    "variables": ["x", "y", "z"],
+    "inputs": ["u1", "u2"],
+    "drift": ["-0.065*y + 0.425*x*y", "-0.989*y - 0.717*z", "0.163*x + 0.205*y - 0.523*z^2"],
+    "input_matrix": [["0.238", "0"], ["0", "-0.483"], ["-0.178", "-0.725"]],
+    "candidates": [
+        "-10.540365199118352 + 3.446299080314366*x + 5.465803338663002*y"
+        " + 3.1073487848927543*z - 0.9557215276499738*x^2 - 1.5212281216413377*y^2"
+        " - 0.814590373338455*z^2",
+        "-3.434207400911389 + 2.8055854359168833*x - 0.19296070214633665*y"
+        " - 2.5664245778726467*z - 1.9616186426111824*x^2 - 0.6551308925990101*y^2"
+        " - 0.5731047854375051*z^2",
+    ],
+}
+
+
+def test_refutation_multipliers_come_from_the_final_basis():
+    spec = load_problem(REFUTED_DOC)
+    out = verify_single(spec.system, spec.candidates[1], spec.options)
+    rec = {r.name: r for r in out.lps}["single a=1 deg_s=1 deg_p=2"]
+    assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 215, True)
+
+
 # -- fixed-term conventions ----------------------------------------------------
 
 
