@@ -1,8 +1,12 @@
-"""Pure-feasibility linear programs: representation, phase-1 simplex, LP files.
+"""Pure-feasibility linear programs: representation, presolve, phase-1 simplex, LP files.
 
 Every program here minimizes the constant zero; the only question is whether
-the constraint system admits a point. Feasibility is decided by a dense
-phase-1 simplex over split free variables z = z+ - z-, slacks and one
+the constraint system admits a point. A presolve first substitutes free
+variables out through equality rows of one or two entries (Andersen &
+Andersen, Math. Prog. 71, 1995): each such row fixes one variable in terms
+of at most one other, and the substitution can only shorten the rows it
+touches, so chains of them collapse without a pivot. What is left goes to a
+dense phase-1 simplex over split free variables z = z+ - z-, slacks and one
 artificial per row. Only the z+ columns and the slacks are stored: a z-
 column is the exact negative of its z+ column and enters by pivoting on the
 negated column, and the artificials, which never re-enter, are not stored
@@ -16,7 +20,9 @@ inverse (Dantzig & Orchard-Hays 1954). An infeasible run recovers the
 multipliers y = c_B^T B^-1 of its final basis from it in one backward pass;
 they combine the constraints into 0^T z <= -delta with delta > 0, so
 negative verdicts carry their own proof and can be revalidated by
-substitution.
+substitution. Postsolve maps points and multipliers back through the
+eliminations, so every answer, and every check of it, refers to the
+caller's rows.
 """
 
 from __future__ import annotations
@@ -24,21 +30,25 @@ from __future__ import annotations
 import math
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Dense-tableau capacity: bytes of the (m+1) x (n+n_ub+1) tableau, its
-# equally sized work array and the eta file. A tableau beyond it is refused
-# before allocation (export_lp_text is the way out); a run whose eta file
-# would cross it ends IterationLimit. The largest bench-satellite program at
-# L=12 needs 0.11 GB of it.
+# Dense-tableau capacity: bytes of the (m+1) x (n+n_ub+1) tableau of the
+# presolved program, its equally sized work array and the eta file. A
+# tableau beyond it is refused before allocation (export_lp_text is the way
+# out); a run whose eta file would cross it ends IterationLimit.
 MAX_TABLEAU_BYTES = 2 ** 30
 # Entries at or below PIVOT_TOL never pivot; rows are met within FEAS_TOL;
 # an artificial sum above INFEAS_MARGIN at the end means infeasible.
 PIVOT_TOL = 1e-9
+# Presolve zeroes an updated entry at most DROP_TOL times the larger of the
+# two terms that made it: that is cancellation noise, and pivoting on it
+# would multiply rows by ~1e16.
+DROP_TOL = 1e-12
 FEAS_TOL = 1e-8
 INFEAS_MARGIN = 1e-9
 # Inequality multipliers below -FARKAS_SIGN_TOL void a Farkas certificate.
@@ -78,7 +88,9 @@ class LpOutcome:
     or decided without pivoting), "max_iters" (pivot budget spent, or the eta
     file would cross MAX_TABLEAU_BYTES),
     "stall_window" (too many pivots without lowering the artificial sum) or
-    "eroded" (every improving column has eroded below the pivot tolerance).
+    "eroded" (every improving column has eroded below the pivot tolerance,
+    or the final point misses a row of the caller's program by more than
+    FEAS_TOL). point and farkas always refer to the caller's rows.
     """
 
     status: LpStatus
@@ -199,55 +211,200 @@ def validate_farkas(
 
 
 def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> LpOutcome:
-    """Decide feasibility with a phase-1 simplex.
+    """Decide feasibility: presolve, phase-1 simplex on what is left, postsolve.
 
-    Returns Feasible with a point satisfying every row within FEAS_TOL,
-    Infeasible with a Farkas certificate, or IterationLimit.
+    Returns Feasible with a point satisfying every row of lp within
+    FEAS_TOL, Infeasible with a Farkas certificate on lp's rows, or
+    IterationLimit.
     """
     if opts is None:
         opts = SolverOptions()
     t0 = time.perf_counter()
-    n = lp.nvars
-    n_eq = len(lp.eq_rows)
-    eq_mults = [0.0] * n_eq
-    ub_mults = [0.0] * len(lp.ub_rows)
+    pre = _Presolve(lp)
+    iterations = 0
 
-    # Rows with no coefficients are decided immediately; a contradictory one
-    # is its own one-row certificate.
-    kept: List[Tuple[str, int, Dict[int, float], float]] = []
-    for r, (coefs, beta) in enumerate(lp.eq_rows):
-        if coefs:
-            kept.append(("eq", r, coefs, beta))
-        elif abs(beta) > FEAS_TOL:
-            eq_mults[r] = -1.0 / beta
-            return LpOutcome(
-                status=LpStatus.INFEASIBLE,
-                farkas=FarkasCertificate(eq_mults, ub_mults),
-                iterations=0,
-                wall_time=time.perf_counter() - t0,
-            )
-    for r, (coefs, beta) in enumerate(lp.ub_rows):
-        if coefs:
-            kept.append(("ub", r, coefs, beta))
-        elif beta < -FEAS_TOL:
-            ub_mults[r] = 1.0
-            return LpOutcome(
-                status=LpStatus.INFEASIBLE,
-                farkas=FarkasCertificate(eq_mults, ub_mults),
-                iterations=0,
-                wall_time=time.perf_counter() - t0,
-            )
+    def outcome(status: LpStatus, exit: str = "optimal", **kw) -> LpOutcome:
+        return LpOutcome(status=status, iterations=iterations,
+                         wall_time=time.perf_counter() - t0, exit=exit, **kw)
 
-    m = len(kept)
+    if pre.contradiction is not None:
+        # An empty row that cannot hold is its own one-row certificate,
+        # scaled to a combined right-hand side of -1.
+        r = pre.contradiction
+        return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate({r: -1.0 / pre.beta[r]}))
+    rows, cols = pre.reduced()
+    reason, iterations, z, y = _phase1(rows, cols, pre.n_eq, opts)
+    if reason == "max_iters":
+        return outcome(LpStatus.ITERATION_LIMIT, reason)
+    stalled = reason != "optimal"
+    if y is not None:
+        cert = pre.certificate(dict(zip([r for r, _, _ in rows], y.tolist())))
+        if stalled:
+            # A stalled tableau proves nothing by itself; only a certificate
+            # that actually combines is worth returning.
+            try:
+                combo, rhs = validate_farkas(lp, cert)
+            except ValueError:
+                combo, rhs = math.inf, 0.0
+            leverage = max([1.0] + [abs(u) for u in cert.eq_mults + cert.ub_mults])
+            if rhs > -INFEAS_MARGIN or combo > 1e-7 * leverage:
+                return outcome(LpStatus.ITERATION_LIMIT, reason)
+        return outcome(LpStatus.INFEASIBLE, reason, farkas=cert)
+    point = pre.point(cols, z)
+    if lp.max_violation(point) > FEAS_TOL:
+        # The reduced tableau's point misses a row of the caller's program.
+        return outcome(LpStatus.ITERATION_LIMIT, reason if stalled else "eroded")
+    return outcome(LpStatus.FEASIBLE, reason, point=point)
+
+
+class _Presolve:
+    """Free variables substituted out through equality rows of at most two entries.
+
+    Rows are numbered equality rows first, then inequality rows. An
+    equality row with one or two entries is taken off a queue, and its
+    variable with the larger |entry| (the lower index on a tie), x_j, is
+    replaced everywhere by (beta_r - sum_k a_rk x_k) / a_rj. Fill-in lands
+    only in rows that contain j, an equality row shortened to two entries
+    joins the queue, and an entry is never added to a row without another
+    leaving it. An updated entry (or right-hand side) within DROP_TOL of
+    both terms that made it is cancellation noise and becomes an exact
+    zero. A row left empty is dropped if it holds within FEAS_TOL and is
+    the contradiction otherwise.
+
+    `steps` records each elimination as (row r, variable j, row r's
+    entries, beta_r, [(i, a_ij / a_rj) for every other row i holding j
+    then]); postsolve replays it backwards. Rows are copied before their
+    first update, so the caller's program is never modified.
+    """
+
+    def __init__(self, lp: LpProblem):
+        self.nvars = lp.nvars
+        self.n_eq = len(lp.eq_rows)
+        self.coefs = [coefs for coefs, _ in lp.eq_rows] + [coefs for coefs, _ in lp.ub_rows]
+        self.beta = [beta for _, beta in lp.eq_rows] + [beta for _, beta in lp.ub_rows]
+        self.live = [True] * len(self.coefs)
+        self.steps: List[Tuple[int, int, Dict[int, float], float, List[Tuple[int, float]]]] = []
+        self.contradiction: Optional[int] = None
+        for r, coefs in enumerate(self.coefs):
+            if not coefs and self._settle_empty(r):
+                return
+        queue = deque(r for r in range(self.n_eq) if self.live[r] and len(self.coefs[r]) <= 2)
+        if queue:
+            self._eliminate(queue)
+
+    def _settle_empty(self, r: int) -> bool:
+        """Drop empty row r if it holds; otherwise record it and return True."""
+        b = self.beta[r]
+        if (abs(b) if r < self.n_eq else -b) > FEAS_TOL:
+            self.contradiction = r
+            return True
+        self.live[r] = False
+        return False
+
+    def _eliminate(self, queue: "deque[int]") -> None:
+        coefs, beta, live, n_eq = self.coefs, self.beta, self.live, self.n_eq
+        owned = [False] * len(coefs)
+        queued = [False] * len(coefs)
+        for r in queue:
+            queued[r] = True
+        cols: List[set] = [set() for _ in range(self.nvars)]
+        for r, row in enumerate(coefs):
+            if live[r]:
+                for j in row:
+                    cols[j].add(r)
+        while queue:
+            r = queue.popleft()
+            if not live[r]:
+                continue
+            row = coefs[r]
+            j = max(row, key=lambda k: (abs(row[k]), -k))
+            a_rj, b_r = row[j], beta[r]
+            rest = [(k, a / a_rj) for k, a in row.items() if k != j]
+            live[r] = False
+            for k in row:
+                cols[k].discard(r)
+            column: List[Tuple[int, float]] = []
+            self.steps.append((r, j, row, b_r, column))
+            for i in sorted(cols[j]):
+                ri = coefs[i]
+                if not owned[i]:
+                    ri = coefs[i] = dict(ri)
+                    owned[i] = True
+                a_ij = ri.pop(j)
+                column.append((i, a_ij / a_rj))
+                # row i -= (a_ij / a_rj) row r, entry by entry.
+                for k, g in rest:
+                    d = a_ij * g
+                    old = ri.get(k)
+                    if old is None:
+                        ri[k] = -d
+                        cols[k].add(i)
+                        continue
+                    new = old - d
+                    if abs(new) > DROP_TOL * max(abs(old), abs(d)):
+                        ri[k] = new
+                    else:
+                        del ri[k]
+                        cols[k].discard(i)
+                if b_r:
+                    old = beta[i]
+                    d = a_ij * (b_r / a_rj)
+                    new = old - d
+                    beta[i] = new if abs(new) > DROP_TOL * max(abs(old), abs(d)) else 0.0
+                if not ri:
+                    if self._settle_empty(i):
+                        return
+                elif i < n_eq and len(ri) <= 2 and not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+            cols[j] = set()
+
+    def reduced(self) -> Tuple[List[Tuple[int, Dict[int, float], float]], List[int]]:
+        """The live rows as (row, entries, beta), and the variables they use."""
+        rows = [(r, self.coefs[r], self.beta[r]) for r in range(len(self.coefs)) if self.live[r]]
+        used: set = set()
+        for _, coefs, _ in rows:
+            used.update(coefs)
+        return rows, sorted(used)
+
+    def point(self, cols: List[int], z: np.ndarray) -> np.ndarray:
+        """The reduced point on `cols`, back-substituted into every eliminated variable."""
+        x = np.zeros(self.nvars)
+        x[cols] = z
+        out = x.tolist()
+        for _, j, row, b_r, _ in reversed(self.steps):
+            out[j] = (b_r - sum(a * out[k] for k, a in row.items() if k != j)) / row[j]
+        return np.array(out)
+
+    def certificate(self, mults: Dict[int, float]) -> FarkasCertificate:
+        """Multipliers on reduced rows ({row: y}), extended to the eliminated ones.
+
+        y_r = -sum_i y_i a_ij / a_rj keeps the combination zero on column j,
+        so the certificate combines the caller's rows as y did the reduced ones.
+        Rows absent from mults get 0.
+        """
+        y = [0.0] * len(self.beta)
+        for r, u in mults.items():
+            y[r] = u
+        for r, _, _, _, column in reversed(self.steps):
+            y[r] = -sum(y[i] * f for i, f in column)
+        return FarkasCertificate(y[: self.n_eq], y[self.n_eq :])
+
+
+def _phase1(
+    rows: List[Tuple[int, Dict[int, float], float]], cols: List[int], n_eq: int, opts: SolverOptions
+) -> Tuple[str, int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Phase-1 simplex over rows (row, entries, beta) in the variables `cols`.
+
+    Returns (exit, pivots, point on cols or None, multipliers on rows or
+    None); exit "max_iters" returns neither.
+    """
+    m = len(rows)
+    n = len(cols)
     if m == 0:
-        return LpOutcome(
-            status=LpStatus.FEASIBLE,
-            point=np.zeros(n),
-            iterations=0,
-            wall_time=time.perf_counter() - t0,
-        )
-
-    n_ub = sum(1 for kind, _, _, _ in kept if kind == "ub")
+        return "optimal", 0, np.zeros(n), None
+    pos = dict(zip(cols, range(n)))
+    n_ub = sum(1 for r, _, _ in rows if r >= n_eq)
     # Logical columns are the n plus columns, the n minus columns, the
     # slacks and one artificial per row; basis codes number them in that
     # order. Only plus columns and slacks are stored: minus column j is
@@ -271,15 +428,15 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
     flip = np.ones(m)
 
     slack_pos = 0
-    for r, (kind, _, coefs, beta) in enumerate(kept):
+    for r, (orig, coefs, beta) in enumerate(rows):
         rho = max(abs(c) for c in coefs.values())
         scale[r] = rho
         b = beta / rho
         sigma = -1.0 if b < 0 else 1.0
         flip[r] = sigma
         for i, c in coefs.items():
-            T[r, i] = sigma * c / rho
-        if kind == "ub":
+            T[r, pos[i]] = sigma * c / rho
+        if orig >= n_eq:
             T[r, n + slack_pos] = sigma
             slack_pos += 1
         T[r, w] = sigma * b
@@ -351,28 +508,28 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         piv = col[pr]
         colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
         colvals[pr] = 0.0
-        rows = colvals.nonzero()[0]
-        k = rows.size
+        erows = colvals.nonzero()[0]
+        k = erows.size
         dense = 2 * k > m + 1
         if dense:
             # Filed whole: m+1 floats take fewer bytes than k index-value pairs.
-            rows, vals = None, colvals
+            erows, vals = None, colvals
             eta_bytes += vals.nbytes
         else:
-            vals = colvals[rows]
-            eta_bytes += rows.nbytes + vals.nbytes
+            vals = colvals[erows]
+            eta_bytes += erows.nbytes + vals.nbytes
         if tableau_bytes + eta_bytes > MAX_TABLEAU_BYTES:
             reason = "max_iters"
             break
-        eta.append((pr, piv, rows, vals))
+        eta.append((pr, piv, erows, vals))
         T[pr, :] /= piv
         if dense:
             T -= np.multiply(colvals[:, None], T[pr], out=scratch)
         else:
             # mode="clip" gathers straight into scratch; "raise" would buffer.
-            blk = np.take(T, rows, axis=0, out=scratch[:k], mode="clip")
+            blk = np.take(T, erows, axis=0, out=scratch[:k], mode="clip")
             blk -= np.multiply(vals[:, None], T[pr], out=scratch[k : 2 * k])
-            T[rows] = blk
+            T[erows] = blk
         basis[pr] = pc
         iterations += 1
         value_now = -T[m, w]
@@ -385,15 +542,9 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
                 reason = "stall_window"
                 break
 
-    wall = time.perf_counter() - t0
     if reason == "max_iters":
-        return LpOutcome(
-            status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall, exit=reason
-        )
-    stalled = reason != "optimal"
-
-    value = -T[m, w]
-    if value > INFEAS_MARGIN:
+        return reason, iterations, None, None
+    if -T[m, w] > INFEAS_MARGIN:
         # Simplex multipliers y = c_B^T B^-1, where c_B marks the rows whose
         # basic column is an artificial and B^-1 = E_T ... E_1 is the eta
         # file, applied from the left in one pass back. y[m] stays 0 so
@@ -401,42 +552,13 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         # negate, and the rows combine to 0 <= -value.
         y = np.zeros(m + 1)
         y[:m] = basis >= art0
-        for pr, piv, rows, vals in reversed(eta):
-            y[pr] = (y[pr] - np.dot(y if rows is None else y[rows], vals)) / piv
-        for r, (kind, orig, _, _) in enumerate(kept):
-            u = -y[r] * flip[r] / scale[r]
-            if kind == "eq":
-                eq_mults[orig] = u
-            else:
-                ub_mults[orig] = max(u, 0.0) if u > -FEAS_TOL else u
-        cert = FarkasCertificate(eq_mults, ub_mults)
-        if stalled:
-            # A stalled tableau proves nothing by itself; only a certificate
-            # that actually combines is worth returning.
-            try:
-                combo, rhs = validate_farkas(lp, cert)
-            except ValueError:
-                combo, rhs = math.inf, 0.0
-            leverage = max(
-                [1.0]
-                + [abs(u) for u in eq_mults]
-                + [abs(u) for u in ub_mults]
-            )
-            if rhs > -INFEAS_MARGIN or combo > 1e-7 * leverage:
-                return LpOutcome(
-                    status=LpStatus.ITERATION_LIMIT,
-                    iterations=iterations,
-                    wall_time=wall,
-                    exit=reason,
-                )
-        return LpOutcome(
-            status=LpStatus.INFEASIBLE,
-            farkas=cert,
-            iterations=iterations,
-            wall_time=wall,
-            exit=reason,
-        )
-
+        for pr, piv, erows, vals in reversed(eta):
+            y[pr] = (y[pr] - np.dot(y if erows is None else y[erows], vals)) / piv
+        u = -y[:m] * flip / scale
+        for r, (orig, _, _) in enumerate(rows):
+            if orig >= n_eq and u[r] > -FEAS_TOL:
+                u[r] = max(u[r], 0.0)
+        return reason, iterations, None, u
     z = np.zeros(n)
     for r in range(m):
         j = basis[r]
@@ -445,13 +567,8 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
             z[j] += val
         elif j < 2 * n:
             z[j - n] -= val
-    if stalled and lp.max_violation(z) > FEAS_TOL:
-        return LpOutcome(
-            status=LpStatus.ITERATION_LIMIT, iterations=iterations, wall_time=wall, exit=reason
-        )
-    return LpOutcome(
-        status=LpStatus.FEASIBLE, point=z, iterations=iterations, wall_time=wall, exit=reason
-    )
+    return reason, iterations, z, None
+
 
 
 # -- CPLEX LP text format ---------------------------------------------------

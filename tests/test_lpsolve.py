@@ -1,5 +1,6 @@
 """Feasibility solver, Farkas certificates, and LP text round-trips."""
 
+import copy
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from _oracles import fm_feasible
 from barrierlp import lpsolve
 from barrierlp.affinegram import DecisionAllocator, dd_linear_constraints, fresh_dsos_poly
 from barrierlp.lpsolve import (
+    FEAS_TOL,
     FarkasCertificate,
     LpCapacityError,
     LpParseError,
@@ -21,6 +23,7 @@ from barrierlp.lpsolve import (
     solve_feasibility,
     validate_farkas,
 )
+from barrierlp.verifier import _farkas_acceptable
 
 
 def test_box_is_feasible():
@@ -168,6 +171,98 @@ def test_block_diagonal_suite_matches_elimination_oracle():
     assert_matches_oracle(block_diagonal_lp(rng, 8) for _ in range(50))
 
 
+def chain_lp(rng):
+    """Chains of singleton and doubleton equality rows plus dense rows.
+
+    Some systems add a dense row and its opposite with a gap between their
+    right-hand sides, and some add a combination of two equality rows,
+    which presolve reduces to an empty row: redundant, or a contradiction
+    when its right-hand side is moved.
+    """
+    n = rng.randrange(3, 9)
+    lp = LpProblem(n)
+    order = rng.sample(range(n), n)
+
+    def coef():
+        return rng.choice([-1, 1]) * rng.randrange(1, 9) / 4.0
+
+    def dense():
+        return {i: coef() for i in rng.sample(range(n), min(n, rng.randrange(3, 6)))}
+
+    for t in range(rng.randrange(1, n)):
+        # Links order[t] to the variable before it, or pins it.
+        row = {order[t]: coef()}
+        if t and rng.random() < 0.8:
+            row[order[t - 1]] = coef()
+        lp.add_eq(row, rng.randrange(-8, 9) / 4.0)
+    for _ in range(rng.randrange(1, 5)):
+        (lp.add_eq if rng.random() < 0.1 else lp.add_ub)(dense(), rng.randrange(-8, 9) / 4.0)
+    if rng.random() < 0.4:
+        row, rhs = dense(), rng.randrange(-8, 9) / 4.0
+        lp.add_ub(row, rhs)
+        lp.add_ub({i: -c for i, c in row.items()}, -rhs + rng.choice([-0.5, 0.5]))
+    if rng.random() < 0.5:
+        (c1, b1), (c2, b2) = rng.choice(lp.eq_rows), rng.choice(lp.eq_rows)
+        k1, k2 = rng.randrange(1, 4), rng.choice([-2, -1, 1, 2])
+        row = {i: k1 * c1.get(i, 0.0) + k2 * c2.get(i, 0.0) for i in set(c1) | set(c2)}
+        lp.add_eq(row, k1 * b1 + k2 * b2 + rng.choice([0.0, 0.0, 0.5]))
+    return lp
+
+
+def test_presolve_suite_matches_elimination_oracle():
+    """Points hold on the caller's rows, certificates pass the verifier's gate."""
+    rng = random.Random(20261019)
+    statuses = []
+    for trial in range(80):
+        lp = chain_lp(rng)
+        out = solve_feasibility(lp)
+        if fm_feasible(lp.eq_rows, lp.ub_rows, lp.nvars):
+            assert out.status is LpStatus.FEASIBLE, "trial %d" % trial
+            assert lp.max_violation(out.point) <= FEAS_TOL
+        else:
+            assert out.status is LpStatus.INFEASIBLE, "trial %d" % trial
+            assert _farkas_acceptable(lp, out), "trial %d" % trial
+        statuses.append((out.status, out.iterations == 0))
+    # Both verdicts occur, with and without pivots.
+    assert len(set(statuses)) == 4
+
+
+def test_contradiction_found_by_substitution():
+    # x0 = 1 and x0 - x1 = 0 leave x1 = 2 as the empty row 0 = 1.
+    lp = LpProblem(2)
+    lp.add_eq({0: 1.0}, 1.0)
+    lp.add_eq({0: 1.0, 1: -1.0}, 0.0)
+    lp.add_eq({1: 1.0}, 2.0)
+    out = solve_feasibility(lp)
+    assert (out.status, out.iterations) == (LpStatus.INFEASIBLE, 0)
+    max_coef, rhs = validate_farkas(lp, out.farkas)
+    assert max_coef == 0.0 and rhs == -1.0
+    assert _farkas_acceptable(lp, out)
+
+
+def test_presolve_drops_cancellation_noise():
+    # Row 1 is twice row 0. Substituting x0 = (1 - x1) / 49 into it leaves
+    # 2.2e-16 * x1 = 2.2e-16 in floating point; pivoting on that entry would
+    # pin x1 = 1 and contradict x1 <= 0.5.
+    lp = LpProblem(2)
+    lp.add_eq({0: 49.0, 1: 1.0}, 1.0)
+    lp.add_eq({0: 98.0, 1: 2.0}, 2.0)
+    lp.add_ub({1: 1.0}, 0.5)
+    lp.add_ub({1: -1.0}, 0.5)
+    out = solve_feasibility(lp)
+    assert out.status is LpStatus.FEASIBLE
+    assert lp.max_violation(out.point) <= FEAS_TOL
+
+
+def test_presolve_leaves_the_callers_rows_alone():
+    rng = random.Random(5)
+    for _ in range(20):
+        lp = chain_lp(rng)
+        before = copy.deepcopy(lp)
+        solve_feasibility(lp)
+        assert lp == before
+
+
 def test_determinism_status_and_pivot_count():
     rng = random.Random(4)
     for _ in range(10):
@@ -179,8 +274,9 @@ def test_determinism_status_and_pivot_count():
 
 
 def test_iteration_limit_is_reported():
-    lp = LpProblem(2)
-    lp.add_eq({0: 1.0, 1: 1.0}, 2.0)
+    # Three entries: presolve leaves the row to the simplex.
+    lp = LpProblem(3)
+    lp.add_eq({0: 1.0, 1: 1.0, 2: 1.0}, 2.0)
     out = solve_feasibility(lp, SolverOptions(max_iters=0))
     assert out.status is LpStatus.ITERATION_LIMIT
     assert out.point is None and out.farkas is None
@@ -200,12 +296,13 @@ def test_wide_lp_with_few_rows_solves():
 
 
 def test_capacity_refusal_by_tableau_bytes():
-    # 9000 equality rows over 9000 variables make a 9001 x 9001 tableau,
-    # which with its work array needs 1.3 GB; the refusal comes before
-    # allocation.
+    # 9000 equality rows of three entries over 9000 variables leave presolve
+    # nothing to substitute and make a 9001 x 9001 tableau, which with its
+    # work array needs 1.3 GB; the refusal comes before allocation, and the
+    # traced peak includes presolve's own scan.
     lp = LpProblem(9000)
     for i in range(9000):
-        lp.add_eq({i: 1.0}, 0.0)
+        lp.add_eq({i: 1.0, (i + 1) % 9000: 1.0, (i + 2) % 9000: 1.0}, 0.0)
     tracemalloc.start()
     try:
         with pytest.raises(LpCapacityError):
@@ -216,12 +313,17 @@ def test_capacity_refusal_by_tableau_bytes():
     assert peak < 2 ** 24
 
 
-def repeated_rows_lp(nvars=100, copies=6):
-    """Each variable pinned by `copies` scaled copies of one row: m >> n."""
-    lp = LpProblem(nvars)
+def repeated_rows_lp(nblocks=25, copies=24):
+    """25 blocks of 4 variables, each summed by `copies` scaled copies of one row.
+
+    600 equality rows over 100 variables (m >> n), four entries each, so
+    presolve leaves them all to the simplex. One pivot per block zeroes the
+    block's other copies exactly.
+    """
+    lp = LpProblem(4 * nblocks)
     for c in range(1, copies + 1):
-        for i in range(nvars):
-            lp.add_eq({i: float(c)}, c * (i / 10.0 - 5.0))
+        for b in range(nblocks):
+            lp.add_eq({4 * b + i: float(c) for i in range(4)}, c * (b / 10.0 + 1.0))
     return lp
 
 
@@ -247,11 +349,11 @@ def test_tableau_stores_neither_minus_nor_artificial_columns():
 def test_eta_file_counts_against_capacity(monkeypatch):
     lp = repeated_rows_lp()
     full = solve_feasibility(lp)
-    assert full.iterations == 100
+    assert full.iterations == 25
     tableau_bytes = 2 * (lp.nrows + 1) * (lp.nvars + 1) * 8
-    # Each pivot files the entering column's 6 other nonzero entries
-    # (5 rows and the objective) as an index and a value: 96 bytes.
-    monkeypatch.setattr(lpsolve, "MAX_TABLEAU_BYTES", tableau_bytes + 10 * 96)
+    # Each pivot files the entering column's 24 other nonzero entries
+    # (23 rows and the objective) as an index and a value: 384 bytes.
+    monkeypatch.setattr(lpsolve, "MAX_TABLEAU_BYTES", tableau_bytes + 10 * 384)
     out = solve_feasibility(lp)
     assert out.status is LpStatus.ITERATION_LIMIT
     assert out.exit == "max_iters"

@@ -166,7 +166,7 @@ def test_benchmark_l1_exercises_only_single_programs():
     assert "emptiness_deg_s" not in row["schedule"]
     # Pivot counts of the simplex on the reference one-chaser programs.
     assert [(lp["name"].split()[1], lp["status"], lp["iterations"]) for lp in row["lps"]] == \
-        [("a=0", "Infeasible", 202), ("a=1", "Feasible", 190)]
+        [("a=0", "Infeasible", 146), ("a=1", "Feasible", 135)]
 
 
 def test_benchmark_lp_seconds_fit_in_their_row():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from barrierlp.lpsolve import (
+    FEAS_TOL,
     FarkasCertificate,
     LpOutcome,
     LpProblem,
@@ -260,20 +261,23 @@ def test_multi_iteration_limit_warns_once_per_lp():
 
 
 # Two random-corpus problems whose single programs end in the gated simplex
-# exits: the second candidate of the first stalls, both programs of
-# the first candidate of the second erode.
+# exits: the a=0 program of the second candidate of corpus P058 stalls after
+# 1001 pivots, and the a=0 program of the first candidate of holdout P093
+# erodes. The second document keeps to a=0, since its a=1 program is
+# Feasible and certified.
 STALL_WINDOW_DOC = {
     "schema": 1,
     "variables": ["x", "y", "z"],
-    "drift": ["-0.401*x - 0.497*y*z", "-0.965*x - 0.919*y", "-0.356*z^2"],
-    "input_matrix": [["0.832"], ["0"], ["-0.595"]],
+    "drift": ["-0.482*x + 0.719*y - 0.974*z + 0.337*y*z", "-0.353*x + 0.579*y - 0.583*x*z",
+              "0.479*x + 0.055*y - 0.039*z"],
+    "input_matrix": [["0.541"], ["0.399"], ["-0.359"]],
     "candidates": [
-        "-22.365430963735474 + 7.497291145236693*x + 6.7631084156466255*y"
-        " - 7.632351021554244*z - 1.7402913295991769*x^2 - 1.73657661217652*y^2"
-        " - 1.7401129638705124*z^2",
-        "-4.690742812512076 + 2.587213766627865*x - 0.3253333268842045*y"
-        " + 4.061466828630052*z - 0.7396104810113378*x^2 - 1.0930695320041433*y^2"
-        " - 1.343662147670617*z^2",
+        "-8.498124680879938 + 2.860848287271784*x + 7.314797144279405*y"
+        " - 0.6143962075687115*z - 1.7420773625301766*x^2 - 1.6299503815137568*y^2"
+        " - 1.4176427075569553*z^2",
+        "-6.659046320362104 - 3.1420046285718986*x + 1.0527034246746307*y"
+        " - 5.611628242660307*z - 1.0355551937585794*x^2 - 0.5803572612478625*y^2"
+        " - 1.6502765742385215*z^2",
     ],
 }
 ERODED_DOC = {
@@ -287,12 +291,13 @@ ERODED_DOC = {
         "0.7027857399711359 + 0.8933957997137121*x - 0.029176448213229487*y"
         " - 1.8708580925161276*x^2 - 1.8744116199266863*y^2",
     ],
+    "options": {"a_values": [0]},
 }
 
 
 @pytest.mark.parametrize("doc, index, expected", [
-    (STALL_WINDOW_DOC, 1, [("Infeasible", "optimal"), ("IterationLimit", "stall_window")]),
-    (ERODED_DOC, 0, [("IterationLimit", "eroded"), ("IterationLimit", "eroded")]),
+    (STALL_WINDOW_DOC, 1, [("IterationLimit", "stall_window"), ("Infeasible", "optimal")]),
+    (ERODED_DOC, 0, [("IterationLimit", "eroded")]),
 ])
 def test_gated_simplex_exits_on_real_programs(doc, index, expected):
     spec = load_problem(doc)
@@ -305,10 +310,10 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
 
 
 # corpus P097 (the corpus generator's draw 97 from seed 2212). Candidate 1's
-# a=1 program is refuted in 215 pivots. Multipliers read off artificial
-# columns carried through those pivots combine the rows to a coefficient
-# residual of 22; those recomputed from the final basis through the eta
-# file combine to 2e-11 and pass the Farkas gate.
+# a=1 program is refuted in 153 pivots. Multipliers read off artificial
+# columns carried through the pivots once combined its rows to a residual
+# of 22; those recomputed from the final basis through the eta file, and
+# mapped back through presolve, pass the Farkas gate on the assembled rows.
 REFUTED_DOC = {
     "schema": 1,
     "variables": ["x", "y", "z"],
@@ -330,7 +335,42 @@ def test_refutation_multipliers_come_from_the_final_basis():
     spec = load_problem(REFUTED_DOC)
     out = verify_single(spec.system, spec.candidates[1], spec.options)
     rec = {r.name: r for r in out.lps}["single a=1 deg_s=1 deg_p=2"]
-    assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 215, True)
+    assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 153, True)
+
+
+# corpus P095. Its a=1 program once came back Feasible with a point 23.9 off
+# one of the program's own rows; a Feasible point must meet every row of
+# the program it was solved for.
+FEASIBLE_POINT_DOC = {
+    "schema": 1,
+    "variables": ["x", "y"],
+    "inputs": ["u1", "u2"],
+    "drift": ["0.379*x + 0.533*x*y", "0.556*x - 0.946*y"],
+    "input_matrix": [["0", "-0.601"], ["0", "-0.655"]],
+    "candidates": [
+        "0.5027165151988868 - 1.7673571216944068*x - 0.001051678764056287*y"
+        " - 1.7998739537076673*x^2 - 0.5071768015400226*y^2",
+    ],
+}
+
+
+def test_feasible_points_meet_their_programs_rows(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    solved = []
+
+    def spy(lp, opts=None):
+        out = solve_feasibility(lp, opts)
+        solved.append((lp, out))
+        return out
+
+    monkeypatch.setattr(verifier, "solve_feasibility", spy)
+    spec = load_problem(FEASIBLE_POINT_DOC)
+    verify_single(spec.system, spec.candidates[0], spec.options)
+    feasible = [(lp, out) for lp, out in solved if out.status is LpStatus.FEASIBLE]
+    assert feasible
+    for lp, out in feasible:
+        assert lp.max_violation(out.point) <= FEAS_TOL
 
 
 # -- fixed-term conventions ----------------------------------------------------
