@@ -4,10 +4,12 @@ A polynomial whose coefficients are linear in a global decision vector z is
 a plain dict: each monomial maps to its sparse row of decision columns,
 ``{monomial: {column: coefficient}}`` (a LinearPoly). A polynomial identity
 is such a linear part plus one fixed Polynomial, and it becomes one
-equality row ``(coefs, rhs)`` per monomial. DSOS membership of a Gram
-matrix is linearized with a symmetric bounding matrix tau; both matrices
-live in the same z space, and their rows use the same ``(coefs, rhs)``
-shape that LpProblem stores.
+equality row ``(coefs, rhs)`` per monomial. A DSOS polynomial's Gram
+matrix is a non-negative combination of the extreme rays of the
+diagonally dominant cone, v v^T with at most two nonzero entries +-1 in v
+(Barker & Carlson 1975; Ahmadi & Majumdar 2019). Its decision columns are
+the ray weights, so DSOS membership is one sign row per column, in the
+same ``(coefs, rhs)`` shape that LpProblem stores.
 """
 
 from __future__ import annotations
@@ -110,66 +112,40 @@ def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> List[Tuple[Row, fl
     return [(lin.get(mono, {}), -fixed.terms.get(mono, 0.0)) for mono in monos]
 
 
-class SymVarMatrix:
-    """Symmetric k x k matrix of decision variables, possibly with pruned entries.
-
-    Entry (i, j) and (j, i) share one variable. ``index`` maps the stored
-    upper-triangle coordinates to their variables in allocation order;
-    pruned coordinates are structurally zero.
-    """
-
-    __slots__ = ("dim", "index")
-
-    def __init__(self, dim: int, index: Dict[Tuple[int, int], int]):
-        self.dim = dim
-        self.index = index
-
-    @classmethod
-    def allocate(
-        cls,
-        alloc: DecisionAllocator,
-        dim: int,
-        keep: Optional[Callable[[int, int], bool]] = None,
-    ) -> "SymVarMatrix":
-        index: Dict[Tuple[int, int], int] = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                if keep is None or keep(i, j):
-                    index[(i, j)] = alloc.fresh()
-        return cls(dim, index)
-
-    def has(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.index
-
-    def var(self, i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        if key not in self.index:
-            raise KeyError("entry (%d, %d) is pruned" % (i, j))
-        return self.index[key]
-
-    def nvariables(self) -> int:
-        return len(self.index)
-
-    def materialize(self, z: Sequence[float]) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim))
-        for (i, j), idx in self.index.items():
-            M[i, j] = z[idx]
-            M[j, i] = z[idx]
-        return M
-
-
 @dataclass
 class DsosVar:
-    """A DSOS polynomial variable s(x) = m(x)^T Q m(x) with bounding matrix tau."""
+    """A DSOS polynomial s(x) = m(x)^T Q m(x) with Q a non-negative sum of DD extreme rays.
+
+    ``rays`` maps each weight column to its ray (i, j, sign): e_i e_i^T when
+    i == j, otherwise (e_i + sign e_j)(e_i + sign e_j)^T with sign = +-1.
+    Any non-negative weights give a diagonally dominant Q, and every
+    diagonally dominant Q arises this way.
+    """
 
     basis: List[Monomial]
-    Q: SymVarMatrix
-    tau: SymVarMatrix
+    rays: Dict[int, Tuple[int, int, float]]
     expansion: LinearPoly
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def entries(self) -> Dict[Tuple[int, int], Row]:
+        """Each entry Q_ij, i <= j, as a row over the weight columns."""
+        out: Dict[Tuple[int, int], Row] = {}
+        for col, (i, j, sign) in self.rays.items():
+            out.setdefault((i, i), {})[col] = 1.0
+            if i != j:
+                out.setdefault((j, j), {})[col] = 1.0
+                out.setdefault((i, j), {})[col] = sign
+        return out
+
+    def gram(self, z: Sequence[float]) -> np.ndarray:
+        """The Gram matrix Q the weights in z build."""
+        Q = np.zeros((self.dim, self.dim))
+        for (i, j), row in self.entries().items():
+            Q[i, j] = Q[j, i] = sum(c * z[col] for col, c in row.items())
+        return Q
 
 
 def fresh_free_poly(
@@ -196,17 +172,16 @@ def fresh_dsos_poly(
     halfdeg: int,
     basis: Optional[Sequence[Monomial]] = None,
     keep_pair: Optional[Callable[[int, int], bool]] = None,
-    tau_diagonal: bool = True,
 ) -> DsosVar:
-    """Allocate a DSOS variable: Gram matrix Q, bounding matrix tau, expansion.
+    """Allocate a DSOS variable: one non-negative weight per extreme ray, and its expansion.
 
-    Q is allocated first (upper triangle, row-major), then tau; the expansion
-    accumulates Q(i,j) onto the monomial m_i*m_j, with off-diagonal entries
-    counted twice by symmetry. ``keep_pair(i, j)`` prunes the Gram entries,
-    by basis position, whose basis product is known to be zero in any
-    solution of interest; diagonal entries are always kept.
-    ``tau_diagonal=False`` skips the never-constrained tau diagonal (used by
-    reduced assemblies; the full layout retains it).
+    The weights of e_i e_i^T and (e_i + e_j)(e_i + e_j)^T come first, in the
+    upper triangle's row-major order, then those of (e_i - e_j)(e_i - e_j)^T
+    in the same order. A ray adds its weight to m_i^2 and m_j^2 and, for
+    i != j, twice its sign times the weight to m_i*m_j. ``keep_pair(i, j)``
+    prunes the pairs, by basis position, whose basis product is known to
+    have a zero Gram entry in any solution of interest; a pruned pair gets
+    no ray, and the diagonal rays are always kept.
     """
     if halfdeg < 0:
         raise ValueError("halfdeg must be >= 0, got %d" % halfdeg)
@@ -214,54 +189,28 @@ def fresh_dsos_poly(
         basis = monomial_basis(nvars, halfdeg)
     basis = list(basis)
     k = len(basis)
-
-    def _keep_q(i: int, j: int) -> bool:
-        if i == j:
-            return True
-        return keep_pair is None or keep_pair(i, j)
-
-    Q = SymVarMatrix.allocate(alloc, k, keep=_keep_q)
-
-    def _keep_tau(i: int, j: int) -> bool:
-        if i == j:
-            return tau_diagonal
-        return Q.has(i, j)
-
-    tau = SymVarMatrix.allocate(alloc, k, keep=_keep_tau)
-
-    expansion: LinearPoly = {}
-    for (i, j), idx in Q.index.items():
-        mono = tuple(map(add, basis[i], basis[j]))
-        expansion.setdefault(mono, {})[idx] = 1.0 if i == j else 2.0
-    return DsosVar(basis=basis, Q=Q, tau=tau, expansion=expansion)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)
+             if i == j or keep_pair is None or keep_pair(i, j)]
+    rays: Dict[int, Tuple[int, int, float]] = {}
+    for i, j in pairs:
+        rays[alloc.fresh()] = (i, j, 1.0)
+    for i, j in pairs:
+        if i != j:
+            rays[alloc.fresh()] = (i, j, -1.0)
+    v = DsosVar(basis=basis, rays=rays, expansion={})
+    for (i, j), row in v.entries().items():
+        target = v.expansion.setdefault(tuple(map(add, basis[i], basis[j])), {})
+        for col, c in row.items():
+            target[col] = target.get(col, 0.0) + (c if i == j else 2.0 * c)
+    return v
 
 
 def dd_linear_constraints(v: DsosVar) -> List[Tuple[Row, float]]:
-    """Rows (coefs, rhs) meaning coefs . z <= rhs that force Q to be diagonally dominant.
+    """Rows (coefs, rhs) meaning coefs . z <= rhs that make v's Gram matrix diagonally dominant.
 
-    Per row i: -Q_ii + sum_{j != i} tau_ij <= 0; per stored unordered pair
-    i < j: Q_ij - tau_ij <= 0 and -Q_ij - tau_ij <= 0. Symmetric entries
-    share variables, so each unordered pair is emitted once; with a full
-    Gram that is k + k(k-1) rows. tau_ij >= 0 is implied by the pair of
-    rows, never added separately. The signs of the zero right-hand sides
-    (-0 on the per-row and Q_ij - tau_ij rows, 0 on the -Q_ij - tau_ij
-    rows) show in exported LP text, whose pinned digests depend on them.
+    One sign row -w <= 0 per ray weight w, in allocation order.
     """
-    rows: List[Tuple[Row, float]] = []
-    k = v.dim
-    for i in range(k):
-        coefs = {v.Q.var(i, i): -1.0}
-        for j in range(k):
-            if j != i and v.Q.has(i, j):
-                coefs[v.tau.var(i, j)] = 1.0
-        rows.append((coefs, -0.0))
-    for (i, j), q in v.Q.index.items():
-        if i == j:
-            continue
-        t = v.tau.var(i, j)
-        rows.append(({q: 1.0, t: -1.0}, -0.0))
-        rows.append(({q: -1.0, t: -1.0}, 0.0))
-    return rows
+    return [({col: -1.0}, 0.0) for col in v.rays]
 
 
 def is_diagonally_dominant(M: np.ndarray, tol: float = 0.0) -> bool:
@@ -275,47 +224,6 @@ def is_diagonally_dominant(M: np.ndarray, tol: float = 0.0) -> bool:
         if M[i, i] + tol < off:
             return False
     return True
-
-
-def dsos_decomposition(
-    M: np.ndarray, basis: Sequence[Monomial], tol: float = 1e-9
-) -> List[Tuple[float, Polynomial]]:
-    """Write m^T M m as a weighted sum of squares of monomial pairs.
-
-    Each off-diagonal entry M_ij > 0 contributes M_ij * (m_i + m_j)^2, each
-    M_ij < 0 contributes |M_ij| * (m_i - m_j)^2, and row i keeps the residual
-    weight M_ii - sum_{j != i} |M_ij| on m_i^2 (clamped at zero when it dips
-    to -tol). Requires diagonal dominance.
-    """
-    M = np.asarray(M, dtype=float)
-    if not is_diagonally_dominant(M, tol):
-        raise ValueError("matrix is not diagonally dominant within tol=%g" % tol)
-    basis = list(basis)
-    k = M.shape[0]
-    if len(basis) != k:
-        raise ValueError("basis has %d monomials, matrix is %dx%d" % (len(basis), k, k))
-    nvars = len(basis[0])
-    monos = [Polynomial.monomial(m, nvars) for m in basis]
-    out: List[Tuple[float, Polynomial]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = M[i, j]
-            if w > 0:
-                out.append((w, monos[i] + monos[j]))
-            elif w < 0:
-                out.append((-w, monos[i] - monos[j]))
-    for i in range(k):
-        residual = M[i, i] - sum(abs(M[i, j]) for j in range(k) if j != i)
-        if residual > 0:
-            out.append((residual, monos[i]))
-    return out
-
-
-def expand_decomposition(parts: Sequence[Tuple[float, Polynomial]], nvars: int) -> Polynomial:
-    acc = Polynomial.zero(nvars)
-    for w, p in parts:
-        acc = acc + w * (p * p)
-    return acc
 
 
 def gram_expansion(M: np.ndarray, basis: Sequence[Monomial]) -> Polynomial:

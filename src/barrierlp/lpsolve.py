@@ -1,28 +1,33 @@
 """Pure-feasibility linear programs: representation, presolve, phase-1 simplex, LP files.
 
 Every program here minimizes the constant zero; the only question is whether
-the constraint system admits a point. A presolve first substitutes free
-variables out through equality rows of one or two entries (Andersen &
-Andersen, Math. Prog. 71, 1995): each such row fixes one variable in terms
-of at most one other, and the substitution can only shorten the rows it
-touches, so chains of them collapse without a pivot. What is left goes to a
-dense phase-1 simplex over split free variables z = z+ - z-, slacks and one
-artificial per row. Only the z+ columns and the slacks are stored: a z-
-column is the exact negative of its z+ column and enters by pivoting on the
-negated column, and the artificials, which never re-enter, are not stored
-at all. The entering column is Bland's lowest eligible index in the order
-(z+, z-, slacks); the leaving row comes from Harris's two-pass ratio test
-(Math. Prog. 5, 1973), which prefers the largest pivot entry among
-near-ties. That pairing has no anti-cycling guarantee: the progress window
-bounds any cycle, and its exit is gated like every other.
+the constraint system admits a point. Variables are free, except that an
+inequality row -c x_j <= 0 makes x_j a sign column, x_j >= 0, which the
+solver keeps as a bound rather than a row. A presolve first applies two
+rules of Andersen & Andersen (Math. Prog. 71, 1995) to the equality rows: a
+forcing row (right-hand side 0, entries of one sign, all on sign columns)
+fixes its columns at 0, and a row of one or two entries substitutes a
+variable out, a free one where it has one. Neither adds entries to a row,
+so chains of them collapse without a pivot. What is left goes to a dense
+phase-1 simplex over split free variables z = z+ - z-, sign columns,
+slacks and one artificial per row. Only the z+ and sign columns and the
+slacks are stored: a z- column is the exact negative of its z+ column and
+enters by pivoting on the negated column, and the artificials, which never
+re-enter, are not stored at all. The entering column is Dantzig's, the
+argmin of one reduced-cost vector over (z+, z-, slacks) in which the
+missing minus twins of sign columns, and columns found eroded, read +inf;
+the leaving row comes from Harris's two-pass ratio test (Math. Prog. 5,
+1973), which prefers the largest pivot entry among near-ties. That pairing
+has no anti-cycling guarantee: the progress window bounds any cycle, and
+its exit is gated like every other.
 Every pivot appends one entry to an eta file, the product form of the basis
 inverse (Dantzig & Orchard-Hays 1954). An infeasible run recovers the
 multipliers y = c_B^T B^-1 of its final basis from it in one backward pass;
 they combine the constraints into 0^T z <= -delta with delta > 0, so
 negative verdicts carry their own proof and can be revalidated by
 substitution. Postsolve maps points and multipliers back through the
-eliminations, so every answer, and every check of it, refers to the
-caller's rows.
+eliminations and gives every sign row the multiplier that zeroes its
+column, so every answer, and every check of it, refers to the caller's rows.
 """
 
 from __future__ import annotations
@@ -232,8 +237,8 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         # scaled to a combined right-hand side of -1.
         r = pre.contradiction
         return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate({r: -1.0 / pre.beta[r]}))
-    rows, cols = pre.reduced()
-    reason, iterations, z, y = _phase1(rows, cols, pre.n_eq, opts)
+    rows, cols, nonneg = pre.reduced()
+    reason, iterations, z, y = _phase1(rows, cols, nonneg, pre.n_eq, opts)
     if reason == "max_iters":
         return outcome(LpStatus.ITERATION_LIMIT, reason)
     stalled = reason != "optimal"
@@ -258,23 +263,36 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
 
 
 class _Presolve:
-    """Free variables substituted out through equality rows of at most two entries.
+    """Sign columns, substitution and forcing rows, applied before the simplex.
 
-    Rows are numbered equality rows first, then inequality rows. An
-    equality row with one or two entries is taken off a queue, and its
-    variable with the larger |entry| (the lower index on a tie), x_j, is
-    replaced everywhere by (beta_r - sum_k a_rk x_k) / a_rj. Fill-in lands
-    only in rows that contain j, an equality row shortened to two entries
-    joins the queue, and an entry is never added to a row without another
-    leaving it. An updated entry (or right-hand side) within DROP_TOL of
-    both terms that made it is cancellation noise and becomes an exact
-    zero. A row left empty is dropped if it holds within FEAS_TOL and is
-    the contradiction otherwise.
+    Rows are numbered equality rows first, then inequality rows. The first
+    inequality row -c x_j <= 0 (c > 0) of a variable makes x_j a sign column
+    and is its sign row; every other variable is free. Equality rows are
+    taken off a queue:
+
+    - A forcing row has right-hand side 0 and entries of one sign, all on
+      sign columns. Each of its columns is then 0: it is taken out of every
+      row, and the forcing row is dropped.
+    - A row of one or two entries substitutes one variable out. Of two, the
+      free one with the larger |entry| (the lower index on a tie) goes; two
+      sign columns stay. A single entry fixes its variable, free or sign.
+      That variable, x_j, is replaced everywhere by
+      (beta_r - sum_k a_rk x_k) / a_rj.
+
+    Neither rule adds entries to a row, and a changed equality row rejoins
+    the queue. An updated entry (or right-hand side) within DROP_TOL of both
+    terms that made it is cancellation noise and becomes an exact zero. A row
+    left empty is dropped if it holds within FEAS_TOL and is the
+    contradiction otherwise; a fixed sign column's sign row settles that way.
+    The sign rows still live at the end leave the tableau as native bounds.
 
     `steps` records each elimination as (row r, variable j, row r's
     entries, beta_r, [(i, a_ij / a_rj) for every other row i holding j
-    then]); postsolve replays it backwards. Rows are copied before their
-    first update, so the caller's program is never modified.
+    then]), and each forcing row as (row r, None, row r's entries, 0.0,
+    [(k, sign row of k, c_k, [(i, a_ik) for every other row i holding k
+    then]) for every column k of r]); postsolve replays them backwards.
+    Rows are copied before their first update, so the caller's program is
+    never modified.
     """
 
     def __init__(self, lp: LpProblem):
@@ -283,12 +301,17 @@ class _Presolve:
         self.coefs = [coefs for coefs, _ in lp.eq_rows] + [coefs for coefs, _ in lp.ub_rows]
         self.beta = [beta for _, beta in lp.eq_rows] + [beta for _, beta in lp.ub_rows]
         self.live = [True] * len(self.coefs)
-        self.steps: List[Tuple[int, int, Dict[int, float], float, List[Tuple[int, float]]]] = []
+        self.steps: List[tuple] = []
         self.contradiction: Optional[int] = None
+        self.sign_row: Dict[int, int] = {}
         for r, coefs in enumerate(self.coefs):
             if not coefs and self._settle_empty(r):
                 return
-        queue = deque(r for r in range(self.n_eq) if self.live[r] and len(self.coefs[r]) <= 2)
+            if r >= self.n_eq and len(coefs) == 1 and self.beta[r] == 0.0:
+                (j, c), = coefs.items()
+                if c < 0.0:
+                    self.sign_row.setdefault(j, r)
+        queue = deque(r for r in range(self.n_eq) if self.live[r])
         if queue:
             self._eliminate(queue)
 
@@ -301,8 +324,15 @@ class _Presolve:
         self.live[r] = False
         return False
 
+    def _forcing(self, r: int) -> bool:
+        row = self.coefs[r]
+        if self.beta[r] != 0.0 or any(k not in self.sign_row for k in row):
+            return False
+        return all(a > 0.0 for a in row.values()) or all(a < 0.0 for a in row.values())
+
     def _eliminate(self, queue: "deque[int]") -> None:
         coefs, beta, live, n_eq = self.coefs, self.beta, self.live, self.n_eq
+        sign_row = self.sign_row
         owned = [False] * len(coefs)
         queued = [False] * len(coefs)
         for r in queue:
@@ -312,12 +342,54 @@ class _Presolve:
             if live[r]:
                 for j in row:
                     cols[j].add(r)
+
+        def own(i: int) -> Dict[int, float]:
+            if not owned[i]:
+                coefs[i] = dict(coefs[i])
+                owned[i] = True
+            return coefs[i]
+
+        def changed(i: int) -> bool:
+            """Settle or requeue row i after an update; True on a contradiction."""
+            if not coefs[i]:
+                return self._settle_empty(i)
+            if i < n_eq and not queued[i] and (len(coefs[i]) <= 2 or beta[i] == 0.0):
+                queued[i] = True
+                queue.append(i)
+            return False
+
         while queue:
             r = queue.popleft()
+            queued[r] = False
             if not live[r]:
                 continue
             row = coefs[r]
-            j = max(row, key=lambda k: (abs(row[k]), -k))
+            if self._forcing(r):
+                live[r] = False
+                fixed = []
+                hit: set = set()
+                for k in row:
+                    cols[k].discard(r)
+                    sr = sign_row[k]
+                    others = []
+                    fixed.append((k, sr, -coefs[sr][k], others))
+                    for i in sorted(cols[k]):
+                        a_ik = own(i).pop(k)
+                        if i != sr:
+                            others.append((i, a_ik))
+                        hit.add(i)
+                    cols[k] = set()
+                self.steps.append((r, None, row, 0.0, fixed))
+                for i in sorted(hit):
+                    if changed(i):
+                        return
+                continue
+            if len(row) > 2:
+                continue
+            free = [k for k in row if k not in sign_row] if len(row) == 2 else list(row)
+            if not free:
+                continue
+            j = max(free, key=lambda k: (abs(row[k]), -k))
             a_rj, b_r = row[j], beta[r]
             rest = [(k, a / a_rj) for k, a in row.items() if k != j]
             live[r] = False
@@ -326,10 +398,7 @@ class _Presolve:
             column: List[Tuple[int, float]] = []
             self.steps.append((r, j, row, b_r, column))
             for i in sorted(cols[j]):
-                ri = coefs[i]
-                if not owned[i]:
-                    ri = coefs[i] = dict(ri)
-                    owned[i] = True
+                ri = own(i)
                 a_ij = ri.pop(j)
                 column.append((i, a_ij / a_rj))
                 # row i -= (a_ij / a_rj) row r, entry by entry.
@@ -351,53 +420,85 @@ class _Presolve:
                     d = a_ij * (b_r / a_rj)
                     new = old - d
                     beta[i] = new if abs(new) > DROP_TOL * max(abs(old), abs(d)) else 0.0
-                if not ri:
-                    if self._settle_empty(i):
-                        return
-                elif i < n_eq and len(ri) <= 2 and not queued[i]:
-                    queued[i] = True
-                    queue.append(i)
+                if changed(i):
+                    return
             cols[j] = set()
 
-    def reduced(self) -> Tuple[List[Tuple[int, Dict[int, float], float]], List[int]]:
-        """The live rows as (row, entries, beta), and the variables they use."""
-        rows = [(r, self.coefs[r], self.beta[r]) for r in range(len(self.coefs)) if self.live[r]]
+    def reduced(self) -> Tuple[List[Tuple[int, Dict[int, float], float]], List[int], List[bool]]:
+        """(row, entries, beta) of the live rows but the sign rows, the variables
+        they use, and which of those are sign columns."""
+        bounds = set(self.sign_row.values())
+        rows = [(r, self.coefs[r], self.beta[r]) for r in range(len(self.coefs))
+                if self.live[r] and r not in bounds]
         used: set = set()
         for _, coefs, _ in rows:
             used.update(coefs)
-        return rows, sorted(used)
+        cols = sorted(used)
+        return rows, cols, [j in self.sign_row for j in cols]
 
     def point(self, cols: List[int], z: np.ndarray) -> np.ndarray:
-        """The reduced point on `cols`, back-substituted into every eliminated variable."""
+        """The reduced point on `cols`, back-substituted into every eliminated variable.
+
+        Columns fixed by a forcing row keep their 0.
+        """
         x = np.zeros(self.nvars)
         x[cols] = z
         out = x.tolist()
         for _, j, row, b_r, _ in reversed(self.steps):
-            out[j] = (b_r - sum(a * out[k] for k, a in row.items() if k != j)) / row[j]
+            if j is not None:
+                out[j] = (b_r - sum(a * out[k] for k, a in row.items() if k != j)) / row[j]
         return np.array(out)
 
     def certificate(self, mults: Dict[int, float]) -> FarkasCertificate:
         """Multipliers on reduced rows ({row: y}), extended to the eliminated ones.
 
-        y_r = -sum_i y_i a_ij / a_rj keeps the combination zero on column j,
-        so the certificate combines the caller's rows as y did the reduced ones.
-        Rows absent from mults get 0.
+        Each sign row gets the multiplier that zeroes its column. For a
+        sign row kept as a bound that is s_j / c_j, where s_j >= 0 is the
+        combination of the reduced rows on column j. An eliminated row gets
+        y_r = -sum_i y_i a_ij / a_rj, which zeroes column j. A forcing row
+        gets the extreme y_r of -s_k / a_rk over its columns (the largest
+        when its entries are positive), so that every s_k + y_r a_rk is
+        >= 0, and each column's sign row takes that rest. The certificate
+        combines the caller's rows as y did the reduced ones. Rows absent
+        from mults get 0.
         """
         y = [0.0] * len(self.beta)
         for r, u in mults.items():
             y[r] = u
-        for r, _, _, _, column in reversed(self.steps):
-            y[r] = -sum(y[i] * f for i, f in column)
+        # A contradiction can stop presolve between emptying a sign row and
+        # settling it; such a row no longer bounds its column.
+        bounds = {j: r for j, r in self.sign_row.items() if self.live[r] and self.coefs[r]}
+        combo = dict.fromkeys(bounds, 0.0)
+        for r, u in mults.items():
+            for j, a in self.coefs[r].items():
+                if j in combo:
+                    combo[j] += u * a
+        for j, r in bounds.items():
+            y[r] = max(combo[j], 0.0) / -self.coefs[r][j]
+        for r, j, row, _, column in reversed(self.steps):
+            if j is not None:
+                y[r] = -sum(y[i] * f for i, f in column)
+                continue
+            s = [sum(y[i] * a for i, a in others) for _, _, _, others in column]
+            ratios = [-s_k / row[k] for s_k, (k, _, _, _) in zip(s, column)]
+            y[r] = max(ratios) if next(iter(row.values())) > 0.0 else min(ratios)
+            for s_k, (k, sr, c_k, _) in zip(s, column):
+                y[sr] = max(s_k + y[r] * row[k], 0.0) / c_k
         return FarkasCertificate(y[: self.n_eq], y[self.n_eq :])
 
 
 def _phase1(
-    rows: List[Tuple[int, Dict[int, float], float]], cols: List[int], n_eq: int, opts: SolverOptions
+    rows: List[Tuple[int, Dict[int, float], float]],
+    cols: List[int],
+    nonneg: List[bool],
+    n_eq: int,
+    opts: SolverOptions,
 ) -> Tuple[str, int, Optional[np.ndarray], Optional[np.ndarray]]:
     """Phase-1 simplex over rows (row, entries, beta) in the variables `cols`.
 
-    Returns (exit, pivots, point on cols or None, multipliers on rows or
-    None); exit "max_iters" returns neither.
+    A variable whose `nonneg` flag is set is bounded below by 0; the others
+    are free. Returns (exit, pivots, point on cols or None, multipliers on
+    rows or None); exit "max_iters" returns neither.
     """
     m = len(rows)
     n = len(cols)
@@ -410,6 +511,7 @@ def _phase1(
     # order. Only plus columns and slacks are stored: minus column j is
     # exactly -T[:, j] (every update is linear, negation is exact), and the
     # artificials never re-enter, so their block is replaced by the eta file.
+    # A sign column's minus twin never enters.
     w = n + n_ub  # stored columns; the right-hand side sits at column w
     art0 = 2 * n + n_ub
     ncols = art0 + m
@@ -453,6 +555,15 @@ def _phase1(
     eta: List[Tuple[int, float, Optional[np.ndarray], np.ndarray]] = []
     eta_bytes = 0
 
+    # Reduced costs of the logical columns that may enter, in code order;
+    # blocked adds +inf for the minus twins of sign columns and for columns
+    # found eroded. Artificials never enter: a basic one keeps reduced cost
+    # exactly 0, and one that has left stays out.
+    cost = np.empty(art0)
+    blocked = np.zeros(art0)
+    blocked[n : 2 * n][np.array(nonneg, dtype=bool)] = np.inf
+    eroded = np.zeros(art0, dtype=bool)
+
     iterations = 0
     reason = "optimal"
     best_value = math.inf
@@ -465,30 +576,32 @@ def _phase1(
         if iterations >= opts.max_iters:
             reason = "max_iters"
             break
-        # Bland: entering column is the lowest eligible logical index. A
-        # minus column's reduced cost is minus its plus column's.
-        # Artificials never enter: a basic one keeps reduced cost exactly 0,
-        # and one that has left stays out. A column whose entries have all
-        # eroded below the pivot tolerance cannot be pivoted (phase 1 is
-        # never truly unbounded), so it is skipped; leaving the loop that
-        # way marks the tableau as eroded and the exit below is gated
+        # Dantzig: the entering column has the most negative reduced cost
+        # (the lowest code on a tie). A minus column's reduced cost is minus
+        # its plus column's. A column whose entries have all eroded below
+        # the pivot tolerance cannot be pivoted (phase 1 is never truly
+        # unbounded), so it is blocked from then on; when only such columns
+        # still improve, the tableau is eroded and the exit below is gated
         # instead of trusted.
-        pc = -1
-        eroded = False
         objrow = T[m, :w]
-        neg = objrow < -PIVOT_TOL
-        candidates = np.concatenate((neg[:n], objrow[:n] > PIVOT_TOL, neg[n:])).nonzero()[0]
-        for code in candidates.tolist():
-            j = code if code < n else code - n
-            col = -T[:m, j] if n <= code < 2 * n else T[:m, j]
+        cost[:n] = objrow[:n]
+        np.negative(objrow[:n], out=cost[n : 2 * n])
+        cost[2 * n :] = objrow[n:]
+        priced = cost + blocked
+        while True:
+            pc = int(priced.argmin())
+            if priced[pc] >= -PIVOT_TOL:
+                pc = -1
+                break
+            j = pc if pc < n else pc - n
+            col = -T[:m, j] if n <= pc < 2 * n else T[:m, j]
             up = col > PIVOT_TOL
-            if not up.any():
-                eroded = True
-                continue
-            pc = code
-            break
+            if up.any():
+                break
+            eroded[pc] = True
+            blocked[pc] = priced[pc] = np.inf
         if pc < 0:
-            if eroded:
+            if (cost[eroded] < -PIVOT_TOL).any():
                 reason = "eroded"
             break
         # Harris two-pass ratio test: pass 1 bounds the step with every
@@ -549,7 +662,8 @@ def _phase1(
         # basic column is an artificial and B^-1 = E_T ... E_1 is the eta
         # file, applied from the left in one pass back. y[m] stays 0 so
         # that filed objective-row entries drop out. Undo scaling and flips,
-        # negate, and the rows combine to 0 <= -value.
+        # negate, and the rows combine to 0 <= -value, up to a non-negative
+        # combination on the sign columns that their sign rows cancel.
         y = np.zeros(m + 1)
         y[:m] = basis >= art0
         for pr, piv, erows, vals in reversed(eta):

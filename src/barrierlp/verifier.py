@@ -433,8 +433,8 @@ class SingleLayout:
     """Decision-space map of one single-candidate program.
 
     Allocation order: p10, p20, p1 (m polynomials), p2 (m polynomials),
-    then s1 (Gram, bounding matrix), then s2. With shared full bases of
-    size k this totals 2k^2 + (2m + 4)k variables. The identity is
+    then the ray weights of s1, then those of s2. With shared full bases of
+    size k this totals 2k^2 + (2m + 2)k variables. The identity is
     ``identity + fixed == 0`` with fixed = -Lfb^(2a).
     """
 
@@ -460,7 +460,7 @@ class EmptinessLayout:
 
     Allocation order: s0, then one DSOS variable per generator (candidates
     first, the compactness generator last when present). With a shared full
-    basis of size k and no augmentation this totals (k^2 + k)(L + 1). The
+    basis of size k and no augmentation this totals k^2 (L + 1). The
     identity is ``identity + fixed == 0`` with fixed = 1.
     """
 
@@ -495,13 +495,13 @@ def _bases(
     def keep_pair(i: int, j: int) -> bool:
         return parities[i] == parities[j]
 
-    return gram_basis, free_basis, {"keep_pair": keep_pair, "tau_diagonal": False}
+    return gram_basis, free_basis, {"keep_pair": keep_pair}
 
 
 def _identity_lp(
     nvars: int, identity: LinearPoly, fixed: Polynomial, dsos_vars: Sequence[DsosVar]
 ) -> LpProblem:
-    """Equality rows zeroing every coefficient of identity + fixed, then DD rows."""
+    """Equality rows zeroing every coefficient of identity + fixed, then the weights' sign rows."""
     lp = LpProblem(nvars)
     for coefs, rhs in coefficient_system(identity, fixed):
         lp.add_eq(coefs, rhs)
@@ -522,7 +522,7 @@ def assemble_single_lp(
     """Transcribe the single-candidate identity into an equality/DD system.
 
     Equality rows match every monomial coefficient of the identity to zero;
-    inequality rows are the diagonal-dominance linearizations for s1 and s2.
+    inequality rows keep the ray weights of s1 and s2 non-negative.
     cand is a candidate of sys, so its Lie derivatives are sys's.
     """
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
@@ -703,7 +703,7 @@ def extract_single_certificate(
     cert = Certificate(
         kind="single",
         gram_bases=[[ring.lift_monomial(mo) for mo in v.basis] for v in (layout.s1, layout.s2)],
-        grams=[layout.s1.Q.materialize(z), layout.s2.Q.materialize(z)],
+        grams=[layout.s1.gram(z), layout.s2.gram(z)],
         a=layout.a,
         deg_s=layout.deg_s,
         deg_p=layout.deg_p,
@@ -722,7 +722,7 @@ def extract_emptiness_certificate(
     cert = Certificate(
         kind="emptiness",
         gram_bases=[list(v.basis) for v in layout.s_vars],
-        grams=[v.Q.materialize(z) for v in layout.s_vars],
+        grams=[v.gram(z) for v in layout.s_vars],
         deg_s=layout.deg_s,
         augmented=layout.augmented,
         aug_generator=layout.generators[-1] if layout.augmented else None,

@@ -108,3 +108,21 @@ def fm_feasible(eq_rows, ub_rows, nvars) -> bool:
             raise RuntimeError("elimination oracle exceeded %d rows" % ROW_CAP)
 
     return all(rhs >= 0 for coefs, rhs in rows)
+
+
+def ray_weights(v, M):
+    """The ray weights of DSOS variable v that build the symmetric matrix M.
+
+    A pair ray (e_i +- e_j)(e_i +- e_j)^T weighs max(+-M_ij, 0), and e_i e_i^T
+    takes the dominance margin M_ii - sum_{j != i} |M_ij| of row i. The
+    weights are all >= 0 exactly when M is diagonally dominant; the result
+    is indexed by v's columns, which must start at 0.
+    """
+    k = v.dim
+    z = [0.0] * len(v.rays)
+    for col, (i, j, sign) in v.rays.items():
+        if i == j:
+            z[col] = M[i][i] - sum(abs(M[i][t]) for t in range(k) if t != i)
+        else:
+            z[col] = max(sign * M[i][j], 0.0)
+    return z

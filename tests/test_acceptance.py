@@ -12,16 +12,15 @@ import time
 
 import numpy as np
 
-from _oracles import fm_feasible
+from _oracles import fm_feasible, ray_weights
 from barrierlp.affinegram import (
     DecisionAllocator,
     coefficient_system,
     dd_linear_constraints,
-    dsos_decomposition,
-    expand_decomposition,
     fresh_dsos_poly,
     fresh_free_poly,
     gram_expansion,
+    instantiate,
     is_diagonally_dominant,
     mul_fixed,
 )
@@ -99,7 +98,7 @@ def test_criterion_01_gram_example_fidelity():
 @criterion(2, "dominance rows agree with the direct test, 200 cases")
 def test_criterion_02_dd_linearization_correctness():
     # Fix the Gram entries of a fresh DSOS variable to a random symmetric
-    # matrix and let only the bounding matrix vary: the row system must be
+    # matrix and let only the ray weights vary: the row system must be
     # feasible exactly when the matrix is diagonally dominant.
     rng = np.random.default_rng(20260816)
     n_dominant = 0
@@ -117,8 +116,8 @@ def test_criterion_02_dd_linearization_correctness():
         lp = LpProblem(alloc.count)
         for coefs, rhs in dd_linear_constraints(v):
             lp.add_ub(coefs, rhs)
-        for (i, j) in v.Q.index:
-            lp.add_eq({v.Q.var(i, j): 1.0}, float(M[i, j]))
+        for (i, j), row in v.entries().items():
+            lp.add_eq(row, float(M[i, j]))
         out = solve_feasibility(lp)
         assert out.status in (LpStatus.FEASIBLE, LpStatus.INFEASIBLE), "trial %d" % trial
         dominant = is_diagonally_dominant(M, 1e-9)
@@ -141,8 +140,11 @@ def test_criterion_03_decomposition_round_trip():
         for i in range(k):
             off = sum(abs(M[i, j]) for j in range(k) if j != i)
             M[i, i] = off + rng.uniform(0.0, 1.0)
-        parts = dsos_decomposition(M, basis)
-        expanded = expand_decomposition(parts, n)
+        v = fresh_dsos_poly(DecisionAllocator(), n, d)
+        z = np.array(ray_weights(v, M))
+        assert z.min() >= 0.0, "trial %d" % trial
+        assert np.allclose(v.gram(z), M, rtol=0.0, atol=1e-12), "trial %d" % trial
+        expanded = instantiate(v.expansion, z, n)
         target = gram_expansion(M, basis)
         diff = expanded - target
         worst = max((abs(c) for c in diff.terms.values()), default=0.0)
@@ -280,7 +282,7 @@ def test_criterion_09_satellite_benchmark():
 
 @criterion(10, "full decision-vector sizes match the closed forms")
 def test_criterion_10_layout_conformance():
-    # (n, m, deg, L) -> sizes 2k^2 + (2m+4)k and (k^2+k)(L+1) with the full
+    # (n, m, deg, L) -> sizes 2k^2 + (2m+2)k and k^2 (L+1) with the full
     # monomial basis (no reduction) and shared multiplier degree.
     configs = [(1, 1, 1, 2), (2, 3, 1, 3), (2, 1, 2, 1)]
     for n, m, deg, L in configs:
@@ -291,11 +293,11 @@ def test_criterion_10_layout_conformance():
             b = b - _x(i, n) ** 2
         cand = CandidateCbf.from_system(b, sys)
         lp, lay = assemble_single_lp(sys, cand, a=0, deg_s=deg, deg_p=deg)
-        want_single = 2 * k * k + (2 * m + 4) * k
+        want_single = 2 * k * k + (2 * m + 2) * k
         assert lp.nvars == want_single, "(n=%d, m=%d, deg=%d)" % (n, m, deg)
         assert lay.nvars == want_single
         lp_e, lay_e = assemble_emptiness_lp([cand] * L, deg)
-        want_empty = (k * k + k) * (L + 1)
+        want_empty = k * k * (L + 1)
         assert lp_e.nvars == want_empty, "(n=%d, deg=%d, L=%d)" % (n, deg, L)
         assert lay_e.nvars == want_empty
 

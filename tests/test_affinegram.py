@@ -1,4 +1,4 @@
-"""Decision-coefficient polynomials, DSOS variables, DD rows, decompositions."""
+"""Decision-coefficient polynomials, DSOS variables in extreme-ray form, sign rows."""
 
 import math
 import random
@@ -10,8 +10,6 @@ from barrierlp.affinegram import (
     DecisionAllocator,
     coefficient_system,
     dd_linear_constraints,
-    dsos_decomposition,
-    expand_decomposition,
     fresh_dsos_poly,
     fresh_free_poly,
     gram_expansion,
@@ -21,6 +19,8 @@ from barrierlp.affinegram import (
     mul_fixed,
 )
 from barrierlp.polyring import Polynomial, grlex_key, monomial_basis
+
+from _oracles import ray_weights
 
 
 def row_value(coefs, z):
@@ -57,12 +57,14 @@ def test_fresh_free_poly_counts():
 def test_fresh_dsos_expansion_univariate():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 1, 1)
-    # Basis [1, x]: expansion Q11 + 2 Q12 x + Q22 x^2 with Q allocated first.
+    # Basis [1, x]; weights a1, a+ and a2, then a-: the expansion is
+    # a1 + a+ (1 + x)^2 + a2 x^2 + a- (1 - x)^2.
     assert v.basis == [(0,), (1,)]
+    assert v.rays == {0: (0, 0, 1.0), 1: (0, 1, 1.0), 2: (1, 1, 1.0), 3: (0, 1, -1.0)}
     assert v.expansion == {
-        (0,): {v.Q.var(0, 0): 1.0},
-        (1,): {v.Q.var(0, 1): 2.0},
-        (2,): {v.Q.var(1, 1): 1.0},
+        (0,): {0: 1.0, 1: 1.0, 3: 1.0},
+        (1,): {1: 2.0, 3: -2.0},
+        (2,): {1: 1.0, 2: 1.0, 3: 1.0},
     }
 
 
@@ -70,19 +72,19 @@ def test_fresh_dsos_degree_zero():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 2, 0)
     rows = dd_linear_constraints(v)
-    # Single Gram entry, single DD row -Q11 <= 0.
+    # Single ray e_1 e_1^T, single sign row -a1 <= 0.
     assert v.dim == 1
-    assert len(rows) == 1
-    assert rows[0] == ({v.Q.var(0, 0): -1.0}, 0.0)
+    assert v.rays == {0: (0, 0, 1.0)}
+    assert rows == [({0: -1.0}, 0.0)]
 
 
 def test_fresh_dsos_variable_counts():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 2, 1)
     assert v.dim == 3
-    assert v.Q.nvariables() == 6
-    assert v.tau.nvariables() == 6
-    assert alloc.count == 12
+    # k diagonal rays and k(k-1)/2 pairs of each sign.
+    assert alloc.count == 9
+    assert sorted(v.rays) == list(range(9))
 
 
 def test_mul_fixed_reproduces_multiplier_row():
@@ -130,27 +132,16 @@ def test_coefficient_system_examples():
     alloc = DecisionAllocator()
     s0 = fresh_dsos_poly(alloc, 1, 0)
     system = coefficient_system(s0.expansion, Polynomial.one(1))
-    assert system == [({s0.Q.var(0, 0): 1.0}, -1.0)]
+    assert system == [({0: 1.0}, -1.0)]
 
 
 def test_dd_rows_k2_exact_set():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 1, 1)
-    q11, q12, q22 = v.Q.var(0, 0), v.Q.var(0, 1), v.Q.var(1, 1)
-    t12 = v.tau.var(0, 1)
     rows = dd_linear_constraints(v)
-    assert len(rows) == 4
-    got = {tuple(sorted(coefs.items())) for coefs, _ in rows}
-    expected = {
-        tuple(sorted({q11: -1.0, t12: 1.0}.items())),
-        tuple(sorted({q22: -1.0, t12: 1.0}.items())),
-        tuple(sorted({q12: 1.0, t12: -1.0}.items())),
-        tuple(sorted({q12: -1.0, t12: -1.0}.items())),
-    }
-    assert got == expected
-    # Zero right-hand sides: -0 on the per-row and Q_ij - tau_ij rows, 0 on -Q_ij - tau_ij.
-    assert [math.copysign(1.0, rhs) for _, rhs in rows] == [-1.0, -1.0, -1.0, 1.0]
-    assert all(rhs == 0.0 for _, rhs in rows)
+    # One sign row per ray weight, in allocation order, with right-hand side +0.
+    assert rows == [({0: -1.0}, 0.0), ({1: -1.0}, 0.0), ({2: -1.0}, 0.0), ({3: -1.0}, 0.0)]
+    assert all(math.copysign(1.0, rhs) == 1.0 for _, rhs in rows)
 
 
 def test_dd_row_count_formula():
@@ -158,24 +149,36 @@ def test_dd_row_count_formula():
         alloc = DecisionAllocator()
         v = fresh_dsos_poly(alloc, nvars, halfdeg)
         k = v.dim
-        assert len(dd_linear_constraints(v)) == k + k * (k - 1)
+        assert len(dd_linear_constraints(v)) == k * k
+
+
+def test_pruned_pairs_get_no_ray():
+    alloc = DecisionAllocator()
+    v = fresh_dsos_poly(alloc, 1, 2, keep_pair=lambda i, j: (i + j) % 2 == 0)
+    # Basis [1, x, x^2]: only the pair (1, x^2) survives, once per sign.
+    assert v.rays == {0: (0, 0, 1.0), 1: (0, 2, 1.0), 2: (1, 1, 1.0), 3: (2, 2, 1.0),
+                      4: (0, 2, -1.0)}
+    Q = v.gram([1.0] * 5)
+    assert Q[0, 1] == Q[1, 2] == 0.0
+    assert Q[0, 2] == 0.0 and Q[0, 0] == 3.0
 
 
 def test_dd_feasible_assignment_is_dd():
-    # Assign Q from a random dd matrix and tau_ij = |Q_ij|: every row holds.
+    # Any non-negative ray weights build a diagonally dominant Gram matrix,
+    # whose entries are the rows entries() gives.
     rng = random.Random(3)
     for k, nvars, halfdeg in [(3, 2, 1), (6, 2, 2)]:
         alloc = DecisionAllocator()
         v = fresh_dsos_poly(alloc, nvars, halfdeg)
         assert v.dim == k
-        M = random_dd_matrix(rng, k)
-        z = np.zeros(alloc.count)
-        for (i, j) in v.Q.index:
-            z[v.Q.var(i, j)] = M[i, j]
-            z[v.tau.var(i, j)] = abs(M[i, j]) if i != j else 0.0
-        for coefs, rhs in dd_linear_constraints(v):
-            assert row_value(coefs, z) <= rhs + 1e-12
-        assert is_diagonally_dominant(v.Q.materialize(z), tol=1e-9)
+        for _ in range(20):
+            z = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(alloc.count)]
+            for coefs, rhs in dd_linear_constraints(v):
+                assert row_value(coefs, z) <= rhs
+            Q = v.gram(z)
+            assert is_diagonally_dominant(Q, tol=1e-12)
+            for (i, j), coefs in v.entries().items():
+                assert Q[i, j] == Q[j, i] == pytest.approx(row_value(coefs, z), abs=1e-12)
 
 
 def test_is_diagonally_dominant_examples():
@@ -190,37 +193,40 @@ def test_is_diagonally_dominant_rejects_nonsquare():
 
 
 def test_decomposition_examples():
-    basis = monomial_basis(1, 1)
-    parts = dsos_decomposition(np.diag([2.0, 3.0]), basis)
+    # Reading the weights off a DD matrix: the diagonal margins and the
+    # positive and negative parts of the off-diagonal entries.
+    v = fresh_dsos_poly(DecisionAllocator(), 1, 1)
+    assert ray_weights(v, np.diag([2.0, 3.0])) == [2.0, 0.0, 3.0, 0.0]
+    assert ray_weights(v, np.array([[1.0, 1.0], [1.0, 1.0]])) == [0.0, 1.0, 0.0, 0.0]
+    assert ray_weights(v, np.array([[1.0, -1.0], [-1.0, 1.0]])) == [0.0, 0.0, 0.0, 1.0]
     x = Polynomial.variable(0, 1)
-    assert expand_decomposition(parts, 1) == 2 + 3 * x**2
-
-    parts = dsos_decomposition(np.array([[1.0, 1.0], [1.0, 1.0]]), basis)
-    assert len(parts) == 1
-    w, p = parts[0]
-    assert w == 1.0 and p == 1 + x
-
-    parts = dsos_decomposition(np.array([[1.0, -1.0], [-1.0, 1.0]]), basis)
-    w, p = parts[0]
-    assert w == 1.0 and p == 1 - x
+    z = ray_weights(v, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert instantiate(v.expansion, z, 1) == (1 - x) ** 2
 
 
 def test_decomposition_requires_dd():
-    with pytest.raises(ValueError):
-        dsos_decomposition(np.array([[1.0, 2.0], [2.0, 1.0]]), monomial_basis(1, 1))
+    # A matrix that is not diagonally dominant leaves a negative margin.
+    v = fresh_dsos_poly(DecisionAllocator(), 1, 1)
+    z = ray_weights(v, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert min(z) == -1.0
 
 
 def test_decomposition_round_trip_random():
+    # The ray form is exactly the DD cone: the weights read off a DD matrix
+    # are >= 0, and the Gram matrix and the expansion they build are the
+    # matrix's own.
     rng = random.Random(20260816)
     for _ in range(100):
         nvars = rng.randrange(1, 3)
         halfdeg = rng.randrange(0, 3)
         basis = monomial_basis(nvars, halfdeg)
         M = random_dd_matrix(rng, len(basis))
-        parts = dsos_decomposition(M, basis)
-        assert all(w >= 0 for w, _ in parts)
+        v = fresh_dsos_poly(DecisionAllocator(), nvars, halfdeg)
+        z = ray_weights(v, M)
+        assert min(z) >= 0.0
+        assert np.allclose(v.gram(z), M, rtol=0.0, atol=1e-12)
         direct = gram_expansion(M, basis)
-        assert expand_decomposition(parts, nvars).almost_equal(direct, tol=1e-9)
+        assert instantiate(v.expansion, z, nvars).almost_equal(direct, tol=1e-9)
 
 
 def test_linearity_is_preserved_everywhere():

@@ -284,7 +284,7 @@ def test_bench_flag_overrides(tmp_path, capsys):
     first = json.loads(report_path.read_text())["rows"][0]["lps"][0]
     assert first["name"].startswith("single a=0 ")
     assert (first["status"], first["iterations"], first["exit"]) == \
-        ("Infeasible", 146, "optimal")
+        ("Infeasible", 65, "optimal")
     assert first["farkas_valid"] is True
     assert first["seconds"] == 0.0
 

@@ -4,13 +4,16 @@ Every program a verification solves is handed to HiGHS as well. An
 Infeasible record whose Farkas certificate passed the gate must be
 infeasible for HiGHS (status 2), and a feasible point that passed the
 certificate gate must come from a program HiGHS finds feasible (status 0).
+The random systems built for presolve's sign rules are compared the same way.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from barrierlp import verifier
-from barrierlp.lpsolve import LpStatus
+from barrierlp.lpsolve import LpStatus, solve_feasibility
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.specio import load_problem
 
@@ -133,3 +136,15 @@ def test_corpus_style_programs_agree_with_highs(monkeypatch):
         refuted, certified = refuted + r, certified + c
     # Both kinds of gated answer occur among these documents.
     assert refuted > 0 and certified > 0
+
+
+def test_sign_rule_programs_agree_with_highs():
+    from test_lpsolve import sign_lp
+
+    rng = random.Random(20261020)
+    for trial in range(200):
+        lp = sign_lp(rng)
+        out = solve_feasibility(lp)
+        assert out.status is not LpStatus.ITERATION_LIMIT, "trial %d" % trial
+        expected = HIGHS_FEASIBLE if out.status is LpStatus.FEASIBLE else HIGHS_INFEASIBLE
+        assert highs_status(lp) == expected, "trial %d" % trial

@@ -47,13 +47,13 @@ def test_contradictory_pair_is_infeasible():
 
 
 def test_dd_system_with_negative_diagonal_is_infeasible():
-    # DD rows force Q11 >= 0; pinning Q11 = -1 contradicts them.
+    # Non-negative ray weights force Q11 >= 0; pinning Q11 = -1 contradicts them.
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, 1, 1)
     lp = LpProblem(alloc.count)
     for coefs, rhs in dd_linear_constraints(v):
         lp.add_ub(coefs, rhs)
-    lp.add_eq({v.Q.var(0, 0): 1.0}, -1.0)
+    lp.add_eq(v.entries()[(0, 0)], -1.0)
     out = solve_feasibility(lp)
     assert out.status is LpStatus.INFEASIBLE
     max_coef, rhs = validate_farkas(lp, out.farkas)
@@ -227,6 +227,69 @@ def test_presolve_suite_matches_elimination_oracle():
     assert len(set(statuses)) == 4
 
 
+def sign_lp(rng):
+    """Random systems for presolve's sign rules.
+
+    Some variables get a sign row -c x_j <= 0, a few of them twice. The
+    equality rows mix forcing rows (right-hand side 0, one sign, sign columns
+    only, or nearly so), singletons on sign columns with values of either
+    sign, doubletons of a free and a sign column or of two sign columns, and
+    dense rows; dense inequality rows follow.
+    """
+    n = rng.randrange(2, 9)
+    lp = LpProblem(n)
+    signs = rng.sample(range(n), rng.randrange(1, n + 1))
+    free = [j for j in range(n) if j not in signs]
+
+    def coef():
+        return rng.choice([-1, 1]) * rng.randrange(1, 9) / 4.0
+
+    def rhs():
+        return rng.randrange(-8, 9) / 4.0
+
+    for j in signs:
+        for _ in range(1 if rng.random() < 0.8 else 2):
+            lp.add_ub({j: -rng.randrange(1, 9) / 4.0}, 0.0)
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            cols = rng.sample(signs, rng.randrange(1, min(3, len(signs)) + 1))
+            if free and rng.random() < 0.2:
+                cols.append(rng.choice(free))
+            sign = rng.choice([-1.0, 1.0])
+            lp.add_eq({j: sign * rng.randrange(1, 9) / 4.0 for j in cols}, 0.0)
+        elif kind == 1:
+            lp.add_eq({rng.choice(signs): coef()}, rhs())
+        elif kind == 2 and free:
+            lp.add_eq({rng.choice(free): coef(), rng.choice(signs): coef()}, rhs())
+        elif kind == 3 and len(signs) > 1:
+            lp.add_eq({j: coef() for j in rng.sample(signs, 2)}, rhs())
+        else:
+            lp.add_eq({j: coef() for j in rng.sample(range(n), min(n, 3))}, rhs())
+    for _ in range(rng.randrange(0, 4)):
+        lp.add_ub({j: coef() for j in rng.sample(range(n), min(n, rng.randrange(2, 5)))}, rhs())
+    return lp
+
+
+def test_sign_rule_suite_matches_elimination_oracle():
+    """Sign rows, forcing rows and fixed sign columns: points hold on the
+    caller's rows, certificates pass the verifier's gate."""
+    rng = random.Random(20261020)
+    statuses = []
+    for trial in range(200):
+        lp = sign_lp(rng)
+        out = solve_feasibility(lp)
+        if fm_feasible(lp.eq_rows, lp.ub_rows, lp.nvars):
+            assert out.status is LpStatus.FEASIBLE, "trial %d" % trial
+            assert lp.max_violation(out.point) <= FEAS_TOL, "trial %d" % trial
+        else:
+            assert out.status is LpStatus.INFEASIBLE, "trial %d" % trial
+            assert _farkas_acceptable(lp, out), "trial %d" % trial
+        statuses.append((out.status, out.iterations == 0))
+    # Both verdicts occur, with and without pivots.
+    assert len(set(statuses)) == 4
+
+
 def test_contradiction_found_by_substitution():
     # x0 = 1 and x0 - x1 = 0 leave x1 = 2 as the empty row 0 = 1.
     lp = LpProblem(2)
@@ -281,6 +344,24 @@ def test_iteration_limit_is_reported():
     assert out.status is LpStatus.ITERATION_LIMIT
     assert out.point is None and out.farkas is None
     assert out.exit == "max_iters"
+
+
+def test_eroded_columns_end_in_a_gated_exit():
+    # x_r + 1e-9 x_0 = 1 and x_r <= 1/2 for r = 1..150, with every x >= 0:
+    # feasible only for 5e8 <= x_0 <= 1e9. Once each x_r sits at 1/2, x_0 lowers
+    # the artificial sum, but its entries are at the pivot tolerance, so it
+    # is blocked and the run ends eroded. The multipliers then combine to
+    # -1.5e-7 on x_0, too much to pass as a refutation.
+    m = 150
+    lp = LpProblem(m + 1)
+    lp.add_ub({0: -1.0}, 0.0)
+    for r in range(1, m + 1):
+        lp.add_ub({r: -1.0}, 0.0)
+        lp.add_eq({r: 1.0, 0: 1e-9}, 1.0)
+        lp.add_ub({r: 1.0}, 0.5)
+    out = solve_feasibility(lp)
+    assert (out.status, out.exit) == (LpStatus.ITERATION_LIMIT, "eroded")
+    assert out.iterations == m
 
 
 def test_wide_lp_with_few_rows_solves():

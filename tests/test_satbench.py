@@ -15,7 +15,8 @@ from barrierlp.satbench import (
     build_inspection_cbf,
     run_benchmark,
 )
-from barrierlp.verifier import Verdict
+from barrierlp.lpsolve import LpStatus, solve_feasibility, validate_farkas
+from barrierlp.verifier import Verdict, assemble_emptiness_lp
 
 
 def test_params_defaults_and_validation():
@@ -166,7 +167,21 @@ def test_benchmark_l1_exercises_only_single_programs():
     assert "emptiness_deg_s" not in row["schedule"]
     # Pivot counts of the simplex on the reference one-chaser programs.
     assert [(lp["name"].split()[1], lp["status"], lp["iterations"]) for lp in row["lps"]] == \
-        [("a=0", "Infeasible", 146), ("a=1", "Feasible", 135)]
+        [("a=0", "Infeasible", 60), ("a=1", "Feasible", 63)]
+
+
+def test_fleet_emptiness_program_is_refuted_by_presolve():
+    # The six-chaser deg_s=1 emptiness program (962 x 259): forcing rows fix
+    # ray weights at zero until the constant monomial's row reads 0 = -1, so
+    # no pivot is needed and the certificate combines to exactly 0 <= -1.
+    params = CwParams(L=6)
+    sys = build_cw_system(params)
+    cands = [build_inspection_cbf(params, i, sys) for i in range(6)]
+    lp, _ = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    assert (lp.nrows, lp.nvars) == (962, 259)
+    out = solve_feasibility(lp)
+    assert (out.status, out.iterations) == (LpStatus.INFEASIBLE, 0)
+    assert validate_farkas(lp, out.farkas) == (0.0, -1.0)
 
 
 def test_benchmark_lp_seconds_fit_in_their_row():

@@ -70,27 +70,27 @@ def cand(b, sys):
 
 
 def test_single_layout_size_small():
-    # n=1, m=1, deg_s=deg_p=1: basis size k=2, so 2k^2 + (2m+4)k = 20.
+    # n=1, m=1, deg_s=deg_p=1: basis size k=2, so 2k^2 + (2m+2)k = 16.
     sys = single_integrator(1)
     b = Polynomial.one(1) - _x(0, 1) ** 2
     lp, lay = assemble_single_lp(sys, cand(b, sys), a=0, deg_s=1, deg_p=1)
-    assert lay.nvars == 20
-    assert lp.nvars == 20
-    # equality rows: one per monomial of the identity; dd rows: k^2 per Gram.
+    assert lay.nvars == 16
+    assert lp.nvars == 16
+    # equality rows: one per monomial of the identity; sign rows: k^2 per Gram.
     assert len(lp.eq_rows) == len(set(lay.identity) | set(lay.fixed.terms))
     assert lp.nrows == len(lp.eq_rows) + 2 * 4
 
 
 def test_single_layout_size_k3():
-    # n=1, m=1, k=3 (deg_s=2): 2*9 + 6*3 = 36 decision variables.
+    # n=1, m=1, k=3 (deg_s=2): 2*9 + 4*3 = 30 decision variables.
     sys = single_integrator(1)
     b = Polynomial.one(1) - _x(0, 1) ** 2
     _, lay = assemble_single_lp(sys, cand(b, sys), a=0, deg_s=2, deg_p=2)
-    assert lay.nvars == 36
+    assert lay.nvars == 30
 
 
 def test_single_layout_allocation_order():
-    """p10, p20, p1, p2 first, then the two Gram/bounding blocks."""
+    """p10, p20, p1, p2 first, then the ray weights of s1 and of s2."""
     sys = single_integrator(1)
     b = Polynomial.one(1) - _x(0, 1) ** 2
     _, lay = assemble_single_lp(sys, cand(b, sys), a=0, deg_s=1, deg_p=1)
@@ -100,19 +100,20 @@ def test_single_layout_allocation_order():
     assert p10_vars == list(range(kp))
     p20_vars = sorted(idx for row in lay.p20.values() for idx in row)
     assert p20_vars == list(range(kp, 2 * kp))
-    s1_first = lay.s1.Q.var(0, 0)
-    assert s1_first == 4 * kp  # after p10, p20, p1, p2
-    assert lay.s2.Q.var(0, 0) == 4 * kp + k * (k + 1)  # s1 takes Q and tau
+    assert min(lay.s1.rays) == 4 * kp  # after p10, p20, p1, p2
+    assert min(lay.s2.rays) == 4 * kp + k * k  # s1 takes k^2 ray weights
+    # e_1 e_1^T, then (e_1 + e_2)(e_1 + e_2)^T, e_2 e_2^T, then (e_1 - e_2)(e_1 - e_2)^T.
+    assert list(lay.s1.rays.values()) == [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (0, 1, -1.0)]
 
 
 def test_emptiness_layout_size():
-    # L=2 candidates, deg_s=1 over one variable: k=2, (k^2+k)(L+1) = 18.
+    # L=2 candidates, deg_s=1 over one variable: k=2, k^2 (L+1) = 12.
     sys = single_integrator(1)
     x = _x(0, 1)
     cands = [cand(Polynomial.one(1) - x ** 2, sys), cand(x ** 2 - Polynomial.constant(4.0, 1), sys)]
     lp, lay = assemble_emptiness_lp(cands, deg_s=1)
-    assert lay.nvars == 18
-    assert lp.nvars == 18
+    assert lay.nvars == 12
+    assert lp.nvars == 12
 
 
 def test_emptiness_layout_with_augmentation():
@@ -260,44 +261,50 @@ def test_multi_iteration_limit_warns_once_per_lp():
     assert [w for w in out.warnings if "iteration limit" in w] == expected
 
 
-# Two random-corpus problems whose single programs end in the gated simplex
-# exits: the a=0 program of the second candidate of corpus P058 stalls after
-# 1001 pivots, and the a=0 program of the first candidate of holdout P093
-# erodes. The second document keeps to a=0, since its a=1 program is
-# Feasible and certified.
+# Two documents of the corpus generator (perfbench/workloads.py) whose single
+# programs end in the gated simplex exits. STALL_WINDOW_DOC is draw 31 from
+# np.random.default_rng(3): the a=0 program of its first candidate (108 x 56)
+# stalls after 1001 pivots, though HiGHS proves it infeasible. ERODED_DOC is
+# draw 6 from default_rng(21): the a=1 program of its second candidate
+# (136 x 92) ends with a point that meets every reduced row but leaves a
+# sign column at -0.037, so it misses that column's sign row; HiGHS finds
+# the program feasible.
 STALL_WINDOW_DOC = {
     "schema": 1,
     "variables": ["x", "y", "z"],
-    "drift": ["-0.482*x + 0.719*y - 0.974*z + 0.337*y*z", "-0.353*x + 0.579*y - 0.583*x*z",
-              "0.479*x + 0.055*y - 0.039*z"],
-    "input_matrix": [["0.541"], ["0.399"], ["-0.359"]],
+    "inputs": ["u1", "u2"],
+    "drift": ["0.385*x - 0.611*z - 0.304*x^2", "-0.146*x - 0.226*y + 0.352*z^2",
+              "0.516*x - 0.96*y - 0.366*z - 0.562*x*z"],
+    "input_matrix": [["0.192", "0"], ["-0.509", "0.013"], ["0", "0"]],
     "candidates": [
-        "-8.498124680879938 + 2.860848287271784*x + 7.314797144279405*y"
-        " - 0.6143962075687115*z - 1.7420773625301766*x^2 - 1.6299503815137568*y^2"
-        " - 1.4176427075569553*z^2",
-        "-6.659046320362104 - 3.1420046285718986*x + 1.0527034246746307*y"
-        " - 5.611628242660307*z - 1.0355551937585794*x^2 - 0.5803572612478625*y^2"
-        " - 1.6502765742385215*z^2",
+        "0.2865110702951818 - 0.6634681484550055*x - 0.39254841997252365*y"
+        " - 0.39500665001440893*z - 1.300853558139674*x^2 - 0.7241330234605596*y^2"
+        " - 1.4300486274925346*z^2",
+        "0.13899921596839385 + 0.30768540723405885*x + 0.04957626410815792*y"
+        " + 0.5870911731424893*z - 0.8850604321909028*x^2 - 1.3544894628069821*y^2"
+        " - 1.8300997329434514*z^2",
     ],
 }
 ERODED_DOC = {
     "schema": 1,
-    "variables": ["x", "y"],
-    "drift": ["-0.648*y + 0.573*y^2", "0"],
-    "input_matrix": [["0.894", "-0.277"], ["-0.003", "0"]],
+    "variables": ["x", "y", "z"],
+    "inputs": ["u1", "u2"],
+    "drift": ["-0.481*x - 0.053*y + 0.039*y^2", "-0.46*y", "0.001*z - 0.587*x*y"],
+    "input_matrix": [["0", "-0.707"], ["0", "-0.92"], ["-0.812", "0.808"]],
     "candidates": [
-        "0.42090776061134705 - 0.11369365240264244*x + 0.05228692490650986*y"
-        " - 1.1306771714927375*x^2 - 1.1014869376719174*y^2",
-        "0.7027857399711359 + 0.8933957997137121*x - 0.029176448213229487*y"
-        " - 1.8708580925161276*x^2 - 1.8744116199266863*y^2",
+        "0.3973424776335528 - 0.1030649574060788*x - 0.8887981360497631*y"
+        " - 0.3889204732388198*z - 0.5960413299518139*x^2 - 1.586286041075484*y^2"
+        " - 0.8112301482847414*z^2",
+        "0.9267323940574884 - 0.28085225390538154*x + 0.02117568490570963*y"
+        " + 0.1219763659910237*z - 1.0201981874115391*x^2 - 0.8950913376194736*y^2"
+        " - 1.8620400830761052*z^2",
     ],
-    "options": {"a_values": [0]},
 }
 
 
 @pytest.mark.parametrize("doc, index, expected", [
-    (STALL_WINDOW_DOC, 1, [("IterationLimit", "stall_window"), ("Infeasible", "optimal")]),
-    (ERODED_DOC, 0, [("IterationLimit", "eroded")]),
+    (STALL_WINDOW_DOC, 0, [("IterationLimit", "stall_window"), ("Infeasible", "optimal")]),
+    (ERODED_DOC, 1, [("Infeasible", "optimal"), ("IterationLimit", "eroded")]),
 ])
 def test_gated_simplex_exits_on_real_programs(doc, index, expected):
     spec = load_problem(doc)
@@ -310,7 +317,7 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
 
 
 # corpus P097 (the corpus generator's draw 97 from seed 2212). Candidate 1's
-# a=1 program is refuted in 153 pivots. Multipliers read off artificial
+# a=1 program is refuted in 87 pivots. Multipliers read off artificial
 # columns carried through the pivots once combined its rows to a residual
 # of 22; those recomputed from the final basis through the eta file, and
 # mapped back through presolve, pass the Farkas gate on the assembled rows.
@@ -335,7 +342,7 @@ def test_refutation_multipliers_come_from_the_final_basis():
     spec = load_problem(REFUTED_DOC)
     out = verify_single(spec.system, spec.candidates[1], spec.options)
     rec = {r.name: r for r in out.lps}["single a=1 deg_s=1 deg_p=2"]
-    assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 153, True)
+    assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 87, True)
 
 
 # corpus P095. Its a=1 program once came back Feasible with a point 23.9 off
@@ -911,19 +918,21 @@ def test_parallel_option_is_a_no_op():
 # a column order or a coefficient changes them; re-record them only for a
 # deliberate change to the programs.
 PINNED_LP_DIGESTS = {
-    ("single", 0, True): "93f8118d581d95cbc310f203c73dd02134f40da5344c3f98cbfc572531c0dd4f",
-    ("single", 1, True): "830217c8ef2067e7df5bd6ec1828ea5bec4fa05d03ccb1305812d0b91fc7bc2e",
-    ("emptiness", 0, True): "f1bdf4418c26a5ffb980479d74c981830e9cfae894dfdab50b893828faa338de",
-    ("emptiness", 1, True): "ab98a265a80b6c7e4dd122a99dfbe4e2e293a69de68cf306e2bac0333ec5f868",
-    ("single", 0, False): "7e45bb246967c81a0d0aacb1f956de8726d4b332fe19e310c09358091eabb9e3",
-    ("single", 1, False): "63d0b0c69d69c2b225c8daaaf1a6c2da622ed89c3be17d8f7471996e652164cb",
-    ("emptiness", 0, False): "d667559a9afd7c890c612173980f78071bf6b63de0c410376b4c2a14a895ecf5",
-    ("emptiness", 1, False): "a0127ec5d82575221782299902be6fb9c3177dfcc5f4711a16a874d47d035441",
+    ("single", 0, True): "1d2f4936c9a73dedacbc7e892e0231c0c03a112c7d9e34562ccb27808ade0bda",
+    ("single", 1, True): "4143f0a0b952cae07a5550d4d3c244fe59ef0f62ce27f2314c4078e228ef5492",
+    ("emptiness", 0, True): "967a5b411bc012d28815eda6bd24cc1f80122fe9d447baa10d1d75c72497f8f2",
+    ("emptiness", 1, True): "810cf9bbde918a9255ddebc10d9f9869b6cb1078427da075777a7175f3eb0419",
+    # The reduction leaves these three programs as they are: their data has no
+    # inert variable and no sign symmetry that prunes a pair.
+    ("single", 0, False): "1d2f4936c9a73dedacbc7e892e0231c0c03a112c7d9e34562ccb27808ade0bda",
+    ("single", 1, False): "4143f0a0b952cae07a5550d4d3c244fe59ef0f62ce27f2314c4078e228ef5492",
+    ("emptiness", 0, False): "967a5b411bc012d28815eda6bd24cc1f80122fe9d447baa10d1d75c72497f8f2",
+    ("emptiness", 1, False): "3a6ea12c02e03e27757d746f3f22013556bf1c77b3c7935324624e7e66a26db4",
     # One-chaser inspection single program (367 x 154). Its Lfb is nonzero, so
     # mul_fixed(h1, Lfb) sums several products into one column: this pins the
     # order of those additions.
-    ("satellite", 0, True): "21e490b0659a9e29b64478d13efe1e8631c798390bd89019e1a9f5d85fe6a899",
-    ("satellite", 1, True): "4f3ca6efca191f1b2e294e681153bea7ad0d56349d1faf4c496b6573d94bc49c",
+    ("satellite", 0, True): "2d0f8c7ebb06fd5af29013093b46d0a04b86e62baef18738450b0f2636338dd3",
+    ("satellite", 1, True): "ae1109947de947312bf1a636a4d3dc44736994438bfac4f9002d03ac86c2c47e",
 }
 
 
