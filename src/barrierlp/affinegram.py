@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyring import PRUNE_TOL, Monomial, Polynomial, grlex_key, monomial_basis
+from .polyring import PRUNE_TOL, Monomial, Polynomial, grlex_key
 
 # A sparse row of decision columns, and a polynomial with such coefficients.
 Row = Dict[int, float]
@@ -148,29 +148,14 @@ class DsosVar:
         return Q
 
 
-def fresh_free_poly(
-    alloc: DecisionAllocator,
-    nvars: int,
-    degree: int,
-    basis: Optional[Sequence[Monomial]] = None,
-) -> LinearPoly:
-    """c^T m(x) with one fresh decision variable per basis monomial.
-
-    Variables are allocated in basis order. A restricted basis may be passed
-    in place of the full degree-``degree`` basis.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0, got %d" % degree)
-    if basis is None:
-        basis = monomial_basis(nvars, degree)
+def fresh_free_poly(alloc: DecisionAllocator, basis: Sequence[Monomial]) -> LinearPoly:
+    """c^T m(x) with one fresh decision variable per basis monomial, in basis order."""
     return {mono: {alloc.fresh(): 1.0} for mono in basis}
 
 
 def fresh_dsos_poly(
     alloc: DecisionAllocator,
-    nvars: int,
-    halfdeg: int,
-    basis: Optional[Sequence[Monomial]] = None,
+    basis: Sequence[Monomial],
     keep_pair: Optional[Callable[[int, int], bool]] = None,
 ) -> DsosVar:
     """Allocate a DSOS variable: one non-negative weight per extreme ray, and its expansion.
@@ -183,10 +168,6 @@ def fresh_dsos_poly(
     have a zero Gram entry in any solution of interest; a pruned pair gets
     no ray, and the diagonal rays are always kept.
     """
-    if halfdeg < 0:
-        raise ValueError("halfdeg must be >= 0, got %d" % halfdeg)
-    if basis is None:
-        basis = monomial_basis(nvars, halfdeg)
     basis = list(basis)
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i, k)

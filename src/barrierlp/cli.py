@@ -86,8 +86,6 @@ def _add_option_flags(sub: argparse.ArgumentParser) -> None:
                      help="simplex pivot budget per program")
     sub.add_argument("--no-reduce-basis", action="store_true",
                      help="assemble over full monomial bases")
-    sub.add_argument("--no-parallel", action="store_true",
-                     help="accepted for compatibility; programs always run sequentially")
 
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
@@ -196,8 +194,7 @@ def cmd_export_lp(args) -> int:
             )
         cand = spec.candidates[args.candidate]
         a, ds, dp = _resolved_single_schedule(cand, opts)[0]
-        lp, _ = assemble_single_lp(spec.system, cand, a, ds, dp,
-                                   reduce_basis=opts.reduce_basis)
+        lp, _ = assemble_single_lp(cand, a, ds, dp, reduce_basis=opts.reduce_basis)
     text = export_lp_text(lp, destination=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -15,19 +15,23 @@ slacks are stored: a z- column is the exact negative of its z+ column and
 enters by pivoting on the negated column, and the artificials, which never
 re-enter, are not stored at all. The entering column is Dantzig's, the
 argmin of one reduced-cost vector over (z+, z-, slacks) in which the
-missing minus twins of sign columns, and columns found eroded, read +inf;
-the leaving row comes from Harris's two-pass ratio test (Math. Prog. 5,
-1973), which prefers the largest pivot entry among near-ties. That pairing
-has no anti-cycling guarantee: the progress window bounds any cycle, and
-its exit is gated like every other.
+missing minus twins of sign columns read +inf; the leaving row comes from
+Harris's two-pass ratio test (Math. Prog. 5, 1973), which prefers the
+largest pivot entry among near-ties. That pairing has no anti-cycling
+guarantee: the progress window bounds any cycle.
+Only a run that ends optimal is trusted. Every other exit (pivot budget,
+progress window, an entering column with no usable pivot) reads
+IterationLimit, and so does an optimal run whose point misses a row of the
+caller's program.
 Every pivot appends one entry to an eta file, the product form of the basis
-inverse (Dantzig & Orchard-Hays 1954). An infeasible run recovers the
-multipliers y = c_B^T B^-1 of its final basis from it in one backward pass;
-they combine the constraints into 0^T z <= -delta with delta > 0, so
-negative verdicts carry their own proof and can be revalidated by
-substitution. Postsolve maps points and multipliers back through the
-eliminations and gives every sign row the multiplier that zeroes its
-column, so every answer, and every check of it, refers to the caller's rows.
+inverse (Dantzig & Orchard-Hays 1954). An optimal run with a positive
+artificial sum recovers the multipliers y = c_B^T B^-1 of its final basis
+from it in one backward pass; they combine the constraints into
+0^T z <= -delta with delta > 0, so negative verdicts carry their own proof
+and can be revalidated by substitution. Postsolve maps points and
+multipliers back through the eliminations and gives every sign row the
+multiplier that zeroes its column, so every answer, and every check of it,
+refers to the caller's rows.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ FEAS_TOL = 1e-8
 INFEAS_MARGIN = 1e-9
 # Inequality multipliers below -FARKAS_SIGN_TOL void a Farkas certificate.
 FARKAS_SIGN_TOL = 1e-9
+# Default pivot budget of one solve.
+MAX_ITERS = 200000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -91,11 +97,11 @@ class LpOutcome:
 
     exit says why the simplex stopped: "optimal" (no improving column left,
     or decided without pivoting), "max_iters" (pivot budget spent, or the eta
-    file would cross MAX_TABLEAU_BYTES),
-    "stall_window" (too many pivots without lowering the artificial sum) or
-    "eroded" (every improving column has eroded below the pivot tolerance,
-    or the final point misses a row of the caller's program by more than
-    FEAS_TOL). point and farkas always refer to the caller's rows.
+    file would cross MAX_TABLEAU_BYTES), "stall_window" (too many pivots
+    without lowering the artificial sum) or "eroded" (the entering column has
+    no entry above PIVOT_TOL, or the final point misses a row of the
+    caller's program by more than FEAS_TOL). Every exit but "optimal" comes
+    with IterationLimit. point and farkas always refer to the caller's rows.
     """
 
     status: LpStatus
@@ -104,11 +110,6 @@ class LpOutcome:
     iterations: int = 0
     wall_time: float = 0.0
     exit: str = "optimal"
-
-
-@dataclass
-class SolverOptions:
-    max_iters: int = 200000
 
 
 SparseRow = Tuple[Dict[int, float], float]
@@ -215,15 +216,13 @@ def validate_farkas(
     return max_coef, rhs
 
 
-def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> LpOutcome:
+def solve_feasibility(lp: LpProblem, max_iters: int = MAX_ITERS) -> LpOutcome:
     """Decide feasibility: presolve, phase-1 simplex on what is left, postsolve.
 
     Returns Feasible with a point satisfying every row of lp within
     FEAS_TOL, Infeasible with a Farkas certificate on lp's rows, or
-    IterationLimit.
+    IterationLimit after at most max_iters pivots.
     """
-    if opts is None:
-        opts = SolverOptions()
     t0 = time.perf_counter()
     pre = _Presolve(lp)
     iterations = 0
@@ -238,28 +237,17 @@ def solve_feasibility(lp: LpProblem, opts: Optional[SolverOptions] = None) -> Lp
         r = pre.contradiction
         return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate({r: -1.0 / pre.beta[r]}))
     rows, cols, nonneg = pre.reduced()
-    reason, iterations, z, y = _phase1(rows, cols, nonneg, pre.n_eq, opts)
-    if reason == "max_iters":
+    reason, iterations, z, y = _phase1(rows, cols, nonneg, pre.n_eq, max_iters)
+    if reason != "optimal":
         return outcome(LpStatus.ITERATION_LIMIT, reason)
-    stalled = reason != "optimal"
     if y is not None:
-        cert = pre.certificate(dict(zip([r for r, _, _ in rows], y.tolist())))
-        if stalled:
-            # A stalled tableau proves nothing by itself; only a certificate
-            # that actually combines is worth returning.
-            try:
-                combo, rhs = validate_farkas(lp, cert)
-            except ValueError:
-                combo, rhs = math.inf, 0.0
-            leverage = max([1.0] + [abs(u) for u in cert.eq_mults + cert.ub_mults])
-            if rhs > -INFEAS_MARGIN or combo > 1e-7 * leverage:
-                return outcome(LpStatus.ITERATION_LIMIT, reason)
-        return outcome(LpStatus.INFEASIBLE, reason, farkas=cert)
+        return outcome(LpStatus.INFEASIBLE,
+                       farkas=pre.certificate(dict(zip([r for r, _, _ in rows], y.tolist()))))
     point = pre.point(cols, z)
     if lp.max_violation(point) > FEAS_TOL:
         # The reduced tableau's point misses a row of the caller's program.
-        return outcome(LpStatus.ITERATION_LIMIT, reason if stalled else "eroded")
-    return outcome(LpStatus.FEASIBLE, reason, point=point)
+        return outcome(LpStatus.ITERATION_LIMIT, "eroded")
+    return outcome(LpStatus.FEASIBLE, point=point)
 
 
 class _Presolve:
@@ -492,13 +480,14 @@ def _phase1(
     cols: List[int],
     nonneg: List[bool],
     n_eq: int,
-    opts: SolverOptions,
+    max_iters: int,
 ) -> Tuple[str, int, Optional[np.ndarray], Optional[np.ndarray]]:
     """Phase-1 simplex over rows (row, entries, beta) in the variables `cols`.
 
     A variable whose `nonneg` flag is set is bounded below by 0; the others
     are free. Returns (exit, pivots, point on cols or None, multipliers on
-    rows or None); exit "max_iters" returns neither.
+    rows or None). Only exit "optimal" returns either: multipliers when the
+    artificial sum stays above INFEAS_MARGIN, the point otherwise.
     """
     m = len(rows)
     n = len(cols)
@@ -556,53 +545,43 @@ def _phase1(
     eta_bytes = 0
 
     # Reduced costs of the logical columns that may enter, in code order;
-    # blocked adds +inf for the minus twins of sign columns and for columns
-    # found eroded. Artificials never enter: a basic one keeps reduced cost
-    # exactly 0, and one that has left stays out.
+    # blocked adds +inf for the minus twins of sign columns. Artificials
+    # never enter: a basic one keeps reduced cost exactly 0, and one that
+    # has left stays out.
     cost = np.empty(art0)
     blocked = np.zeros(art0)
     blocked[n : 2 * n][np.array(nonneg, dtype=bool)] = np.inf
-    eroded = np.zeros(art0, dtype=bool)
 
     iterations = 0
     reason = "optimal"
     best_value = math.inf
     no_progress = 0
     # A run this long without lowering the artificial sum is numerical
-    # treading water, not progress; bail out through the gated exits below
-    # rather than burn the whole iteration budget.
+    # treading water, not progress; end it as IterationLimit rather than
+    # burn the whole iteration budget.
     progress_window = max(1000, 2 * (m + ncols))
     while True:
-        if iterations >= opts.max_iters:
+        if iterations >= max_iters:
             reason = "max_iters"
             break
         # Dantzig: the entering column has the most negative reduced cost
         # (the lowest code on a tie). A minus column's reduced cost is minus
-        # its plus column's. A column whose entries have all eroded below
-        # the pivot tolerance cannot be pivoted (phase 1 is never truly
-        # unbounded), so it is blocked from then on; when only such columns
-        # still improve, the tableau is eroded and the exit below is gated
-        # instead of trusted.
+        # its plus column's. If its entries have all eroded below the pivot
+        # tolerance it cannot be pivoted (phase 1 is never truly unbounded),
+        # and the run ends eroded.
         objrow = T[m, :w]
         cost[:n] = objrow[:n]
         np.negative(objrow[:n], out=cost[n : 2 * n])
         cost[2 * n :] = objrow[n:]
         priced = cost + blocked
-        while True:
-            pc = int(priced.argmin())
-            if priced[pc] >= -PIVOT_TOL:
-                pc = -1
-                break
-            j = pc if pc < n else pc - n
-            col = -T[:m, j] if n <= pc < 2 * n else T[:m, j]
-            up = col > PIVOT_TOL
-            if up.any():
-                break
-            eroded[pc] = True
-            blocked[pc] = priced[pc] = np.inf
-        if pc < 0:
-            if (cost[eroded] < -PIVOT_TOL).any():
-                reason = "eroded"
+        pc = int(priced.argmin())
+        if priced[pc] >= -PIVOT_TOL:
+            break
+        j = pc if pc < n else pc - n
+        col = -T[:m, j] if n <= pc < 2 * n else T[:m, j]
+        up = col > PIVOT_TOL
+        if not up.any():
+            reason = "eroded"
             break
         # Harris two-pass ratio test: pass 1 bounds the step with every
         # right-hand side relaxed by PIVOT_TOL; pass 2 takes, among the rows
@@ -655,7 +634,7 @@ def _phase1(
                 reason = "stall_window"
                 break
 
-    if reason == "max_iters":
+    if reason != "optimal":
         return reason, iterations, None, None
     if -T[m, w] > INFEAS_MARGIN:
         # Simplex multipliers y = c_B^T B^-1, where c_B marks the rows whose

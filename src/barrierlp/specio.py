@@ -22,6 +22,7 @@ from .verifier import (
     CandidateCbf,
     Certificate,
     ControlAffineSystem,
+    LpRecord,
     VerificationOutcome,
     VerifierOptions,
 )
@@ -265,7 +266,6 @@ _OPTION_FIELDS = {
     "archimedean_C": int,
     "max_iters": int,
     "reduce_basis": bool,
-    "parallel": bool,
 }
 
 
@@ -490,16 +490,17 @@ def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
     return doc
 
 
+def _record_line(r: LpRecord, indent: str) -> str:
+    extra = "" if r.farkas_valid is None else "  farkas_valid=%s" % r.farkas_valid
+    return "%s[%s] %s  %d rows x %d cols  %d iterations  exit=%s%s" % (
+        indent, r.name, r.status, r.rows, r.cols, r.iterations, r.exit, extra)
+
+
 def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
     lines = ["verdict: %s" % outcome.verdict.value]
     if not deterministic:
         lines.append("seconds: %.3f" % outcome.seconds)
-    for r in outcome.lps:
-        extra = "" if r.farkas_valid is None else "  farkas_valid=%s" % r.farkas_valid
-        lines.append(
-            "  [%s] %s  %d rows x %d cols  %d iterations  exit=%s%s"
-            % (r.name, r.status, r.rows, r.cols, r.iterations, r.exit, extra)
-        )
+    lines.extend(_record_line(r, "  ") for r in outcome.lps)
     cert = outcome.certificate
     if cert is not None:
         lines.append("certificate: %s, residual %.3g" % (cert.kind, cert.residual))
@@ -510,11 +511,7 @@ def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
     if outcome.singles is not None:
         for i, s in enumerate(outcome.singles):
             lines.append("candidate %d: %s" % (i, s.verdict.value))
-            for r in s.lps:
-                lines.append(
-                    "    [%s] %s  %d rows x %d cols  %d iterations  exit=%s"
-                    % (r.name, r.status, r.rows, r.cols, r.iterations, r.exit)
-                )
+            lines.extend(_record_line(r, "    ") for r in s.lps)
     return "\n".join(lines) + "\n"
 
 

@@ -70,10 +70,10 @@ from .affinegram import (
 )
 from .lpsolve import (
     FARKAS_SIGN_TOL,
+    MAX_ITERS,
     LpOutcome,
     LpProblem,
     LpStatus,
-    SolverOptions,
     solve_feasibility,
     validate_farkas,
 )
@@ -217,7 +217,7 @@ def support_ring(cand: CandidateCbf, reduce_basis: bool) -> SupportRing:
 
 @dataclass
 class VerifierOptions:
-    """Search schedule and gate tolerances.
+    """Search schedule, pivot budget and basis reduction.
 
     a_values: exponents a tried for the Lfb^(2a) term, ascending.
     deg_s: DSOS half-degree schedule (default: [ceil(deg(b)/2)]).
@@ -228,8 +228,8 @@ class VerifierOptions:
     archimedean_C: when set, the emptiness program gains the generator
         C - sum_i x_i^2; when unset a warning records that compactness of
         the described region is the caller's responsibility.
+    max_iters: simplex pivot budget of each program.
     reduce_basis: apply support restriction and sign-symmetry pruning.
-    parallel: accepted and ignored; programs are solved one after another.
     """
 
     a_values: Sequence[int] = (0, 1)
@@ -237,11 +237,8 @@ class VerifierOptions:
     deg_p: Optional[Sequence[int]] = None
     emptiness_deg_s: Optional[Sequence[int]] = None
     archimedean_C: Optional[int] = None
-    max_iters: int = 200000
-    dd_tol: float = DD_GATE_TOL
-    residual_tol: float = RESIDUAL_GATE_TOL
+    max_iters: int = MAX_ITERS
     reduce_basis: bool = True
-    parallel: bool = True
 
     def __post_init__(self):
         if not self.a_values:
@@ -262,12 +259,6 @@ class VerifierOptions:
             raise ValueError("archimedean_C must be a positive integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        for name in ("dd_tol", "residual_tol"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError("%s must be finite and non-negative" % name)
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(max_iters=self.max_iters)
 
 
 @dataclass
@@ -512,7 +503,6 @@ def _identity_lp(
 
 
 def assemble_single_lp(
-    sys: ControlAffineSystem,
     cand: CandidateCbf,
     a: int,
     deg_s: int,
@@ -523,7 +513,7 @@ def assemble_single_lp(
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows keep the ray weights of s1 and s2 non-negative.
-    cand is a candidate of sys, so its Lie derivatives are sys's.
+    The Lie derivatives are those cand derived from its own system.
     """
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
     n = b.nvars
@@ -534,15 +524,15 @@ def assemble_single_lp(
     live = [j for j, g in enumerate(lgb_entries) if not (reduce_basis and g.is_zero())]
 
     alloc = DecisionAllocator()
-    p10 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
-    p20 = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
+    p10 = fresh_free_poly(alloc, free_basis)
+    p20 = fresh_free_poly(alloc, free_basis)
     p1: List[Optional[LinearPoly]] = [None] * m
     p2: List[Optional[LinearPoly]] = [None] * m
     for channel in (p1, p2):
         for j in live:
-            channel[j] = fresh_free_poly(alloc, n, deg_p, basis=free_basis)
-    s1 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
-    s2 = fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
+            channel[j] = fresh_free_poly(alloc, free_basis)
+    s1 = fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
+    s2 = fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
 
     fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
 
@@ -653,7 +643,7 @@ def assemble_emptiness_lp(
 
     alloc = DecisionAllocator()
     s_vars = [
-        fresh_dsos_poly(alloc, n, deg_s, basis=gram_basis, **dsos_kw)
+        fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
         for _ in range(1 + len(generators))
     ]
 
@@ -845,7 +835,7 @@ def _solve(name: str, lp: LpProblem, opts: VerifierOptions) -> Tuple[LpRecord, L
 
     An infeasible answer's record says whether its Farkas certificate holds.
     """
-    out = solve_feasibility(lp, opts.solver_options())
+    out = solve_feasibility(lp, max_iters=opts.max_iters)
     logger.info("%s: %s in %d pivots (%s)", name, out.status.value, out.iterations, out.exit)
     record = LpRecord(
         name=name,
@@ -862,19 +852,20 @@ def _solve(name: str, lp: LpProblem, opts: VerifierOptions) -> Tuple[LpRecord, L
 
 
 def _gate(
-    name: str, out: LpOutcome, extract: Callable[[np.ndarray], Certificate], opts: VerifierOptions
+    name: str, out: LpOutcome, extract: Callable[[np.ndarray], Certificate]
 ) -> Tuple[Optional[Certificate], Optional[str]]:
     """Gate a solved program's answer: (certificate or None, warning or None).
 
     A feasible point yields a certificate only when the extracted Grams are
-    diagonally dominant and the substitution residual is within tolerance.
+    diagonally dominant within DD_GATE_TOL and the substitution residual is
+    at most RESIDUAL_GATE_TOL.
     """
     if out.status is LpStatus.INFEASIBLE:
         return None, None
     if out.status is LpStatus.ITERATION_LIMIT:
         return None, "%s: iteration limit reached" % name
     cert = extract(out.point)
-    if cert.grams_diagonally_dominant(opts.dd_tol) and cert.residual <= opts.residual_tol:
+    if cert.grams_diagonally_dominant(DD_GATE_TOL) and cert.residual <= RESIDUAL_GATE_TOL:
         return cert, None
     return None, "%s: feasible point failed the certificate gate (residual %.3g)" % (
         name, cert.residual)
@@ -928,12 +919,12 @@ def _verify_singles(
                 record, out, layout = solved[key]
                 record = replace(record, seconds=0.0, reused=True)
             else:
-                lp, layout = assemble_single_lp(ring.cand.sys, ring.cand, a, ds, dp,
+                lp, layout = assemble_single_lp(ring.cand, a, ds, dp,
                                                 reduce_basis=opts.reduce_basis)
                 record, out = _solve(name, lp, opts)
                 solved[key] = record, out, layout
             cert, warning = _gate(
-                name, out, lambda z: extract_single_certificate(layout, z, cand, ring), opts
+                name, out, lambda z: extract_single_certificate(layout, z, cand, ring)
             )
             outcome.lps.append(record)
             if warning is not None:
@@ -964,7 +955,7 @@ def _emptiness_sweep(
         )
         record, out = _solve(name, lp, opts)
         cert, warning = _gate(
-            name, out, lambda z: extract_emptiness_certificate(layout, z, cands), opts
+            name, out, lambda z: extract_emptiness_certificate(layout, z, cands)
         )
         records.append(record)
         if warning is not None:

@@ -78,7 +78,7 @@ def test_criterion_01_gram_example_fidelity():
     # (c1 + c2 x + c3 x^2) * (x^2 - 4): each product monomial must carry an
     # exactly reproduced linear form in (c1, c2, c3), with no tolerance.
     alloc = DecisionAllocator()
-    c = fresh_free_poly(alloc, nvars=1, degree=2)  # c1 <-> z0, c2 <-> z1, c3 <-> z2
+    c = fresh_free_poly(alloc, monomial_basis(1, 2))  # c1 <-> z0, c2 <-> z1, c3 <-> z2
     x = _x(0, 1)
     prod = mul_fixed(c, x * x - 4.0 * Polynomial.one(1))
     expected = {
@@ -111,7 +111,7 @@ def test_criterion_02_dd_linearization_correctness():
                 off = sum(abs(M[i, j]) for j in range(k) if j != i)
                 M[i, i] = off + rng.uniform(0.0, 1.0)
         alloc = DecisionAllocator()
-        v = fresh_dsos_poly(alloc, nvars=1, halfdeg=k - 1)
+        v = fresh_dsos_poly(alloc, monomial_basis(1, k - 1))
         assert v.dim == k
         lp = LpProblem(alloc.count)
         for coefs, rhs in dd_linear_constraints(v):
@@ -140,7 +140,7 @@ def test_criterion_03_decomposition_round_trip():
         for i in range(k):
             off = sum(abs(M[i, j]) for j in range(k) if j != i)
             M[i, i] = off + rng.uniform(0.0, 1.0)
-        v = fresh_dsos_poly(DecisionAllocator(), n, d)
+        v = fresh_dsos_poly(DecisionAllocator(), basis)
         z = np.array(ray_weights(v, M))
         assert z.min() >= 0.0, "trial %d" % trial
         assert np.allclose(v.gram(z), M, rtol=0.0, atol=1e-12), "trial %d" % trial
@@ -292,7 +292,7 @@ def test_criterion_10_layout_conformance():
         for i in range(n):
             b = b - _x(i, n) ** 2
         cand = CandidateCbf.from_system(b, sys)
-        lp, lay = assemble_single_lp(sys, cand, a=0, deg_s=deg, deg_p=deg)
+        lp, lay = assemble_single_lp(cand, a=0, deg_s=deg, deg_p=deg)
         want_single = 2 * k * k + (2 * m + 2) * k
         assert lp.nvars == want_single, "(n=%d, m=%d, deg=%d)" % (n, m, deg)
         assert lay.nvars == want_single

@@ -40,7 +40,7 @@ def random_dd_matrix(rng, k, scale=2.0):
 
 def test_fresh_free_poly_univariate_quadratic():
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 1, 2)
+    ap = fresh_free_poly(alloc, monomial_basis(1, 2))
     assert alloc.count == 3
     # One fresh variable per basis monomial, in basis order.
     assert ap == {(0,): {0: 1.0}, (1,): {1: 1.0}, (2,): {2: 1.0}}
@@ -48,15 +48,15 @@ def test_fresh_free_poly_univariate_quadratic():
 
 def test_fresh_free_poly_counts():
     alloc = DecisionAllocator()
-    fresh_free_poly(alloc, 2, 0)
+    fresh_free_poly(alloc, monomial_basis(2, 0))
     assert alloc.count == 1
-    fresh_free_poly(alloc, 2, 1)
+    fresh_free_poly(alloc, monomial_basis(2, 1))
     assert alloc.count == 4
 
 
 def test_fresh_dsos_expansion_univariate():
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 1, 1)
+    v = fresh_dsos_poly(alloc, monomial_basis(1, 1))
     # Basis [1, x]; weights a1, a+ and a2, then a-: the expansion is
     # a1 + a+ (1 + x)^2 + a2 x^2 + a- (1 - x)^2.
     assert v.basis == [(0,), (1,)]
@@ -70,7 +70,7 @@ def test_fresh_dsos_expansion_univariate():
 
 def test_fresh_dsos_degree_zero():
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 2, 0)
+    v = fresh_dsos_poly(alloc, monomial_basis(2, 0))
     rows = dd_linear_constraints(v)
     # Single ray e_1 e_1^T, single sign row -a1 <= 0.
     assert v.dim == 1
@@ -80,7 +80,7 @@ def test_fresh_dsos_degree_zero():
 
 def test_fresh_dsos_variable_counts():
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 2, 1)
+    v = fresh_dsos_poly(alloc, monomial_basis(2, 1))
     assert v.dim == 3
     # k diagonal rays and k(k-1)/2 pairs of each sign.
     assert alloc.count == 9
@@ -90,7 +90,7 @@ def test_fresh_dsos_variable_counts():
 def test_mul_fixed_reproduces_multiplier_row():
     # (c1 + c2 x + c3 x^2)(x^2 - 4): exact symbolic coefficients.
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 1, 2)
+    ap = fresh_free_poly(alloc, monomial_basis(1, 2))
     x = Polynomial.variable(0, 1)
     prod = mul_fixed(ap, x**2 - 4)
     assert prod == {
@@ -106,7 +106,7 @@ def test_mul_fixed_reproduces_multiplier_row():
 
 def test_mul_fixed_identity_and_zero():
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 2, 1)
+    ap = fresh_free_poly(alloc, monomial_basis(2, 1))
     one = Polynomial.one(2)
     assert mul_fixed(ap, one) == ap
     assert mul_fixed(ap, Polynomial.zero(2)) == {}
@@ -116,7 +116,7 @@ def test_mul_fixed_identity_and_zero():
 
 def test_coefficient_system_examples():
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 1, 2)
+    ap = fresh_free_poly(alloc, monomial_basis(1, 2))
     x = Polynomial.variable(0, 1)
     prod = mul_fixed(ap, x**2 - 4)
     system = coefficient_system(prod, Polynomial.zero(1))
@@ -130,14 +130,14 @@ def test_coefficient_system_examples():
 
     # 1 + s0 == 0: the fixed 1 moves to the right-hand side.
     alloc = DecisionAllocator()
-    s0 = fresh_dsos_poly(alloc, 1, 0)
+    s0 = fresh_dsos_poly(alloc, monomial_basis(1, 0))
     system = coefficient_system(s0.expansion, Polynomial.one(1))
     assert system == [({0: 1.0}, -1.0)]
 
 
 def test_dd_rows_k2_exact_set():
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 1, 1)
+    v = fresh_dsos_poly(alloc, monomial_basis(1, 1))
     rows = dd_linear_constraints(v)
     # One sign row per ray weight, in allocation order, with right-hand side +0.
     assert rows == [({0: -1.0}, 0.0), ({1: -1.0}, 0.0), ({2: -1.0}, 0.0), ({3: -1.0}, 0.0)]
@@ -147,14 +147,14 @@ def test_dd_rows_k2_exact_set():
 def test_dd_row_count_formula():
     for halfdeg, nvars in [(1, 2), (2, 1), (1, 3)]:
         alloc = DecisionAllocator()
-        v = fresh_dsos_poly(alloc, nvars, halfdeg)
+        v = fresh_dsos_poly(alloc, monomial_basis(nvars, halfdeg))
         k = v.dim
         assert len(dd_linear_constraints(v)) == k * k
 
 
 def test_pruned_pairs_get_no_ray():
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 1, 2, keep_pair=lambda i, j: (i + j) % 2 == 0)
+    v = fresh_dsos_poly(alloc, monomial_basis(1, 2), keep_pair=lambda i, j: (i + j) % 2 == 0)
     # Basis [1, x, x^2]: only the pair (1, x^2) survives, once per sign.
     assert v.rays == {0: (0, 0, 1.0), 1: (0, 2, 1.0), 2: (1, 1, 1.0), 3: (2, 2, 1.0),
                       4: (0, 2, -1.0)}
@@ -169,7 +169,7 @@ def test_dd_feasible_assignment_is_dd():
     rng = random.Random(3)
     for k, nvars, halfdeg in [(3, 2, 1), (6, 2, 2)]:
         alloc = DecisionAllocator()
-        v = fresh_dsos_poly(alloc, nvars, halfdeg)
+        v = fresh_dsos_poly(alloc, monomial_basis(nvars, halfdeg))
         assert v.dim == k
         for _ in range(20):
             z = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(alloc.count)]
@@ -195,7 +195,7 @@ def test_is_diagonally_dominant_rejects_nonsquare():
 def test_decomposition_examples():
     # Reading the weights off a DD matrix: the diagonal margins and the
     # positive and negative parts of the off-diagonal entries.
-    v = fresh_dsos_poly(DecisionAllocator(), 1, 1)
+    v = fresh_dsos_poly(DecisionAllocator(), monomial_basis(1, 1))
     assert ray_weights(v, np.diag([2.0, 3.0])) == [2.0, 0.0, 3.0, 0.0]
     assert ray_weights(v, np.array([[1.0, 1.0], [1.0, 1.0]])) == [0.0, 1.0, 0.0, 0.0]
     assert ray_weights(v, np.array([[1.0, -1.0], [-1.0, 1.0]])) == [0.0, 0.0, 0.0, 1.0]
@@ -206,7 +206,7 @@ def test_decomposition_examples():
 
 def test_decomposition_requires_dd():
     # A matrix that is not diagonally dominant leaves a negative margin.
-    v = fresh_dsos_poly(DecisionAllocator(), 1, 1)
+    v = fresh_dsos_poly(DecisionAllocator(), monomial_basis(1, 1))
     z = ray_weights(v, np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert min(z) == -1.0
 
@@ -221,7 +221,7 @@ def test_decomposition_round_trip_random():
         halfdeg = rng.randrange(0, 3)
         basis = monomial_basis(nvars, halfdeg)
         M = random_dd_matrix(rng, len(basis))
-        v = fresh_dsos_poly(DecisionAllocator(), nvars, halfdeg)
+        v = fresh_dsos_poly(DecisionAllocator(), basis)
         z = ray_weights(v, M)
         assert min(z) >= 0.0
         assert np.allclose(v.gram(z), M, rtol=0.0, atol=1e-12)
@@ -234,8 +234,8 @@ def test_linearity_is_preserved_everywhere():
     # then evaluate must agree with evaluating coefficient expressions.
     rng = random.Random(5)
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 2, 2)
-    v = fresh_dsos_poly(alloc, 2, 1)
+    ap = fresh_free_poly(alloc, monomial_basis(2, 2))
+    v = fresh_dsos_poly(alloc, monomial_basis(2, 1))
     x1 = Polynomial.variable(0, 2)
     x2 = Polynomial.variable(1, 2)
     fixed = 2 * x1**2 - x2 + 0.5
@@ -253,7 +253,7 @@ def test_linearity_is_preserved_everywhere():
 def test_coefficient_system_zero_implies_zero_polynomial():
     rng = random.Random(11)
     alloc = DecisionAllocator()
-    ap = fresh_free_poly(alloc, 1, 1)
+    ap = fresh_free_poly(alloc, monomial_basis(1, 1))
     x = Polynomial.variable(0, 1)
     # e = (c0 + c1 x)(x - 1) + (x^2 - x) c with c fixed to 1: solving the
     # coefficient system forces e to vanish identically.

@@ -117,6 +117,10 @@ def test_usage_errors_exit_three(tmp_path):
     doc = unit_disc_doc()
     doc["options"] = {"max_iters": -5}
     assert main(["verify", write_problem(tmp_path, "neg.json", doc)]) == 3
+    # There is no parallel setting, as a flag or as a problem-file key.
+    assert main(["verify", path, "--no-parallel"]) == 3
+    doc["options"] = {"parallel": False}
+    assert main(["verify", write_problem(tmp_path, "par.json", doc)]) == 3
     # Physical parameters must be positive and finite.
     for flag, value in [("--mass", "-1"), ("--thrust", "0"), ("--R-t", "0"),
                         ("--n-mean-motion", "0"), ("--mass", "nan"), ("--thrust", "inf")]:
@@ -238,8 +242,7 @@ def test_deterministic_reports_byte_identical(tmp_path):
     path = write_problem(tmp_path, "p.json", overlapping_pair_doc())
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["verify", path, "--deterministic", "--report", str(r1)]) == 0
-    assert main(["verify", path, "--deterministic", "--no-parallel",
-                 "--report", str(r2)]) == 0
+    assert main(["verify", path, "--deterministic", "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 

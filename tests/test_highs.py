@@ -52,8 +52,8 @@ def gated_answers(monkeypatch, run):
         solved.append((lp, record, out))
         return record, out
 
-    def capture_gate(name, out, extract, opts):
-        cert, warning = gate(name, out, extract, opts)
+    def capture_gate(name, out, extract):
+        cert, warning = gate(name, out, extract)
         if cert is not None:
             certs[id(out)] = cert
         return cert, warning

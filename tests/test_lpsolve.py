@@ -17,12 +17,12 @@ from barrierlp.lpsolve import (
     LpParseError,
     LpProblem,
     LpStatus,
-    SolverOptions,
     export_lp_text,
     parse_lp_text,
     solve_feasibility,
     validate_farkas,
 )
+from barrierlp.polyring import monomial_basis
 from barrierlp.verifier import _farkas_acceptable
 
 
@@ -49,7 +49,7 @@ def test_contradictory_pair_is_infeasible():
 def test_dd_system_with_negative_diagonal_is_infeasible():
     # Non-negative ray weights force Q11 >= 0; pinning Q11 = -1 contradicts them.
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, 1, 1)
+    v = fresh_dsos_poly(alloc, monomial_basis(1, 1))
     lp = LpProblem(alloc.count)
     for coefs, rhs in dd_linear_constraints(v):
         lp.add_ub(coefs, rhs)
@@ -340,7 +340,7 @@ def test_iteration_limit_is_reported():
     # Three entries: presolve leaves the row to the simplex.
     lp = LpProblem(3)
     lp.add_eq({0: 1.0, 1: 1.0, 2: 1.0}, 2.0)
-    out = solve_feasibility(lp, SolverOptions(max_iters=0))
+    out = solve_feasibility(lp, max_iters=0)
     assert out.status is LpStatus.ITERATION_LIMIT
     assert out.point is None and out.farkas is None
     assert out.exit == "max_iters"
@@ -350,8 +350,7 @@ def test_eroded_columns_end_in_a_gated_exit():
     # x_r + 1e-9 x_0 = 1 and x_r <= 1/2 for r = 1..150, with every x >= 0:
     # feasible only for 5e8 <= x_0 <= 1e9. Once each x_r sits at 1/2, x_0 lowers
     # the artificial sum, but its entries are at the pivot tolerance, so it
-    # is blocked and the run ends eroded. The multipliers then combine to
-    # -1.5e-7 on x_0, too much to pass as a refutation.
+    # cannot enter and the run ends eroded, without a point or multipliers.
     m = 150
     lp = LpProblem(m + 1)
     lp.add_ub({0: -1.0}, 0.0)

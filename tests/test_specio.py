@@ -1,13 +1,17 @@
 """Tests for the polynomial grammar, problem schema, and report writer."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from barrierlp.cli import _add_option_flags
 from barrierlp.polyring import Polynomial, monomial_basis
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.specio import (
+    _OPTION_FIELDS,
     PolyParseError,
     ProblemFormatError,
     load_problem,
@@ -16,7 +20,7 @@ from barrierlp.specio import (
     problem_document,
     write_report,
 )
-from barrierlp.verifier import Verdict, verify_multi, verify_single
+from barrierlp.verifier import Verdict, VerifierOptions, verify_multi, verify_single
 
 
 def test_parse_simple():
@@ -178,13 +182,26 @@ def test_load_problem_rejects_unknown_option_and_schema():
 
 def test_load_problem_options_resolved():
     doc = minimal_doc()
-    doc["options"] = {"a_values": [1], "deg_s": [2], "archimedean_C": 4,
-                      "parallel": False}
+    doc["options"] = {"a_values": [1], "deg_s": [2], "archimedean_C": 4}
     spec = load_problem(doc)
     assert tuple(spec.options.a_values) == (1,)
     assert list(spec.options.deg_s) == [2]
     assert spec.options.archimedean_C == 4
-    assert spec.options.parallel is False
+    doc["options"]["parallel"] = False
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(doc)
+    assert str(err.value) == "options.parallel: unknown option"
+
+
+def test_option_schema_matches_verifier_options():
+    # Problem-file keys are exactly the settable fields, and every CLI
+    # option flag sets one of them (--no-X clears X).
+    names = {f.name for f in dataclasses.fields(VerifierOptions)}
+    assert set(_OPTION_FIELDS) == names
+    parser = argparse.ArgumentParser()
+    _add_option_flags(parser)
+    dests = [a.dest for a in parser._actions if a.dest != "help"]
+    assert dests and all((d[3:] if d.startswith("no_") else d) in names for d in dests)
 
 
 def test_load_problem_deterministic():
@@ -264,6 +281,24 @@ def test_report_deterministic_flag_zeroes_timings():
     assert all(r["seconds"] == 0.0 for r in doc["lps"])
     # two serializations of the same outcome are byte-identical
     assert a == write_report(out, deterministic=True)
+
+
+def test_joint_text_report_records_farkas_validity_at_both_levels():
+    doc = minimal_doc()
+    doc["drift"] = ["-1"]
+    doc["input_matrix"] = [["0"]]
+    doc["candidates"] = ["x", "1 - x^2"]
+    spec = load_problem(doc)
+    out = verify_multi(spec.system, spec.candidates, spec.options)
+    records = out.lps + [r for s in out.singles for r in s.lps]
+    # Every program here is refuted, the per-candidate ones included.
+    assert len(out.singles) == 2 and all(s.lps for s in out.singles)
+    assert all(r.farkas_valid is not None for r in records)
+    lines = write_report(out, fmt="text", deterministic=True).splitlines()
+    shown = [line for line in lines if line.lstrip().startswith("[")]
+    assert len(shown) == len(records)
+    for line, r in zip(shown, records):
+        assert line.endswith("exit=%s  farkas_valid=%s" % (r.exit, r.farkas_valid))
 
 
 def test_report_text_format():
