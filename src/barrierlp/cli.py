@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from typing import List, Optional, Sequence
 
 from .lpsolve import LpCapacityError, export_lp_text
@@ -99,21 +100,14 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _options_from_args(args, problem_options: Optional[VerifierOptions]) -> VerifierOptions:
-    """Overlay CLI flags on the problem file's options block."""
+    """Overlay the CLI flags given (an empty list is not given) on the problem file's options."""
     base = problem_options if problem_options is not None else VerifierOptions()
-    kwargs = {
-        "a_values": tuple(args.a_values) if args.a_values else base.a_values,
-        "deg_s": args.deg_s if args.deg_s else base.deg_s,
-        "deg_p": args.deg_p if args.deg_p else base.deg_p,
-        "emptiness_deg_s": (args.emptiness_deg_s if args.emptiness_deg_s
-                            else base.emptiness_deg_s),
-        "archimedean_C": (args.archimedean_C if args.archimedean_C is not None
-                          else base.archimedean_C),
-        "max_iters": args.max_iters if args.max_iters is not None else base.max_iters,
-        "reduce_basis": False if args.no_reduce_basis else base.reduce_basis,
-    }
+    given = {f.name: getattr(args, f.name) for f in fields(VerifierOptions)
+             if getattr(args, f.name, None) not in (None, [])}
+    if args.no_reduce_basis:
+        given["reduce_basis"] = False
     try:
-        return VerifierOptions(**kwargs)
+        return replace(base, **given)
     except ValueError as exc:
         raise _UsageError(str(exc))
 

@@ -556,10 +556,10 @@ def _phase1(
     reason = "optimal"
     best_value = math.inf
     no_progress = 0
-    # A run this long without lowering the artificial sum is numerical
-    # treading water, not progress; end it as IterationLimit rather than
-    # burn the whole iteration budget.
-    progress_window = max(1000, 2 * (m + ncols))
+    # A run of twice the rows plus logical columns without lowering the
+    # artificial sum is numerical treading water, not progress; end it as
+    # IterationLimit rather than burn the whole iteration budget.
+    progress_window = 2 * (m + ncols)
     while True:
         if iterations >= max_iters:
             reason = "max_iters"

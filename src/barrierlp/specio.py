@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import Monomial, Polynomial, PolyMatrix
@@ -258,17 +258,6 @@ class ProblemSpec:
     options: VerifierOptions
 
 
-_OPTION_FIELDS = {
-    "a_values": tuple,
-    "deg_s": list,
-    "deg_p": list,
-    "emptiness_deg_s": list,
-    "archimedean_C": int,
-    "max_iters": int,
-    "reduce_basis": bool,
-}
-
-
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise ProblemFormatError(path + key, "missing required field")
@@ -369,29 +358,15 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
     opt_doc = document.get("options", {})
     if not isinstance(opt_doc, dict):
         raise ProblemFormatError("options", "expected an object")
-    kwargs = {}
-    for key, value in opt_doc.items():
-        if key not in _OPTION_FIELDS:
+    option_names = {f.name for f in fields(VerifierOptions)}
+    for key in opt_doc:
+        if key not in option_names:
             raise ProblemFormatError("options.%s" % key, "unknown option")
-        if value is not None:
-            kind = _OPTION_FIELDS[key]
-            if kind in (list, tuple):
-                if not isinstance(value, list):
-                    raise ProblemFormatError("options.%s" % key, "expected a list")
-                for i, entry in enumerate(value):
-                    if not isinstance(entry, int) or isinstance(entry, bool):
-                        raise ProblemFormatError("options.%s[%d]" % (key, i), "expected an integer")
-                value = kind(value)
-            elif kind is bool:
-                if not isinstance(value, bool):
-                    raise ProblemFormatError("options.%s" % key, "expected a boolean")
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise ProblemFormatError("options.%s" % key, "expected an integer")
-        kwargs[key] = value
     try:
-        options = VerifierOptions(**kwargs)
-    except ValueError as exc:
-        raise ProblemFormatError("options", str(exc)) from exc
+        options = VerifierOptions(**opt_doc)
+    except ValueError as exc:  # the message starts with the field or entry path
+        path, _, message = str(exc).partition(": ")
+        raise ProblemFormatError("options." + path, message) from exc
 
     return ProblemSpec(
         variables=list(variables),

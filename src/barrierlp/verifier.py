@@ -215,14 +215,19 @@ def support_ring(cand: CandidateCbf, reduce_basis: bool) -> SupportRing:
     return SupportRing(variables, channels, n, m, CandidateCbf(project(cand.b), ring_sys))
 
 
-@dataclass
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class VerifierOptions:
-    """Search schedule, pivot budget and basis reduction.
+    """Search schedule, pivot budget and basis reduction; the one check of every value.
 
     a_values: exponents a tried for the Lfb^(2a) term, ascending.
     deg_s: DSOS half-degree schedule (default: [ceil(deg(b)/2)]).
-    deg_p: free-multiplier degrees, one per deg_s entry; None picks a degree
-        that lets every product reach both the Gram terms and the fixed term.
+    deg_p: free-multiplier degrees, one per deg_s entry (exactly one when
+        deg_s is unset); None picks a degree that lets every product reach
+        both the Gram terms and the fixed term.
     emptiness_deg_s: half-degrees for the emptiness sweep (default:
         [0, ceil(max deg(bi)/2)] deduplicated).
     archimedean_C: when set, the emptiness program gains the generator
@@ -230,35 +235,51 @@ class VerifierOptions:
         the described region is the caller's responsibility.
     max_iters: simplex pivot budget of each program.
     reduce_basis: apply support restriction and sign-symmetry pruning.
+
+    Schedules are non-empty, non-decreasing lists or tuples of non-negative
+    ints, stored as tuples; a bool is not an int anywhere. None is accepted
+    only where it is the default. Problem files and command-line flags are
+    checked here too: every ValueError message starts with the offending
+    field or entry, e.g. ``deg_s[0]: expected an integer``.
     """
 
-    a_values: Sequence[int] = (0, 1)
-    deg_s: Optional[Sequence[int]] = None
-    deg_p: Optional[Sequence[int]] = None
-    emptiness_deg_s: Optional[Sequence[int]] = None
+    a_values: Tuple[int, ...] = (0, 1)
+    deg_s: Optional[Tuple[int, ...]] = None
+    deg_p: Optional[Tuple[int, ...]] = None
+    emptiness_deg_s: Optional[Tuple[int, ...]] = None
     archimedean_C: Optional[int] = None
     max_iters: int = MAX_ITERS
     reduce_basis: bool = True
 
     def __post_init__(self):
-        if not self.a_values:
-            raise ValueError("a_values must be non-empty")
         for name in ("a_values", "deg_s", "deg_p", "emptiness_deg_s"):
             sched = getattr(self, name)
-            if sched is not None:
-                if len(sched) == 0:
-                    raise ValueError("%s must be non-empty when given" % name)
-                if any(d < 0 for d in sched):
-                    raise ValueError("%s entries must be non-negative" % name)
-                if list(sched) != sorted(sched):
-                    raise ValueError("%s must be non-decreasing" % name)
-        if self.deg_p is not None and self.deg_s is not None:
-            if len(self.deg_p) != len(self.deg_s):
-                raise ValueError("deg_p and deg_s schedules must have equal length")
-        if self.archimedean_C is not None and self.archimedean_C < 1:
-            raise ValueError("archimedean_C must be a positive integer")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+            if sched is None and name != "a_values":
+                continue
+            if not isinstance(sched, (list, tuple)):
+                raise ValueError("%s: expected a list" % name)
+            if not sched:
+                raise ValueError("%s: must be non-empty" % name)
+            for i, d in enumerate(sched):
+                if not _is_int(d):
+                    raise ValueError("%s[%d]: expected an integer" % (name, i))
+                if d < 0:
+                    raise ValueError("%s[%d]: must be non-negative" % (name, i))
+            if list(sched) != sorted(sched):
+                raise ValueError("%s: must be non-decreasing" % name)
+            object.__setattr__(self, name, tuple(sched))
+        if self.deg_p is not None and len(self.deg_p) != len(self.deg_s or (None,)):
+            raise ValueError("deg_p: expected one entry per deg_s entry (one when deg_s is unset)")
+        for name, least in (("archimedean_C", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if value is None and name == "archimedean_C":
+                continue
+            if not _is_int(value):
+                raise ValueError("%s: expected an integer" % name)
+            if value < least:
+                raise ValueError("%s: must be at least %d" % (name, least))
+        if not isinstance(self.reduce_basis, bool):
+            raise ValueError("reduce_basis: expected a boolean")
 
 
 @dataclass
@@ -320,68 +341,41 @@ class VerificationOutcome:
 
 # -- sign-symmetry machinery -------------------------------------------------
 
-def _parity_mask(mono: Monomial) -> int:
-    mask = 0
-    for i, e in enumerate(mono):
-        if e & 1:
-            mask |= 1 << i
-    return mask
+def sign_classes(polys: Sequence[Polynomial]) -> Callable[[Monomial], int]:
+    """Map a monomial to its class under the sign flips fixing every polynomial.
 
-
-def sign_symmetry_kernel(polys: Sequence[Polynomial], nvars: int) -> List[int]:
-    """Basis (bitmask vectors) of sign flips fixing every given polynomial.
-
-    A flip pattern w sends x_i to -x_i when bit i is set; it fixes a
-    polynomial exactly when every monomial has even total degree in the
-    flipped variables, i.e. parity(mask(e) & w) = 0 for all exponent
-    vectors e. The returned masks span all such w over GF(2).
+    A monomial's parity mask has bit i set when x_i has odd exponent; a
+    flip of the variables in w changes its sign when the mask shares an odd
+    number of bits with w. The flips fixing the data are exactly those
+    orthogonal (over GF(2)) to the span S of the data's masks, so a
+    monomial keeps its sign under all of them iff its mask lies in S, and
+    two monomials (or the product of a pair) behave alike iff their masks
+    differ by an element of S. The class is the mask reduced modulo S
+    against an echelon basis, highest pivot first: 0 for invariant
+    monomials, equal for pairs whose product is invariant.
     """
-    rows: List[int] = []
+
+    def mask(mono: Monomial) -> int:
+        return sum(1 << i for i, e in enumerate(mono) if e & 1)
+
+    pivots: Dict[int, int] = {}
     for p in polys:
         for mono in p.terms:
-            m = _parity_mask(mono)
-            if m:
-                rows.append(m)
-    # Reduced row echelon form over GF(2).
-    pivots: Dict[int, int] = {}
-    for v in rows:
-        while v:
-            p = v.bit_length() - 1
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
-    # Clear pivot bits from the other rows (full reduction).
-    for p in sorted(pivots, reverse=True):
-        for q in list(pivots):
-            if q != p and (pivots[q] >> p) & 1:
-                pivots[q] ^= pivots[p]
-    pivot_bits = set(pivots)
-    free_bits = [b for b in range(nvars) if b not in pivot_bits]
-    kernel = []
-    for fb in free_bits:
-        w = 1 << fb
-        for p, row in pivots.items():
-            rest = row & ~(1 << p)
-            if (rest & w).bit_count() & 1:
-                w |= 1 << p
-        kernel.append(w)
-    return kernel
+            v = mask(mono)
+            while v and v.bit_length() - 1 in pivots:
+                v ^= pivots[v.bit_length() - 1]
+            if v:
+                pivots[v.bit_length() - 1] = v
+    echelon = sorted(pivots.items(), reverse=True)
 
+    def reduce(mono: Monomial) -> int:
+        v = mask(mono)
+        for top, row in echelon:
+            if (v >> top) & 1:
+                v ^= row
+        return v
 
-def _flip_parities(mono: Monomial, kernel: Sequence[int]) -> int:
-    """Bit t is set when the flip kernel[t] changes the sign of mono.
-
-    Parities add under multiplication: the product of two monomials has the
-    XOR of their parities, so it is invariant exactly when they are equal.
-    """
-    m = _parity_mask(mono)
-    return sum(((m & w).bit_count() & 1) << t for t, w in enumerate(kernel))
-
-
-def _invariant(mono: Monomial, kernel: Sequence[int]) -> bool:
-    return _flip_parities(mono, kernel) == 0
+    return reduce
 
 
 def _union_support(polys: Sequence[Polynomial]) -> List[int]:
@@ -476,15 +470,13 @@ def _bases(
     if not reduce_basis:
         return monomial_basis(n, deg_s), monomial_basis(n, deg_p), {}
     support = _union_support(fixed)
-    kernel = sign_symmetry_kernel(fixed, n)
-    free_basis = [
-        mo for mo in monomial_basis_on_support(n, deg_p, support) if _invariant(mo, kernel)
-    ]
+    sign_class = sign_classes(fixed)
+    free_basis = [mo for mo in monomial_basis_on_support(n, deg_p, support) if sign_class(mo) == 0]
     gram_basis = monomial_basis_on_support(n, deg_s, support)
-    parities = [_flip_parities(mo, kernel) for mo in gram_basis]
+    classes = [sign_class(mo) for mo in gram_basis]
 
     def keep_pair(i: int, j: int) -> bool:
-        return parities[i] == parities[j]
+        return classes[i] == classes[j]
 
     return gram_basis, free_basis, {"keep_pair": keep_pair}
 

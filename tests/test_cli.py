@@ -214,6 +214,30 @@ def test_bad_schedule_flags_exit_three(tmp_path):
     assert main(["verify", path, "--a-values", "x"]) == 3
 
 
+def test_bad_option_values_exit_three(tmp_path, capsys):
+    # null is "default" only where the default is null; every other bad value
+    # is a format error naming its field or entry, never an internal error.
+    for options, path in [({"max_iters": None}, "options.max_iters: expected an integer"),
+                          ({"reduce_basis": None}, "options.reduce_basis: expected a boolean"),
+                          ({"archimedean_C": True}, "options.archimedean_C: expected an integer"),
+                          ({"deg_s": [1], "deg_p": [1, 2]}, "options.deg_p: expected one entry"),
+                          ({"deg_p": [1, 2]}, "options.deg_p: expected one entry"),
+                          ({"deg_s": [2, 1]}, "options.deg_s: must be non-decreasing")]:
+        doc = unit_disc_doc()
+        doc["options"] = options
+        assert main(["verify", write_problem(tmp_path, "opt.json", doc)]) == 3
+        assert "error: %s" % path in capsys.readouterr().err
+    path = write_problem(tmp_path, "p.json", unit_disc_doc())
+    assert main(["verify", path, "--deg-p", "1,2"]) == 3
+    assert "error: deg_p: expected one entry" in capsys.readouterr().err
+    # An empty list flag is not given: the problem file's schedule stays.
+    doc = unit_disc_doc()
+    doc["options"] = {"a_values": [0], "deg_s": None}
+    path = write_problem(tmp_path, "null.json", doc)
+    assert main(["verify", path, "--a-values", "", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["schedule"]["entries"] == [[0, 1, 1]]
+
+
 def test_export_lp_round_trip(tmp_path):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
     out = tmp_path / "program.lp"

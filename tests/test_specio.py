@@ -11,7 +11,6 @@ from barrierlp.cli import _add_option_flags
 from barrierlp.polyring import Polynomial, monomial_basis
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.specio import (
-    _OPTION_FIELDS,
     PolyParseError,
     ProblemFormatError,
     load_problem,
@@ -193,11 +192,28 @@ def test_load_problem_options_resolved():
     assert str(err.value) == "options.parallel: unknown option"
 
 
+def test_load_problem_options_are_checked_by_verifier_options():
+    doc = minimal_doc()
+    doc["options"] = {"deg_s": None, "deg_p": None, "emptiness_deg_s": None,
+                      "archimedean_C": None, "a_values": [0], "max_iters": 7}
+    assert load_problem(doc).options == VerifierOptions(a_values=(0,), max_iters=7)
+    for options, path, message in [
+        ({"max_iters": None}, "options.max_iters", "expected an integer"),
+        ({"reduce_basis": None}, "options.reduce_basis", "expected a boolean"),
+        ({"a_values": None}, "options.a_values", "expected a list"),
+        ({"deg_s": [True]}, "options.deg_s[0]", "expected an integer"),
+        ({"deg_s": [1, 0]}, "options.deg_s", "must be non-decreasing"),
+        ({"archimedean_C": 0}, "options.archimedean_C", "must be at least 1"),
+    ]:
+        doc["options"] = options
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(doc)
+        assert (err.value.path, str(err.value)) == (path, "%s: %s" % (path, message))
+
+
 def test_option_schema_matches_verifier_options():
-    # Problem-file keys are exactly the settable fields, and every CLI
-    # option flag sets one of them (--no-X clears X).
+    # Every CLI option flag sets one of the settable fields (--no-X clears X).
     names = {f.name for f in dataclasses.fields(VerifierOptions)}
-    assert set(_OPTION_FIELDS) == names
     parser = argparse.ArgumentParser()
     _add_option_flags(parser)
     dests = [a.dest for a in parser._actions if a.dest != "help"]

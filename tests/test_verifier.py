@@ -1,5 +1,6 @@
 """Tests for LP assembly, verdict drivers, and certificate gating."""
 
+import dataclasses
 import hashlib
 import logging
 
@@ -39,12 +40,11 @@ from barrierlp.verifier import (
     certificate_residual,
     default_deg_p,
     default_deg_s,
-    sign_symmetry_kernel,
+    sign_classes,
     support_ring,
     verify_multi,
     verify_single,
     _farkas_acceptable,
-    _invariant,
 )
 
 
@@ -263,7 +263,8 @@ def test_multi_iteration_limit_warns_once_per_lp():
 # Two documents of the corpus generator (perfbench/workloads.py) whose single
 # programs end in the gated simplex exits. STALL_WINDOW_DOC is draw 31 from
 # np.random.default_rng(3): the a=0 program of its first candidate (108 x 56)
-# stalls after 1001 pivots, though HiGHS proves it infeasible. ERODED_DOC is
+# stalls after one improving pivot and a whole progress window, 409 pivots
+# in all, though HiGHS proves it infeasible. ERODED_DOC is
 # draw 6 from default_rng(21): the a=1 program of its second candidate
 # (136 x 92) ends with a point that meets every reduced row but leaves a
 # sign column at -0.037, so it misses that column's sign row; HiGHS finds
@@ -310,6 +311,10 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
     out = verify_single(spec.system, spec.candidates[index], spec.options)
     assert out.verdict is Verdict.INCONCLUSIVE
     assert [(r.status, r.exit) for r in out.lps] == expected
+    # One improving pivot, then a progress window of 2 (rows + logical
+    # columns) = 408 pivots of the presolved program.
+    assert [r.iterations for r in out.lps if r.exit == "stall_window"] == \
+        ([409] if doc is STALL_WINDOW_DOC else [])
     assert [w for w in out.warnings if "iteration limit" in w] == \
         ["%s: iteration limit reached" % r.name for r in out.lps
          if r.status == LpStatus.ITERATION_LIMIT.value]
@@ -515,25 +520,53 @@ def test_multi_with_native_witness_does_not_warn():
 
 def test_sign_symmetry_kernel_even_poly():
     n = 2
-    p = _x(0, n) ** 2 + _x(1, n) ** 2
-    kernel = sign_symmetry_kernel([p], n)
-    # Both single-variable flips fix an even polynomial.
-    assert sorted(kernel) == [0b01, 0b10]
+    sign_class = sign_classes([_x(0, n) ** 2 + _x(1, n) ** 2])
+    # Both single-variable flips fix an even polynomial, so x0, x1 and x0*x1
+    # change sign under different flips, while x0^2 changes under none.
+    classes = [sign_class(mo) for mo in [(1, 0), (0, 1), (1, 1)]]
+    assert len(set(classes)) == 3 and 0 not in classes
+    assert sign_class((2, 0)) == 0
 
 
 def test_sign_symmetry_kernel_cross_term():
     n = 2
-    p = _x(0, n) * _x(1, n)
-    kernel = sign_symmetry_kernel([p], n)
-    assert kernel == [0b11]
-    assert _invariant((1, 1), kernel)
-    assert not _invariant((1, 0), kernel)
+    sign_class = sign_classes([_x(0, n) * _x(1, n)])
+    # Only the joint flip of x0 and x1 fixes x0*x1.
+    assert sign_class((1, 1)) == 0
+    assert sign_class((1, 0)) != 0
+    assert sign_class((1, 0)) == sign_class((0, 1))
 
 
 def test_sign_symmetry_kernel_odd_poly_trivial():
     n = 1
-    kernel = sign_symmetry_kernel([_x(0, n)], n)
-    assert kernel == []
+    sign_class = sign_classes([_x(0, n)])
+    # No flip fixes x0, so nothing is pruned.
+    assert sign_class((1,)) == sign_class((0,)) == 0
+
+
+def test_sign_classes_match_brute_force_flips():
+    # Two monomials share a class exactly when every sign flip fixing the
+    # data changes both signs or neither; class 0 when it changes neither.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        polys = [Polynomial({tuple(int(e) for e in rng.integers(0, 4, size=n)): 1.0
+                             for _ in range(int(rng.integers(1, 4)))}, n)
+                 for _ in range(int(rng.integers(1, 3)))]
+
+        def flips(mono):
+            # Entry w is 1 when the flip pattern w changes mono's sign.
+            return [sum(e for i, e in enumerate(mono) if (w >> i) & 1) & 1 for w in range(2 ** n)]
+
+        fixing = [w for w in range(2 ** n)
+                  if not any(flips(mo)[w] for p in polys for mo in p.terms)]
+        sign_class = sign_classes(polys)
+        monos = monomial_basis(n, 2)
+        signature = {mo: tuple(flips(mo)[w] for w in fixing) for mo in monos}
+        for mo in monos:
+            assert (sign_class(mo) == 0) == (not any(signature[mo]))
+            for other in monos:
+                assert (sign_class(mo) == sign_class(other)) == (signature[mo] == signature[other])
 
 
 def test_reduction_preserves_single_verdict():
@@ -795,6 +828,40 @@ def test_options_validation():
     with pytest.raises(ValueError):
         VerifierOptions(max_iters=-5)
     assert VerifierOptions(max_iters=0).max_iters == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iters": None}, "max_iters: expected an integer"),
+    ({"max_iters": 2.0}, "max_iters: expected an integer"),
+    ({"reduce_basis": None}, "reduce_basis: expected a boolean"),
+    ({"reduce_basis": 1}, "reduce_basis: expected a boolean"),
+    ({"archimedean_C": True}, "archimedean_C: expected an integer"),
+    ({"archimedean_C": 0}, "archimedean_C: must be at least 1"),
+    ({"a_values": None}, "a_values: expected a list"),
+    ({"a_values": (0.5,)}, "a_values[0]: expected an integer"),
+    ({"a_values": (0, -1)}, "a_values[1]: must be non-negative"),
+    ({"deg_s": [True]}, "deg_s[0]: expected an integer"),
+    ({"deg_s": [1.5]}, "deg_s[0]: expected an integer"),
+    ({"deg_s": 2}, "deg_s: expected a list"),
+    ({"deg_s": []}, "deg_s: must be non-empty"),
+    ({"deg_s": [2, 1]}, "deg_s: must be non-decreasing"),
+    ({"emptiness_deg_s": (0.5,)}, "emptiness_deg_s[0]: expected an integer"),
+    ({"deg_p": [1, 2]}, "deg_p: expected one entry per deg_s entry"),
+    ({"deg_s": [1, 2], "deg_p": [1]}, "deg_p: expected one entry per deg_s entry"),
+])
+def test_options_reject_every_bad_value_with_its_path(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        VerifierOptions(**kwargs)
+    assert str(err.value).startswith(message)
+
+
+def test_options_are_frozen_and_store_schedules_as_tuples():
+    opts = VerifierOptions(a_values=[0], deg_s=[1, 2], deg_p=[1, 2], emptiness_deg_s=[0])
+    assert (opts.a_values, opts.deg_s, opts.deg_p, opts.emptiness_deg_s) == ((0,), (1, 2), (1, 2), (0,))
+    assert opts == VerifierOptions(a_values=(0,), deg_s=(1, 2), deg_p=(1, 2), emptiness_deg_s=(0,))
+    assert VerifierOptions(deg_p=[3]).deg_p == (3,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.max_iters = 5
 
 
 def test_explicit_schedule_is_respected():
