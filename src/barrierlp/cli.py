@@ -25,6 +25,7 @@ from .specio import (
     write_report,
 )
 from .verifier import (
+    LP_TIMINGS,
     Verdict,
     VerifierOptions,
     _emptiness_schedule,
@@ -218,7 +219,7 @@ def cmd_bench_satellite(args) -> int:
         for row in report["rows"]:
             row["seconds"] = 0.0
             for lp in row.get("lps", ()):
-                lp["seconds"] = 0.0
+                lp.update((t, 0.0) for t in LP_TIMINGS)
     header = "%4s  %-20s  %10s" % ("L", "verdict", "seconds")
     print(header)
     print("-" * len(header))

@@ -123,15 +123,17 @@ class LpProblem:
             raise ValueError("nvars must be >= 0, got %d" % nvars)
         self.nvars = nvars
         if names is None:
+            # Generated names are valid and unique by construction.
             names = ["z%d" % (i + 1) for i in range(nvars)]
-        names = list(names)
-        if len(names) != nvars:
-            raise ValueError("expected %d names, got %d" % (nvars, len(names)))
-        for nm in names:
-            if not _NAME_RE.match(nm):
-                raise ValueError("invalid variable name %r" % nm)
-        if len(set(names)) != nvars:
-            raise ValueError("variable names must be unique")
+        else:
+            names = list(names)
+            if len(names) != nvars:
+                raise ValueError("expected %d names, got %d" % (nvars, len(names)))
+            for nm in names:
+                if not _NAME_RE.match(nm):
+                    raise ValueError("invalid variable name %r" % nm)
+            if len(set(names)) != nvars:
+                raise ValueError("variable names must be unique")
         self.names = names
         self.eq_rows: List[SparseRow] = []
         self.ub_rows: List[SparseRow] = []

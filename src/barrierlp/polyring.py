@@ -183,15 +183,15 @@ class Polynomial:
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial power must be a non-negative integer")
         # p**0 = 1 for every p, including p = 0 (the 0**0 := 1 convention).
-        result = Polynomial.one(self.nvars)
+        result = None
         base = self
         k = power
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Polynomial.one(self.nvars) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

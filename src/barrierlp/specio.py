@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import Monomial, Polynomial, PolyMatrix
 from .verifier import (
+    LP_TIMINGS,
     CandidateCbf,
     Certificate,
     ControlAffineSystem,
@@ -456,7 +457,8 @@ def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
         "schedule": outcome.schedule,
         "warnings": list(outcome.warnings),
         "lps": [
-            dict(asdict(r), seconds=0.0 if deterministic else r.seconds) for r in outcome.lps
+            dict(asdict(r), **({t: 0.0 for t in LP_TIMINGS} if deterministic else {}))
+            for r in outcome.lps
         ],
         "certificate": _certificate_block(outcome.certificate, deterministic),
     }

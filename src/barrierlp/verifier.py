@@ -58,6 +58,7 @@ from .affinegram import (
     DecisionAllocator,
     DsosVar,
     LinearPoly,
+    MonomialCodes,
     coefficient_system,
     dd_linear_constraints,
     fresh_dsos_poly,
@@ -231,8 +232,9 @@ class VerifierOptions:
     emptiness_deg_s: half-degrees for the emptiness sweep (default:
         [0, ceil(max deg(bi)/2)] deduplicated).
     archimedean_C: when set, the emptiness program gains the generator
-        C - sum_i x_i^2; when unset a warning records that compactness of
-        the described region is the caller's responsibility.
+        C - sum_i x_i^2 (C must convert to a float); when unset a warning
+        records that compactness of the described region is the caller's
+        responsibility.
     max_iters: simplex pivot budget of each program.
     reduce_basis: apply support restriction and sign-symmetry pruning.
 
@@ -278,6 +280,11 @@ class VerifierOptions:
                 raise ValueError("%s: expected an integer" % name)
             if value < least:
                 raise ValueError("%s: must be at least %d" % (name, least))
+        if self.archimedean_C is not None:
+            try:
+                float(self.archimedean_C)
+            except OverflowError:
+                raise ValueError("archimedean_C: too large for a float") from None
         if not isinstance(self.reduce_basis, bool):
             raise ValueError("reduce_basis: expected a boolean")
 
@@ -317,15 +324,28 @@ class Certificate:
 
 @dataclass
 class LpRecord:
+    """One program of a verification: its shape, how it was solved, and what each phase cost.
+
+    seconds is the solve, assemble_s the transcription into the LP (both 0.0
+    when reused), gate_s the Farkas check of a refutation or the extraction
+    and gates of a feasible point, as run for this record.
+    """
+
     name: str
     status: str
     rows: int
     cols: int
     iterations: int
     exit: str  # why the simplex stopped; see LpOutcome
-    seconds: float  # 0.0 when reused
+    seconds: float
+    assemble_s: float = 0.0
+    gate_s: float = 0.0
     farkas_valid: Optional[bool] = None
     reused: bool = False  # the same program was solved earlier in the call
+
+
+# The LpRecord fields that time a phase; deterministic reports zero them.
+LP_TIMINGS = ("seconds", "assemble_s", "gate_s")
 
 
 @dataclass
@@ -484,13 +504,18 @@ def _bases(
 def _identity_lp(
     nvars: int, identity: LinearPoly, fixed: Polynomial, dsos_vars: Sequence[DsosVar]
 ) -> LpProblem:
-    """Equality rows zeroing every coefficient of identity + fixed, then the weights' sign rows."""
+    """Equality rows zeroing every coefficient of identity + fixed, then the weights' sign rows.
+
+    The rows are stored after one check of the columns they are built from,
+    in place of LpProblem's per-row check: every column lies in [0, nvars).
+    coefficient_system has already refused any sum that is not finite.
+    """
+    cols = np.concatenate([identity.col] + [np.fromiter(v.rays, np.int64) for v in dsos_vars])
+    if cols.size and not (0 <= cols.min() and cols.max() < nvars):
+        raise ValueError("decision column out of range [0, %d)" % nvars)
     lp = LpProblem(nvars)
-    for coefs, rhs in coefficient_system(identity, fixed):
-        lp.add_eq(coefs, rhs)
-    for var in dsos_vars:
-        for coefs, rhs in dd_linear_constraints(var):
-            lp.add_ub(coefs, rhs)
+    lp.eq_rows = coefficient_system(identity, fixed)
+    lp.ub_rows = [row for var in dsos_vars for row in dd_linear_constraints(var)]
     return lp
 
 
@@ -515,23 +540,7 @@ def assemble_single_lp(
     # A reduced program drops the channels that never enter the identity.
     live = [j for j, g in enumerate(lgb_entries) if not (reduce_basis and g.is_zero())]
 
-    alloc = DecisionAllocator()
-    p10 = fresh_free_poly(alloc, free_basis)
-    p20 = fresh_free_poly(alloc, free_basis)
-    p1: List[Optional[LinearPoly]] = [None] * m
-    p2: List[Optional[LinearPoly]] = [None] * m
-    for channel in (p1, p2):
-        for j in live:
-            channel[j] = fresh_free_poly(alloc, free_basis)
-    s1 = fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
-    s2 = fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
-
     fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
-
-    h1 = linear_sum([(1.0, s1.expansion), (1.0, mul_fixed(p10, b))]
-                    + [(1.0, mul_fixed(p1[j], lgb_entries[j])) for j in live])
-    e = linear_sum([(1.0, mul_fixed(h1, lfb)), (-1.0, s2.expansion), (-1.0, mul_fixed(p20, b))]
-                   + [(-1.0, mul_fixed(p2[j], lgb_entries[j])) for j in live])
 
     # A fixed term of higher degree than any multiplier product cannot be
     # matched; assemble anyway, the resulting infeasibility is informative.
@@ -546,6 +555,24 @@ def assemble_single_lp(
             fixed.degree(),
             max(reach),
         )
+    # Every term of the identity, the fixed one and the free bases lie within this degree.
+    codes = MonomialCodes(n, max(reach + [fixed.degree(), deg_p]))
+
+    alloc = DecisionAllocator()
+    p10 = fresh_free_poly(alloc, free_basis, codes)
+    p20 = fresh_free_poly(alloc, free_basis, codes)
+    p1: List[Optional[LinearPoly]] = [None] * m
+    p2: List[Optional[LinearPoly]] = [None] * m
+    for channel in (p1, p2):
+        for j in live:
+            channel[j] = fresh_free_poly(alloc, free_basis, codes)
+    s1 = fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
+    s2 = fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
+
+    h1 = linear_sum([(1.0, s1.expansion), (1.0, mul_fixed(p10, b))]
+                    + [(1.0, mul_fixed(p1[j], lgb_entries[j])) for j in live])
+    e = linear_sum([(1.0, mul_fixed(h1, lfb)), (-1.0, s2.expansion), (-1.0, mul_fixed(p20, b))]
+                   + [(-1.0, mul_fixed(p2[j], lgb_entries[j])) for j in live])
 
     lp = _identity_lp(alloc.count, e, fixed, (s1, s2))
     layout = SingleLayout(
@@ -632,10 +659,12 @@ def assemble_emptiness_lp(
     if augmented:
         generators = augment_archimedean(cands, archimedean_C)
     gram_basis, _, dsos_kw = _bases(generators, n, deg_s, 0, reduce_basis)
+    # s_i * b_i reaches 2 deg_s + deg(b_i).
+    codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
 
     alloc = DecisionAllocator()
     s_vars = [
-        fresh_dsos_poly(alloc, gram_basis, **dsos_kw)
+        fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
         for _ in range(1 + len(generators))
     ]
 
@@ -672,10 +701,10 @@ def extract_single_certificate(
     variables and channels (a dropped channel gets zero multipliers), and
     the residual is recomputed against cand in its full ring.
     """
-    k = len(ring.variables)
-
     def lift(lin: Optional[LinearPoly]) -> Polynomial:
-        return ring.lift(instantiate(lin or {}, z, k))
+        if lin is None:
+            return Polynomial.zero(ring.nvars)
+        return ring.lift(instantiate(lin, z, layout.free_basis))
 
     p1 = [Polynomial.zero(ring.nvars)] * ring.ninputs
     p2 = list(p1)
@@ -822,7 +851,9 @@ def _farkas_acceptable(lp: LpProblem, out: LpOutcome) -> bool:
     return bool(combo <= margin / FARKAS_LEVERAGE)
 
 
-def _solve(name: str, lp: LpProblem, opts: VerifierOptions) -> Tuple[LpRecord, LpOutcome]:
+def _solve(
+    name: str, lp: LpProblem, opts: VerifierOptions, assemble_s: float
+) -> Tuple[LpRecord, LpOutcome]:
     """Solve one program and record it.
 
     An infeasible answer's record says whether its Farkas certificate holds.
@@ -837,27 +868,34 @@ def _solve(name: str, lp: LpProblem, opts: VerifierOptions) -> Tuple[LpRecord, L
         iterations=out.iterations,
         exit=out.exit,
         seconds=out.wall_time,
+        assemble_s=assemble_s,
     )
     if out.status is LpStatus.INFEASIBLE:
+        t0 = time.perf_counter()
         record.farkas_valid = _farkas_acceptable(lp, out)
+        record.gate_s = time.perf_counter() - t0
     return record, out
 
 
 def _gate(
-    name: str, out: LpOutcome, extract: Callable[[np.ndarray], Certificate]
+    record: LpRecord, out: LpOutcome, extract: Callable[[np.ndarray], Certificate]
 ) -> Tuple[Optional[Certificate], Optional[str]]:
     """Gate a solved program's answer: (certificate or None, warning or None).
 
     A feasible point yields a certificate only when the extracted Grams are
     diagonally dominant within DD_GATE_TOL and the substitution residual is
-    at most RESIDUAL_GATE_TOL.
+    at most RESIDUAL_GATE_TOL; the time this takes is added to record.gate_s.
     """
+    name = record.name
     if out.status is LpStatus.INFEASIBLE:
         return None, None
     if out.status is LpStatus.ITERATION_LIMIT:
         return None, "%s: iteration limit reached" % name
+    t0 = time.perf_counter()
     cert = extract(out.point)
-    if cert.grams_diagonally_dominant(DD_GATE_TOL) and cert.residual <= RESIDUAL_GATE_TOL:
+    passed = cert.grams_diagonally_dominant(DD_GATE_TOL) and cert.residual <= RESIDUAL_GATE_TOL
+    record.gate_s += time.perf_counter() - t0
+    if passed:
         return cert, None
     return None, "%s: feasible point failed the certificate gate (residual %.3g)" % (
         name, cert.residual)
@@ -886,9 +924,10 @@ def _verify_singles(
 ) -> List[VerificationOutcome]:
     """verify_single for each candidate, solving each program once per class key.
 
-    A program's first use records its solve; a later candidate of the same
-    class gets a copy with seconds 0.0 and reused set, and gates the same
-    point in its own ring. Nothing is kept beyond the call.
+    A program's first use records its assembly and solve; a later candidate
+    of the same class gets a copy with seconds and assemble_s 0.0 and reused
+    set, gates the same point in its own ring, and records that gate's time
+    alone in gate_s. Nothing is kept beyond the call.
     """
     solved: Dict[tuple, Tuple[LpRecord, LpOutcome, SingleLayout]] = {}
     outcomes = []
@@ -909,14 +948,15 @@ def _verify_singles(
             key = (class_key, a, ds, dp)
             if key in solved:
                 record, out, layout = solved[key]
-                record = replace(record, seconds=0.0, reused=True)
+                record = replace(record, seconds=0.0, assemble_s=0.0, gate_s=0.0, reused=True)
             else:
+                t_asm = time.perf_counter()
                 lp, layout = assemble_single_lp(ring.cand, a, ds, dp,
                                                 reduce_basis=opts.reduce_basis)
-                record, out = _solve(name, lp, opts)
+                record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
                 solved[key] = record, out, layout
             cert, warning = _gate(
-                name, out, lambda z: extract_single_certificate(layout, z, cand, ring)
+                record, out, lambda z: extract_single_certificate(layout, z, cand, ring)
             )
             outcome.lps.append(record)
             if warning is not None:
@@ -942,12 +982,13 @@ def _emptiness_sweep(
     warnings: List[str] = []
     for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]:
         name = "emptiness deg_s=%d" % ds
+        t_asm = time.perf_counter()
         lp, layout = assemble_emptiness_lp(
             cands, ds, archimedean_C=opts.archimedean_C, reduce_basis=opts.reduce_basis
         )
-        record, out = _solve(name, lp, opts)
+        record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
         cert, warning = _gate(
-            name, out, lambda z: extract_emptiness_certificate(layout, z, cands)
+            record, out, lambda z: extract_emptiness_certificate(layout, z, cands)
         )
         records.append(record)
         if warning is not None:

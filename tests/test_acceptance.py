@@ -12,15 +12,15 @@ import time
 
 import numpy as np
 
-from _oracles import fm_feasible, ray_weights
+from _oracles import fm_feasible, fold, instantiate, ray_weights
 from barrierlp.affinegram import (
     DecisionAllocator,
+    MonomialCodes,
     coefficient_system,
     dd_linear_constraints,
     fresh_dsos_poly,
     fresh_free_poly,
     gram_expansion,
-    instantiate,
     is_diagonally_dominant,
     mul_fixed,
 )
@@ -78,7 +78,8 @@ def test_criterion_01_gram_example_fidelity():
     # (c1 + c2 x + c3 x^2) * (x^2 - 4): each product monomial must carry an
     # exactly reproduced linear form in (c1, c2, c3), with no tolerance.
     alloc = DecisionAllocator()
-    c = fresh_free_poly(alloc, monomial_basis(1, 2))  # c1 <-> z0, c2 <-> z1, c3 <-> z2
+    codes = MonomialCodes(1, 4)
+    c = fresh_free_poly(alloc, monomial_basis(1, 2), codes)  # c1 <-> z0, c2 <-> z1, c3 <-> z2
     x = _x(0, 1)
     prod = mul_fixed(c, x * x - 4.0 * Polynomial.one(1))
     expected = {
@@ -88,7 +89,7 @@ def test_criterion_01_gram_example_fidelity():
         (3,): {1: 1.0},
         (4,): {2: 1.0},
     }
-    assert prod == expected
+    assert fold(prod) == expected
     # The equality rows carry the same forms in term order, with zero right-hand sides.
     rows = coefficient_system(prod, Polynomial.zero(1))
     assert [coefs for coefs, _ in rows] == [expected[m] for m in sorted(expected, key=grlex_key)]
@@ -111,7 +112,7 @@ def test_criterion_02_dd_linearization_correctness():
                 off = sum(abs(M[i, j]) for j in range(k) if j != i)
                 M[i, i] = off + rng.uniform(0.0, 1.0)
         alloc = DecisionAllocator()
-        v = fresh_dsos_poly(alloc, monomial_basis(1, k - 1))
+        v = fresh_dsos_poly(alloc, monomial_basis(1, k - 1), MonomialCodes(1, 2 * k - 2))
         assert v.dim == k
         lp = LpProblem(alloc.count)
         for coefs, rhs in dd_linear_constraints(v):
@@ -140,11 +141,11 @@ def test_criterion_03_decomposition_round_trip():
         for i in range(k):
             off = sum(abs(M[i, j]) for j in range(k) if j != i)
             M[i, i] = off + rng.uniform(0.0, 1.0)
-        v = fresh_dsos_poly(DecisionAllocator(), basis)
+        v = fresh_dsos_poly(DecisionAllocator(), basis, MonomialCodes(n, 2 * d))
         z = np.array(ray_weights(v, M))
         assert z.min() >= 0.0, "trial %d" % trial
         assert np.allclose(v.gram(z), M, rtol=0.0, atol=1e-12), "trial %d" % trial
-        expanded = instantiate(v.expansion, z, n)
+        expanded = instantiate(fold(v.expansion), z, n)
         target = gram_expansion(M, basis)
         diff = expanded - target
         worst = max((abs(c) for c in diff.terms.values()), default=0.0)

@@ -220,6 +220,7 @@ def test_bad_option_values_exit_three(tmp_path, capsys):
     for options, path in [({"max_iters": None}, "options.max_iters: expected an integer"),
                           ({"reduce_basis": None}, "options.reduce_basis: expected a boolean"),
                           ({"archimedean_C": True}, "options.archimedean_C: expected an integer"),
+                          ({"archimedean_C": 10 ** 400}, "options.archimedean_C: too large"),
                           ({"deg_s": [1], "deg_p": [1, 2]}, "options.deg_p: expected one entry"),
                           ({"deg_p": [1, 2]}, "options.deg_p: expected one entry"),
                           ({"deg_s": [2, 1]}, "options.deg_s: must be non-decreasing")]:
@@ -230,6 +231,8 @@ def test_bad_option_values_exit_three(tmp_path, capsys):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
     assert main(["verify", path, "--deg-p", "1,2"]) == 3
     assert "error: deg_p: expected one entry" in capsys.readouterr().err
+    assert main(["verify", path, "--archimedean-C", str(10 ** 400)]) == 3
+    assert "error: archimedean_C: too large for a float" in capsys.readouterr().err
     # An empty list flag is not given: the problem file's schedule stays.
     doc = unit_disc_doc()
     doc["options"] = {"a_values": [0], "deg_s": None}
@@ -313,7 +316,7 @@ def test_bench_flag_overrides(tmp_path, capsys):
     assert (first["status"], first["iterations"], first["exit"]) == \
         ("Infeasible", 65, "optimal")
     assert first["farkas_valid"] is True
-    assert first["seconds"] == 0.0
+    assert (first["seconds"], first["assemble_s"], first["gate_s"]) == (0.0, 0.0, 0.0)
 
 
 def test_module_entry_point(tmp_path):

@@ -47,13 +47,13 @@ def gated_answers(monkeypatch, run):
     solved, certs = [], {}
     solve, gate = verifier._solve, verifier._gate
 
-    def capture_solve(name, lp, opts):
-        record, out = solve(name, lp, opts)
+    def capture_solve(name, lp, *rest):
+        record, out = solve(name, lp, *rest)
         solved.append((lp, record, out))
         return record, out
 
-    def capture_gate(name, out, extract):
-        cert, warning = gate(name, out, extract)
+    def capture_gate(record, out, extract):
+        cert, warning = gate(record, out, extract)
         if cert is not None:
             certs[id(out)] = cert
         return cert, warning

@@ -9,7 +9,12 @@ import pytest
 
 from _oracles import fm_feasible
 from barrierlp import lpsolve
-from barrierlp.affinegram import DecisionAllocator, dd_linear_constraints, fresh_dsos_poly
+from barrierlp.affinegram import (
+    DecisionAllocator,
+    MonomialCodes,
+    dd_linear_constraints,
+    fresh_dsos_poly,
+)
 from barrierlp.lpsolve import (
     FEAS_TOL,
     FarkasCertificate,
@@ -49,7 +54,7 @@ def test_contradictory_pair_is_infeasible():
 def test_dd_system_with_negative_diagonal_is_infeasible():
     # Non-negative ray weights force Q11 >= 0; pinning Q11 = -1 contradicts them.
     alloc = DecisionAllocator()
-    v = fresh_dsos_poly(alloc, monomial_basis(1, 1))
+    v = fresh_dsos_poly(alloc, monomial_basis(1, 1), MonomialCodes(1, 2))
     lp = LpProblem(alloc.count)
     for coefs, rhs in dd_linear_constraints(v):
         lp.add_ub(coefs, rhs)

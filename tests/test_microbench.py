@@ -7,6 +7,7 @@ pytest.importorskip("pytest_benchmark")
 
 import barrierlp.verifier as verifier
 from barrierlp.lpsolve import LpStatus, solve_feasibility
+from barrierlp.specio import load_problem
 from barrierlp.polyring import evaluate, mul
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.verifier import (
@@ -15,8 +16,10 @@ from barrierlp.verifier import (
     assemble_single_lp,
     default_deg_p,
     default_deg_s,
+    support_ring,
     verify_multi,
 )
+from test_verifier import STALL_WINDOW_DOC
 
 
 def fleet(L):
@@ -86,3 +89,13 @@ def test_assemble_emptiness_six_chasers(benchmark):
     lp, _ = benchmark.pedantic(assemble_emptiness_lp, args=(cands, 1),
                                kwargs={"reduce_basis": True}, rounds=3, iterations=1)
     assert (lp.nrows, lp.nvars) == (962, 259)
+
+
+def test_assemble_corpus_single(benchmark):
+    """Assembly of a corpus-sized a=1 single program (n=3, m=2) in its support ring, 145 x 92."""
+    spec = load_problem(STALL_WINDOW_DOC)
+    ring = support_ring(spec.candidates[0], True)
+    assert (len(ring.variables), len(ring.channels)) == (3, 2)
+    lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(ring.cand, a=1),
+                               kwargs={"reduce_basis": True}, rounds=20, iterations=5)
+    assert (lp.nrows, lp.nvars) == (145, 92)

@@ -294,7 +294,13 @@ def test_report_deterministic_flag_zeroes_timings():
     a = write_report(out, deterministic=True)
     doc = json.loads(a)
     assert doc["seconds"] == 0.0
-    assert all(r["seconds"] == 0.0 for r in doc["lps"])
+    assert all(r[t] == 0.0 for r in doc["lps"] for t in ("seconds", "assemble_s", "gate_s"))
+    # Without the flag every phase of the solved program shows its time; the
+    # Feasible one's gate_s times its extraction and gates.
+    timed = json.loads(write_report(out))["lps"]
+    assert timed[-1]["status"] == "Feasible"
+    assert all(r["seconds"] > 0.0 and r["assemble_s"] > 0.0 for r in timed)
+    assert timed[-1]["gate_s"] > 0.0
     # two serializations of the same outcome are byte-identical
     assert a == write_report(out, deterministic=True)
 

@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+from _oracles import fold
 from barrierlp.lpsolve import (
     FEAS_TOL,
     FarkasCertificate,
@@ -76,7 +77,7 @@ def test_single_layout_size_small():
     assert lay.nvars == 16
     assert lp.nvars == 16
     # equality rows: one per monomial of the identity; sign rows: k^2 per Gram.
-    assert len(lp.eq_rows) == len(set(lay.identity) | set(lay.fixed.terms))
+    assert len(lp.eq_rows) == len(set(fold(lay.identity)) | set(lay.fixed.terms))
     assert lp.nrows == len(lp.eq_rows) + 2 * 4
 
 
@@ -95,10 +96,8 @@ def test_single_layout_allocation_order():
     _, lay = assemble_single_lp(cand(b, sys), a=0, deg_s=1, deg_p=1)
     k = len(lay.gram_basis)
     kp = len(lay.free_basis)
-    p10_vars = sorted(idx for row in lay.p10.values() for idx in row)
-    assert p10_vars == list(range(kp))
-    p20_vars = sorted(idx for row in lay.p20.values() for idx in row)
-    assert p20_vars == list(range(kp, 2 * kp))
+    assert lay.p10.col.tolist() == list(range(kp))
+    assert lay.p20.col.tolist() == list(range(kp, 2 * kp))
     assert min(lay.s1.rays) == 4 * kp  # after p10, p20, p1, p2
     assert min(lay.s2.rays) == 4 * kp + k * k  # s1 takes k^2 ray weights
     # e_1 e_1^T, then (e_1 + e_2)(e_1 + e_2)^T, e_2 e_2^T, then (e_1 - e_2)(e_1 - e_2)^T.
@@ -707,10 +706,11 @@ def test_relabelled_candidates_solve_each_program_once(monkeypatch):
     assert len(calls) == 4  # two emptiness degrees, then a=0 and a=1 once
     first, *rest = out.singles
     assert [r.reused for r in first.lps] == [False, False]
+    assert all(r.assemble_s > 0.0 and r.seconds > 0.0 for r in first.lps)
     for so in rest:
         assert [r.reused for r in so.lps] == [True, True]
         for mine, solved in zip(so.lps, first.lps):
-            assert mine.seconds == 0.0
+            assert mine.seconds == 0.0 and mine.assemble_s == 0.0
             assert (mine.status, mine.rows, mine.cols, mine.iterations, mine.exit,
                     mine.farkas_valid) == (solved.status, solved.rows, solved.cols,
                                            solved.iterations, solved.exit, solved.farkas_valid)
@@ -848,6 +848,7 @@ def test_options_validation():
     ({"emptiness_deg_s": (0.5,)}, "emptiness_deg_s[0]: expected an integer"),
     ({"deg_p": [1, 2]}, "deg_p: expected one entry per deg_s entry"),
     ({"deg_s": [1, 2], "deg_p": [1]}, "deg_p: expected one entry per deg_s entry"),
+    ({"archimedean_C": 10 ** 400}, "archimedean_C: too large for a float"),
 ])
 def test_options_reject_every_bad_value_with_its_path(kwargs, message):
     with pytest.raises(ValueError) as err:
@@ -981,10 +982,12 @@ PINNED_LP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
-def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
-    """Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at deg_s = degree;
-    the satellite single program of CwParams(L=1) at a = degree."""
+def flagship_program(family, degree, reduce_basis):
+    """(lp, layout, candidate assembled, or None for emptiness) of a pinned program.
+
+    Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at
+    deg_s = degree; the satellite single program of CwParams(L=1) at a = degree.
+    """
     sys = single_integrator(1)
     x = _x(0, 1)
     disc = cand(Polynomial.one(1) - x ** 2, sys)
@@ -993,16 +996,23 @@ def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
         sys = build_cw_system(params)
         sat = build_inspection_cbf(params, 0, sys)
         ds = default_deg_s(sat.b)
-        lp, _ = assemble_single_lp(sat, a=degree, deg_s=ds,
-                                   deg_p=default_deg_p(sat, degree, ds),
-                                   reduce_basis=reduce_basis)
+        lp, layout = assemble_single_lp(sat, a=degree, deg_s=ds,
+                                        deg_p=default_deg_p(sat, degree, ds),
+                                        reduce_basis=reduce_basis)
         assert (lp.nrows, lp.nvars) == (367, 154)
-    elif family == "single":
-        lp, _ = assemble_single_lp(disc, a=degree, deg_s=1,
-                                   deg_p=default_deg_p(disc, degree, 1),
-                                   reduce_basis=reduce_basis)
-    else:
-        ring = cand(x ** 2 - Polynomial.constant(0.25, 1), sys)
-        lp, _ = assemble_emptiness_lp([disc, ring], degree, reduce_basis=reduce_basis)
+        return lp, layout, sat
+    if family == "single":
+        lp, layout = assemble_single_lp(disc, a=degree, deg_s=1,
+                                        deg_p=default_deg_p(disc, degree, 1),
+                                        reduce_basis=reduce_basis)
+        return lp, layout, disc
+    ring = cand(x ** 2 - Polynomial.constant(0.25, 1), sys)
+    lp, layout = assemble_emptiness_lp([disc, ring], degree, reduce_basis=reduce_basis)
+    return lp, layout, None
+
+
+@pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
+def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
+    lp, _, _ = flagship_program(family, degree, reduce_basis)
     digest = hashlib.sha256(export_lp_text(lp).encode()).hexdigest()
     assert digest == PINNED_LP_DIGESTS[(family, degree, reduce_basis)]
