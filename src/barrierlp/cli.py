@@ -175,8 +175,7 @@ def cmd_export_lp(args) -> int:
         args.a_values = [args.a]
     opts = _options_from_args(args, spec.options)
     if args.emptiness:
-        ds = (_emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"][0]
-              if args.deg_s is None else args.deg_s[0])
+        ds = _emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"][0]
         lp, _ = assemble_emptiness_lp(
             spec.candidates, ds, archimedean_C=opts.archimedean_C,
             reduce_basis=opts.reduce_basis,

@@ -21,17 +21,16 @@ largest pivot entry among near-ties. That pairing has no anti-cycling
 guarantee: the progress window bounds any cycle.
 Only a run that ends optimal is trusted. Every other exit (pivot budget,
 progress window, an entering column with no usable pivot) reads
-IterationLimit, and so does an optimal run whose point misses a row of the
-caller's program.
-Every pivot appends one entry to an eta file, the product form of the basis
-inverse (Dantzig & Orchard-Hays 1954). An optimal run with a positive
-artificial sum recovers the multipliers y = c_B^T B^-1 of its final basis
-from it in one backward pass; they combine the constraints into
-0^T z <= -delta with delta > 0, so negative verdicts carry their own proof
-and can be revalidated by substitution. Postsolve maps points and
-multipliers back through the eliminations and gives every sign row the
-multiplier that zeroes its column, so every answer, and every check of it,
-refers to the caller's rows.
+IterationLimit, and so does an optimal run whose final basis is singular
+or whose point misses a row of the caller's program.
+An optimal run refactorizes its final basis once, from the tableau's
+starting entries, and answers from one solve with it: the basic point if
+the artificial sum is 0, else the multipliers y = c_B^T B^-1, which combine
+the constraints into 0^T z <= -delta with delta > 0, so negative verdicts
+carry their own proof and can be revalidated by substitution. Postsolve
+maps points and multipliers back through the eliminations and gives every
+sign row the multiplier that zeroes its column, so every answer, and every
+check of it, refers to the caller's rows.
 """
 
 from __future__ import annotations
@@ -46,10 +45,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Dense-tableau capacity: bytes of the (m+1) x (n+n_ub+1) tableau of the
-# presolved program, its equally sized work array and the eta file. A
-# tableau beyond it is refused before allocation (export_lp_text is the way
-# out); a run whose eta file would cross it ends IterationLimit.
+# Dense-tableau capacity: the bytes of the arrays one simplex run holds,
+# 8 (2 (m+1)(w+1) + 3 nnz + 2 min(m, w)^2) for the presolved program's m rows
+# and w = n + n_ub stored columns: the tableau and its equally sized work
+# array, the nnz starting entries (slacks included) as row, column and value,
+# and the two s x s copies (s <= min(m, w)) that the final solve makes. A
+# program beyond it is refused before allocation; export_lp_text is the way out.
 MAX_TABLEAU_BYTES = 2 ** 30
 # Entries at or below PIVOT_TOL never pivot; rows are met within FEAS_TOL;
 # an artificial sum above INFEAS_MARGIN at the end means infeasible.
@@ -96,12 +97,13 @@ class LpOutcome:
     """Result of solve_feasibility.
 
     exit says why the simplex stopped: "optimal" (no improving column left,
-    or decided without pivoting), "max_iters" (pivot budget spent, or the eta
-    file would cross MAX_TABLEAU_BYTES), "stall_window" (too many pivots
-    without lowering the artificial sum) or "eroded" (the entering column has
-    no entry above PIVOT_TOL, or the final point misses a row of the
-    caller's program by more than FEAS_TOL). Every exit but "optimal" comes
-    with IterationLimit. point and farkas always refer to the caller's rows.
+    or decided without pivoting), "max_iters" (pivot budget spent),
+    "stall_window" (too many pivots without lowering the artificial sum) or
+    "eroded" (the entering column has no entry above PIVOT_TOL, the final
+    basis is singular in the starting entries, or the final point misses a
+    row of the caller's program by more than FEAS_TOL). Every exit but
+    "optimal" comes with IterationLimit. point and farkas always refer to
+    the caller's rows.
     """
 
     status: LpStatus
@@ -496,55 +498,48 @@ def _phase1(
     if m == 0:
         return "optimal", 0, np.zeros(n), None
     pos = dict(zip(cols, range(n)))
-    n_ub = sum(1 for r, _, _ in rows if r >= n_eq)
+    ub = np.flatnonzero([orig >= n_eq for orig, _, _ in rows])
+    n_ub = ub.size
     # Logical columns are the n plus columns, the n minus columns, the
     # slacks and one artificial per row; basis codes number them in that
     # order. Only plus columns and slacks are stored: minus column j is
     # exactly -T[:, j] (every update is linear, negation is exact), and the
-    # artificials never re-enter, so their block is replaced by the eta file.
-    # A sign column's minus twin never enters.
+    # artificials never re-enter. A sign column's minus twin never enters.
     w = n + n_ub  # stored columns; the right-hand side sits at column w
     art0 = 2 * n + n_ub
     ncols = art0 + m
-    tableau_bytes = 2 * (m + 1) * (w + 1) * 8
-    if tableau_bytes > MAX_TABLEAU_BYTES:
-        raise LpCapacityError(
-            "tableau of %d x %d needs %d bytes with its work array, capacity is %d;"
-            " export the LP instead" % (m + 1, w + 1, tableau_bytes, MAX_TABLEAU_BYTES)
-        )
+    counts = [len(coefs) for _, coefs, _ in rows]
+    nnz = sum(counts) + n_ub
+    need = 8 * (2 * (m + 1) * (w + 1) + 3 * nnz + 2 * min(m, w) ** 2)
+    if need > MAX_TABLEAU_BYTES:
+        raise LpCapacityError("tableau of %d x %d needs %d bytes, capacity is %d; export the"
+                              " LP instead" % (m + 1, w + 1, need, MAX_TABLEAU_BYTES))
+    # The starting tableau as flat (row, stored column, value) entries, kept
+    # for the final solve: each row is divided by its largest |entry| and
+    # flipped to a non-negative right-hand side. A slack's entry is
+    # flip * scale / scale, exactly +-1.
+    er = np.repeat(np.arange(m), counts)
+    ec = np.fromiter((pos[i] for _, coefs, _ in rows for i in coefs), np.intp, er.size)
+    ev = np.fromiter((c for _, coefs, _ in rows for c in coefs.values()), float, er.size)
+    scale = np.maximum.reduceat(np.abs(ev), np.cumsum(counts) - counts)
+    b = np.array([beta for _, _, beta in rows]) / scale
+    flip = np.where(b < 0, -1.0, 1.0)
+    er = np.concatenate((er, ub))
+    ec = np.concatenate((ec, np.arange(n, w)))
+    ev = flip[er] * np.concatenate((ev, scale[ub])) / scale[er]
     T = np.zeros((m + 1, w + 1))
+    T[er, ec] = ev
+    T[:m, w] = flip * b
     # The one work array of every pivot update. A temporary of varying size
     # per pivot would be mapped afresh each time, which costs millions of
     # page faults on a long first solve.
     scratch = np.empty_like(T)
-    scale = np.ones(m)
-    flip = np.ones(m)
-
-    slack_pos = 0
-    for r, (orig, coefs, beta) in enumerate(rows):
-        rho = max(abs(c) for c in coefs.values())
-        scale[r] = rho
-        b = beta / rho
-        sigma = -1.0 if b < 0 else 1.0
-        flip[r] = sigma
-        for i, c in coefs.items():
-            T[r, pos[i]] = sigma * c / rho
-        if orig >= n_eq:
-            T[r, n + slack_pos] = sigma
-            slack_pos += 1
-        T[r, w] = sigma * b
 
     # Objective row holds reduced costs for min(sum of artificials); the
     # starting basis is the artificials themselves.
     T[m, :] = -T[:m, :].sum(axis=0)
 
     basis = np.arange(art0, art0 + m)
-    # Product-form inverse (Dantzig & Orchard-Hays 1954): one entry
-    # (pivot row, pivot, rows, values) per pivot, where rows and values are
-    # the nonzero entries of the entering column outside the pivot row, or
-    # rows is None and values the whole column with a zero at the pivot row.
-    eta: List[Tuple[int, float, Optional[np.ndarray], np.ndarray]] = []
-    eta_bytes = 0
 
     # Reduced costs of the logical columns that may enter, in code order;
     # blocked adds +inf for the minus twins of sign columns. Artificials
@@ -602,27 +597,15 @@ def _phase1(
         piv = col[pr]
         colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
         colvals[pr] = 0.0
+        T[pr, :] /= piv
         erows = colvals.nonzero()[0]
         k = erows.size
-        dense = 2 * k > m + 1
-        if dense:
-            # Filed whole: m+1 floats take fewer bytes than k index-value pairs.
-            erows, vals = None, colvals
-            eta_bytes += vals.nbytes
-        else:
-            vals = colvals[erows]
-            eta_bytes += erows.nbytes + vals.nbytes
-        if tableau_bytes + eta_bytes > MAX_TABLEAU_BYTES:
-            reason = "max_iters"
-            break
-        eta.append((pr, piv, erows, vals))
-        T[pr, :] /= piv
-        if dense:
+        if 2 * k > m + 1:
             T -= np.multiply(colvals[:, None], T[pr], out=scratch)
         else:
             # mode="clip" gathers straight into scratch; "raise" would buffer.
             blk = np.take(T, erows, axis=0, out=scratch[:k], mode="clip")
-            blk -= np.multiply(vals[:, None], T[pr], out=scratch[k : 2 * k])
+            blk -= np.multiply(colvals[erows, None], T[pr], out=scratch[k : 2 * k])
             T[erows] = blk
         basis[pr] = pc
         iterations += 1
@@ -638,32 +621,46 @@ def _phase1(
 
     if reason != "optimal":
         return reason, iterations, None, None
-    if -T[m, w] > INFEAS_MARGIN:
-        # Simplex multipliers y = c_B^T B^-1, where c_B marks the rows whose
-        # basic column is an artificial and B^-1 = E_T ... E_1 is the eta
-        # file, applied from the left in one pass back. y[m] stays 0 so
-        # that filed objective-row entries drop out. Undo scaling and flips,
-        # negate, and the rows combine to 0 <= -value, up to a non-negative
-        # combination on the sign columns that their sign rows cancel.
-        y = np.zeros(m + 1)
-        y[:m] = basis >= art0
-        for pr, piv, erows, vals in reversed(eta):
-            y[pr] = (y[pr] - np.dot(y if erows is None else y[erows], vals)) / piv
-        u = -y[:m] * flip / scale
-        for r, (orig, _, _) in enumerate(rows):
-            if orig >= n_eq and u[r] > -FEAS_TOL:
-                u[r] = max(u[r], 0.0)
-        return reason, iterations, None, u
+    # Refactorize the final basis once, from the starting entries. A basic
+    # artificial never leaves its own row. With A the rows whose artificial
+    # is basic and I the others, the basis is [N | unit columns on A], and
+    # it is nonsingular exactly when the s x s block N_I of the other s
+    # basic columns is. N_I is gathered into the work array, minus columns
+    # as their plus twins: the solve then gives z_j itself, and the
+    # multipliers do not depend on a column's sign.
+    inner = basis < art0
+    stored = np.where(basis < n, basis, basis - n)[inner]
+    s = stored.size
+    col_at = np.full(w, -1)
+    col_at[stored] = np.arange(s)
+    row_at = np.full(m, -1)
+    row_at[inner] = np.arange(s)
+    p, q = col_at[ec], row_at[er]
+    on_i, on_a = (p >= 0) & (q >= 0), (p >= 0) & (q < 0)
+    N = scratch.reshape(-1)[: s * s].reshape(s, s)
+    N.fill(0.0)
+    N[q[on_i], p[on_i]] = ev[on_i]
+    try:
+        if -T[m, w] > INFEAS_MARGIN:
+            # Simplex multipliers y = c_B^T B^-1 with c_B marking the basic
+            # artificials: y is 1 on A, and on I it zeroes every other basic
+            # column, N_I^T y_I = -N_A^T 1. Undo scaling and flips, negate,
+            # and the rows combine to 0 <= -value, up to a non-negative
+            # combination on the sign columns that their sign rows cancel.
+            y = np.ones(m)
+            y[inner] = np.linalg.solve(
+                N.T, -np.bincount(p[on_a], weights=ev[on_a], minlength=s))
+            u = -y * flip / scale
+            u[ub] = np.where(u[ub] > -FEAS_TOL, np.maximum(u[ub], 0.0), u[ub])
+            return reason, iterations, None, u
+        x = np.linalg.solve(N, (flip * b)[inner])
+    except np.linalg.LinAlgError:
+        # The final basis is singular in the starting entries.
+        return "eroded", iterations, None, None
     z = np.zeros(n)
-    for r in range(m):
-        j = basis[r]
-        val = T[r, w]
-        if j < n:
-            z[j] += val
-        elif j < 2 * n:
-            z[j - n] -= val
+    structural = stored < n
+    z[stored[structural]] = x[structural]
     return reason, iterations, z, None
-
 
 
 # -- CPLEX LP text format ---------------------------------------------------

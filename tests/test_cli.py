@@ -10,6 +10,8 @@ import pytest
 import barrierlp
 from barrierlp.cli import main
 from barrierlp.lpsolve import parse_lp_text
+from barrierlp.specio import load_problem
+from barrierlp.verifier import assemble_emptiness_lp
 
 
 def write_problem(tmp_path, name, doc):
@@ -258,6 +260,21 @@ def test_export_lp_emptiness(tmp_path, capsys):
     text = capsys.readouterr().out
     lp = parse_lp_text(text)
     assert lp.nvars > 0
+
+
+def test_export_lp_emptiness_ignores_an_empty_deg_s(tmp_path, capsys):
+    # An empty list flag is "not given"; --deg-s never picks the emptiness degree.
+    path = write_problem(tmp_path, "p.json", disjoint_pair_doc())
+    assert main(["export-lp", path, "--emptiness", "--deg-s", ""]) == 0
+    assert parse_lp_text(capsys.readouterr().out).nvars > 0
+
+
+def test_export_lp_emptiness_degree_from_emptiness_deg_s(tmp_path, capsys):
+    doc = disjoint_pair_doc()
+    path = write_problem(tmp_path, "p.json", doc)
+    assert main(["export-lp", path, "--emptiness", "--emptiness-deg-s", "1"]) == 0
+    expected, _ = assemble_emptiness_lp(load_problem(doc).candidates, 1, reduce_basis=True)
+    assert parse_lp_text(capsys.readouterr().out) == expected
 
 
 def test_export_lp_bad_candidate_index(tmp_path):

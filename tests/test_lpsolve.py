@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from _oracles import fm_feasible
-from barrierlp import lpsolve
 from barrierlp.affinegram import (
     DecisionAllocator,
     MonomialCodes,
@@ -28,7 +27,15 @@ from barrierlp.lpsolve import (
     validate_farkas,
 )
 from barrierlp.polyring import monomial_basis
-from barrierlp.verifier import _farkas_acceptable
+from barrierlp.specio import load_problem
+from barrierlp.verifier import (
+    _farkas_acceptable,
+    assemble_single_lp,
+    default_deg_p,
+    default_deg_s,
+    support_ring,
+)
+from test_verifier import STALL_WINDOW_DOC
 
 
 def test_box_is_feasible():
@@ -368,6 +375,18 @@ def test_eroded_columns_end_in_a_gated_exit():
     assert out.iterations == m
 
 
+def test_singular_final_basis_ends_eroded(monkeypatch):
+    # The answer comes from one solve with the final basis; a basis that
+    # the solve finds singular ends the run eroded, without a point.
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    out = solve_feasibility(repeated_rows_lp())
+    assert (out.status, out.exit, out.iterations) == (LpStatus.ITERATION_LIMIT, "eroded", 25)
+    assert out.point is None and out.farkas is None
+
+
 def test_wide_lp_with_few_rows_solves():
     # The tableau bytes are the only capacity limit: 5001 columns over
     # three rows make a tableau of 4 x 10007, well within it.
@@ -412,6 +431,17 @@ def repeated_rows_lp(nblocks=25, copies=24):
     return lp
 
 
+def traced_solve(lp, **kw):
+    """solve_feasibility's outcome and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = solve_feasibility(lp, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_tableau_stores_neither_minus_nor_artificial_columns():
     # 600 x 100 equality rows: the split tableau with artificials,
     # (m+1) x (2n+m+1) plus its work array, would take 7.7 MB; the stored
@@ -420,29 +450,41 @@ def test_tableau_stores_neither_minus_nor_artificial_columns():
     lp = repeated_rows_lp()
     m, n = lp.nrows, lp.nvars
     split_bytes = 2 * (m + 1) * (2 * n + m + 1) * 8
-    tracemalloc.start()
-    try:
-        out = solve_feasibility(lp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_solve(lp)
     assert out.status is LpStatus.FEASIBLE
     assert lp.max_violation(out.point) <= 1e-8
     assert peak < split_bytes / 5
 
 
-def test_eta_file_counts_against_capacity(monkeypatch):
+def test_refutation_refactorizes_inside_the_tableau_memory():
+    # One contradictory copy of block 0's row makes the program infeasible.
+    # The multipliers come from the final basis: 25 basic columns over the
+    # rows whose artificial has left, not an m x m basis matrix, so the
+    # traced peak stays under the same bound as the feasible program's.
     lp = repeated_rows_lp()
-    full = solve_feasibility(lp)
-    assert full.iterations == 25
-    tableau_bytes = 2 * (lp.nrows + 1) * (lp.nvars + 1) * 8
-    # Each pivot files the entering column's 24 other nonzero entries
-    # (23 rows and the objective) as an index and a value: 384 bytes.
-    monkeypatch.setattr(lpsolve, "MAX_TABLEAU_BYTES", tableau_bytes + 10 * 384)
-    out = solve_feasibility(lp)
-    assert out.status is LpStatus.ITERATION_LIMIT
-    assert out.exit == "max_iters"
-    assert out.iterations == 10
+    lp.add_eq({i: 1.0 for i in range(4)}, 2.0)
+    m, n = lp.nrows, lp.nvars
+    split_bytes = 2 * (m + 1) * (2 * n + m + 1) * 8
+    out, peak = traced_solve(lp)
+    assert out.status is LpStatus.INFEASIBLE
+    assert out.iterations == 25
+    assert _farkas_acceptable(lp, out)
+    assert peak < split_bytes / 5
+
+
+def test_memory_does_not_grow_with_pivots():
+    # STALL_WINDOW_DOC's a=0 program (108 x 56) stalls after 409 pivots.
+    # Nothing is kept per pivot, so the long run peaks where one pivot does.
+    spec = load_problem(STALL_WINDOW_DOC)
+    cand = support_ring(spec.candidates[0], True).cand
+    deg_s = default_deg_s(cand.b)
+    lp, _ = assemble_single_lp(cand, 0, deg_s, default_deg_p(cand, 0, deg_s),
+                               reduce_basis=True)
+    one, peak_one = traced_solve(lp, max_iters=1)
+    full, peak_full = traced_solve(lp)
+    assert (one.exit, one.iterations) == ("max_iters", 1)
+    assert (full.exit, full.iterations) == ("stall_window", 409)
+    assert peak_full <= peak_one + 8 * 1024
 
 
 def test_nonfinite_rejected_at_load():

@@ -6,7 +6,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 import barrierlp.verifier as verifier
-from barrierlp.lpsolve import LpStatus, solve_feasibility
+from barrierlp.lpsolve import FEAS_TOL, LpStatus, solve_feasibility
 from barrierlp.specio import load_problem
 from barrierlp.polyring import evaluate, mul
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
@@ -66,13 +66,24 @@ def test_verify_multi_six_chasers(benchmark, monkeypatch):
 
 
 def test_pivot_sweep_one_chaser_a0(benchmark):
-    """One full pivot sweep: the reference one-chaser a=0 program, 367 x 154."""
+    """The infeasible exit: the reference one-chaser a=0 program, 367 x 154."""
     _, cands = fleet(1)
     lp, _ = assemble_single_lp(*single_args(cands[0]), reduce_basis=True)
     assert (lp.nrows, lp.nvars) == (367, 154)
     out = benchmark.pedantic(solve_feasibility, args=(lp,), rounds=3, iterations=1)
     assert out.status is LpStatus.INFEASIBLE
     assert out.iterations == 60
+
+
+def test_pivot_sweep_one_chaser_a1(benchmark):
+    """The feasible exit: the reference one-chaser a=1 program, 367 x 154."""
+    _, cands = fleet(1)
+    lp, _ = assemble_single_lp(*single_args(cands[0], a=1), reduce_basis=True)
+    assert (lp.nrows, lp.nvars) == (367, 154)
+    out = benchmark.pedantic(solve_feasibility, args=(lp,), rounds=3, iterations=1)
+    assert out.status is LpStatus.FEASIBLE
+    assert out.iterations == 63
+    assert lp.max_violation(out.point) <= FEAS_TOL
 
 
 def test_assemble_single_six_chasers(benchmark):

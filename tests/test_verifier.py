@@ -322,8 +322,8 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
 # corpus P097 (the corpus generator's draw 97 from seed 2212). Candidate 1's
 # a=1 program is refuted in 87 pivots. Multipliers read off artificial
 # columns carried through the pivots once combined its rows to a residual
-# of 22; those recomputed from the final basis through the eta file, and
-# mapped back through presolve, pass the Farkas gate on the assembled rows.
+# of 22; those solved from the final basis's starting columns, and mapped
+# back through presolve, pass the Farkas gate on the assembled rows.
 REFUTED_DOC = {
     "schema": 1,
     "variables": ["x", "y", "z"],
