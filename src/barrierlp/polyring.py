@@ -10,6 +10,7 @@ is emitted in a deterministic order.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 # A monomial is an exponent tuple, one entry per ring variable.
@@ -32,7 +33,10 @@ def grlex_key(exponents: Monomial) -> Tuple[int, Tuple[int, ...]]:
 
 
 def _validate_monomial(exponents: Sequence[int], nvars: int) -> Monomial:
-    exps = tuple(int(e) for e in exponents)
+    try:
+        exps = tuple(map(operator.index, exponents))
+    except TypeError:
+        raise ValueError("exponents %r are not all integers" % (tuple(exponents),)) from None
     if len(exps) != nvars:
         raise ValueError(
             "monomial has %d exponents, ring has %d variables" % (len(exps), nvars)
@@ -50,7 +54,13 @@ class Polynomial:
 
     ``terms`` maps exponent tuples to nonzero float coefficients; the zero
     polynomial has an empty term map. Construction canonicalizes: duplicate
-    monomials are merged, near-zero coefficients pruned, exponents validated.
+    monomials are merged, near-zero coefficients pruned, exponents validated
+    (integers in [0, MAX_EXPONENT], one per variable).
+
+    Arithmetic results (+, -, *, ** and partial_derivative) are built from
+    monomials that are already valid, so they skip that validation. They
+    still refuse a non-finite coefficient, prune below PRUNE_TOL and keep
+    the terms in insertion order; products also keep the exponent cap.
     """
 
     __slots__ = ("terms", "nvars")
@@ -68,6 +78,20 @@ class Polynomial:
         pruned = {k: c for k, c in merged.items() if abs(c) >= PRUNE_TOL}
         object.__setattr__(self, "terms", pruned)
         object.__setattr__(self, "nvars", nvars)
+
+    @classmethod
+    def _result(cls, terms: Dict[Monomial, float], nvars: int) -> "Polynomial":
+        """An arithmetic result over valid monomials; terms is a fresh dict it may keep."""
+        values = terms.values()
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite coefficient %r"
+                             % next(c for c in values if not math.isfinite(c)))
+        if min(map(abs, values), default=PRUNE_TOL) < PRUNE_TOL:
+            terms = {k: c for k, c in terms.items() if abs(c) >= PRUNE_TOL}
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "nvars", nvars)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -145,12 +169,12 @@ class Polynomial:
         acc = dict(self.terms)
         for exps, coef in other.terms.items():
             acc[exps] = acc.get(exps, 0.0) + coef
-        return Polynomial(acc, self.nvars)
+        return Polynomial._result(acc, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.nvars)
+        return Polynomial._result({e: -c for e, c in self.terms.items()}, self.nvars)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -164,18 +188,20 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial(
-                {e: c * float(other) for e, c in self.terms.items()}, self.nvars
-            )
+            scale = float(other)
+            return Polynomial._result({e: c * scale for e, c in self.terms.items()}, self.nvars)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
         acc: Dict[Monomial, float] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(operator.add, ea, eb))
                 acc[key] = acc.get(key, 0.0) + ca * cb
-        return Polynomial(acc, self.nvars)
+        if _max_exponent(self) + _max_exponent(other) > MAX_EXPONENT:
+            for key in acc:
+                _validate_monomial(key, self.nvars)
+        return Polynomial._result(acc, self.nvars)
 
     __rmul__ = __mul__
 
@@ -327,6 +353,10 @@ def monomial_basis_on_support(
     return lifted
 
 
+def _max_exponent(p: Polynomial) -> int:
+    return max(map(max, p.terms), default=0)
+
+
 def mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """Product of two polynomials in the same ring."""
     return p * q
@@ -341,13 +371,27 @@ def partial_derivative(p: Polynomial, var: int) -> Polynomial:
         e = exps[var]
         if e == 0:
             continue
-        key = tuple(x - 1 if i == var else x for i, x in enumerate(exps))
+        key = exps[:var] + (e - 1,) + exps[var + 1:]
         acc[key] = acc.get(key, 0.0) + coef * e
-    return Polynomial(acc, p.nvars)
+    return Polynomial._result(acc, p.nvars)
 
 
 def gradient(p: Polynomial) -> List[Polynomial]:
     return [partial_derivative(p, i) for i in range(p.nvars)]
+
+
+def _chain_sum(grads: Sequence[Polynomial], field: Sequence[Polynomial]) -> Polynomial:
+    """sum_i grads[i] * field[i], adding one product at a time in i order.
+
+    A pair with a zero factor adds nothing and is skipped; every other
+    product is added as a polynomial sum would add it, so the coefficients
+    and the term order are those of the plain term-by-term sum.
+    """
+    acc = Polynomial.zero(grads[0].nvars)
+    for d, v in zip(grads, field):
+        if d.terms and v.terms:
+            acc = acc + d * v
+    return acc
 
 
 def lie_derivative_drift(b: Polynomial, f: PolyMatrix) -> Polynomial:
@@ -359,10 +403,7 @@ def lie_derivative_drift(b: Polynomial, f: PolyMatrix) -> Polynomial:
             "drift has %d rows over %d variables, b has %d variables"
             % (f.rows, f.nvars, b.nvars)
         )
-    acc = Polynomial.zero(b.nvars)
-    for i in range(b.nvars):
-        acc = acc + partial_derivative(b, i) * f[i, 0]
-    return acc
+    return _chain_sum(gradient(b), [row[0] for row in f.entries])
 
 
 def lie_derivative_input(b: Polynomial, g: PolyMatrix) -> PolyMatrix:
@@ -373,13 +414,7 @@ def lie_derivative_input(b: Polynomial, g: PolyMatrix) -> PolyMatrix:
             % (g.rows, g.nvars, b.nvars)
         )
     grads = gradient(b)
-    row = []
-    for j in range(g.cols):
-        acc = Polynomial.zero(b.nvars)
-        for i in range(b.nvars):
-            acc = acc + grads[i] * g[i, j]
-        row.append(acc)
-    return PolyMatrix([row])
+    return PolyMatrix([[_chain_sum(grads, column) for column in zip(*g.entries)]])
 
 
 def evaluate(p: Polynomial, point: Sequence[float]) -> float:

@@ -479,26 +479,47 @@ class EmptinessLayout:
     fixed: Polynomial
 
 
-def _bases(
-    fixed: Sequence[Polynomial], n: int, deg_s: int, deg_p: int, reduce_basis: bool
-) -> Tuple[List[Monomial], List[Monomial], Dict[str, object]]:
-    """(Gram basis, free basis, fresh_dsos_poly keywords) for the fixed data.
+class _Bases:
+    """Gram and free bases over one set of fixed data.
 
     Reduced bases live on the fixed data's support; free monomials and Gram
     entries that flip sign under the data's sign symmetries are dropped.
+    The support and the sign classes are computed once, here, and each Gram
+    basis once per degree, so the programs of one candidate share them.
     """
-    if not reduce_basis:
-        return monomial_basis(n, deg_s), monomial_basis(n, deg_p), {}
-    support = _union_support(fixed)
-    sign_class = sign_classes(fixed)
-    free_basis = [mo for mo in monomial_basis_on_support(n, deg_p, support) if sign_class(mo) == 0]
-    gram_basis = monomial_basis_on_support(n, deg_s, support)
-    classes = [sign_class(mo) for mo in gram_basis]
 
-    def keep_pair(i: int, j: int) -> bool:
-        return classes[i] == classes[j]
+    def __init__(self, fixed: Sequence[Polynomial], n: int, reduce_basis: bool):
+        self.n = n
+        self.reduce_basis = reduce_basis
+        if reduce_basis:
+            self.support = _union_support(fixed)
+            self.sign_class = sign_classes(fixed)
+        self._gram: Dict[int, Tuple[List[Monomial], Dict[str, object]]] = {}
 
-    return gram_basis, free_basis, {"keep_pair": keep_pair}
+    def gram(self, deg_s: int) -> Tuple[List[Monomial], Dict[str, object]]:
+        """(Gram basis, fresh_dsos_poly keywords) at deg_s."""
+        if deg_s not in self._gram:
+            if not self.reduce_basis:
+                self._gram[deg_s] = monomial_basis(self.n, deg_s), {}
+            else:
+                basis = monomial_basis_on_support(self.n, deg_s, self.support)
+                classes = [self.sign_class(mo) for mo in basis]
+
+                def keep_pair(i: int, j: int) -> bool:
+                    return classes[i] == classes[j]
+
+                self._gram[deg_s] = basis, {"keep_pair": keep_pair}
+        return self._gram[deg_s]
+
+    def free(self, deg_p: int) -> List[Monomial]:
+        if not self.reduce_basis:
+            return monomial_basis(self.n, deg_p)
+        return [mo for mo in monomial_basis_on_support(self.n, deg_p, self.support)
+                if self.sign_class(mo) == 0]
+
+
+def _single_bases(cand: CandidateCbf, reduce_basis: bool) -> _Bases:
+    return _Bases([cand.b, cand.lfb] + cand.lgb.entry_list(), cand.b.nvars, reduce_basis)
 
 
 def _identity_lp(
@@ -525,20 +546,26 @@ def assemble_single_lp(
     deg_s: int,
     deg_p: int,
     reduce_basis: bool = False,
+    bases: Optional[_Bases] = None,
 ) -> Tuple[LpProblem, SingleLayout]:
     """Transcribe the single-candidate identity into an equality/DD system.
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows keep the ray weights of s1 and s2 non-negative.
-    The Lie derivatives are those cand derived from its own system.
+    The Lie derivatives are those cand derived from its own system. bases,
+    when given, is _single_bases(cand, reduce_basis), which cand's programs
+    share within one verification; it is built here otherwise.
     """
+    if bases is None:
+        bases = _single_bases(cand, reduce_basis)
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
     n = b.nvars
     m = lgb.cols
     lgb_entries = lgb.entry_list()
-    gram_basis, free_basis, dsos_kw = _bases([b, lfb] + lgb_entries, n, deg_s, deg_p, reduce_basis)
+    gram_basis, dsos_kw = bases.gram(deg_s)
+    free_basis = bases.free(deg_p)
     # A reduced program drops the channels that never enter the identity.
-    live = [j for j, g in enumerate(lgb_entries) if not (reduce_basis and g.is_zero())]
+    live = [j for j, g in enumerate(lgb_entries) if not (bases.reduce_basis and g.is_zero())]
 
     fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
 
@@ -658,7 +685,7 @@ def assemble_emptiness_lp(
     augmented = archimedean_C is not None
     if augmented:
         generators = augment_archimedean(cands, archimedean_C)
-    gram_basis, _, dsos_kw = _bases(generators, n, deg_s, 0, reduce_basis)
+    gram_basis, dsos_kw = _Bases(generators, n, reduce_basis).gram(deg_s)
     # s_i * b_i reaches 2 deg_s + deg(b_i).
     codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
 
@@ -935,6 +962,7 @@ def _verify_singles(
         t0 = time.perf_counter()
         ring = support_ring(cand, opts.reduce_basis)
         class_key = ring.key
+        bases = _single_bases(ring.cand, opts.reduce_basis)
         schedule = _resolved_single_schedule(ring.cand, opts)
         outcome = VerificationOutcome(
             verdict=Verdict.INCONCLUSIVE,
@@ -952,7 +980,7 @@ def _verify_singles(
             else:
                 t_asm = time.perf_counter()
                 lp, layout = assemble_single_lp(ring.cand, a, ds, dp,
-                                                reduce_basis=opts.reduce_basis)
+                                                reduce_basis=opts.reduce_basis, bases=bases)
                 record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
                 solved[key] = record, out, layout
             cert, warning = _gate(

@@ -5,11 +5,13 @@ program would otherwise surface there first.
 """
 
 import ast
+import collections
 import importlib.util
 import inspect
 from pathlib import Path
 
 import barrierlp.verifier as V
+from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +41,21 @@ def test_certificate_residual_takes_three_positional_arguments():
     from barrierlp import certificate_residual
 
     inspect.signature(certificate_residual).bind(None, None, None)
+
+
+def test_verification_calls_the_traced_assembly_names(monkeypatch):
+    # The traced run times assembly by replacing these verifier attributes,
+    # so the drivers must call them by name, not a private helper behind them.
+    calls = collections.Counter()
+    for name in ("assemble_single_lp", "assemble_emptiness_lp", "solve_feasibility"):
+        def counted(*args, _fn=getattr(V, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(V, name, counted)
+    params = CwParams(L=2)
+    sys = build_cw_system(params)
+    out = V.verify_multi(sys, [build_inspection_cbf(params, i, sys) for i in range(2)])
+    assert out.verdict is V.Verdict.MULTI_VERIFIED
+    # Two emptiness degrees; the relabelled chasers share the a=0 and a=1 programs.
+    assert calls == {"assemble_single_lp": 2, "assemble_emptiness_lp": 2, "solve_feasibility": 4}

@@ -1,5 +1,5 @@
-"""Micro-benchmarks of polynomial products, LP assembly, the simplex pivot loop and a
-joint verification (need pytest-benchmark)."""
+"""Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, the simplex
+pivot loop and a joint verification (need pytest-benchmark)."""
 
 import pytest
 
@@ -43,6 +43,16 @@ def test_mul_fleet_operands(benchmark):
     assert (out.nvars, len(p.terms), len(c.lfb.terms), len(out.terms)) == (36, 28, 4, 112)
     point = [0.1 * (i % 7) - 0.2 for i in range(36)]
     assert abs(evaluate(out, point) - evaluate(p, point) * evaluate(c.lfb, point)) < 1e-12
+
+
+def test_build_twelve_chasers(benchmark):
+    """The L=12 system and its 12 candidates, Lie derivatives included: 72 states, 36 inputs."""
+    sys, cands = benchmark.pedantic(fleet, args=(12,), rounds=3, iterations=1)
+    assert (sys.n, sys.m, len(cands)) == (72, 36, 12)
+    c = cands[0]
+    # Lfb = 2.4e-5 x4 + 2 x1 x4 + 2 x2 x5 + 1.99999 x3 x6: the x4 x5 terms cancel.
+    assert len(c.lfb.terms) == 4
+    assert [len(p.terms) for p in c.lgb.entry_list()] == [1] * 3 + [0] * 33
 
 
 def test_verify_multi_six_chasers(benchmark, monkeypatch):

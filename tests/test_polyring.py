@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+import _oracles as ref
+from barrierlp import load_problem
 from barrierlp.polyring import (
     MAX_EXPONENT,
     Polynomial,
@@ -19,6 +21,9 @@ from barrierlp.polyring import (
     mul,
     partial_derivative,
 )
+from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
+from barrierlp.verifier import support_ring
+from test_assembly import corpus_documents
 
 
 def random_poly(rng, nvars, maxdeg, nterms=5, scale=3.0):
@@ -207,6 +212,37 @@ def test_lie_drift_matches_finite_differences():
             assert abs(fd - ref) <= 1e-5 * (1 + abs(ref))
 
 
+def assert_lie_matches_reference(cand):
+    """cand's Lie derivatives equal the term-by-term reference: values and term order."""
+    lfb, lgb = ref.lie_derivatives(cand.b, cand.sys)
+    assert list(cand.lfb.terms.items()) == list(lfb.terms.items())
+    assert [list(p.terms.items()) for p in cand.lgb.entry_list()] == [
+        list(p.terms.items()) for p in lgb]
+
+
+@pytest.mark.parametrize("params", [
+    CwParams(L=6),
+    CwParams(L=12),
+    CwParams(masses=(3.0,), thrusts=(0.75,)).with_L(2),
+], ids=["fleet-L6", "fleet-L12", "stall-L2"])
+def test_lie_derivatives_match_the_reference_on_the_fleet(params):
+    sys = build_cw_system(params)
+    for i in range(params.L):
+        cand = build_inspection_cbf(params, i, sys)
+        assert_lie_matches_reference(cand)
+        assert_lie_matches_reference(support_ring(cand, True).cand)
+
+
+def test_lie_derivatives_match_the_reference_on_the_corpus():
+    count = 0
+    for doc in corpus_documents(150):
+        for cand in load_problem(doc).candidates:
+            assert_lie_matches_reference(cand)
+            assert_lie_matches_reference(support_ring(cand, True).cand)
+            count += 1
+    assert count > 150
+
+
 def test_lie_dimension_mismatch():
     b = Polynomial.variable(0, 2)
     with pytest.raises(ValueError):
@@ -246,9 +282,43 @@ def test_coefficient_pruning():
     assert tiny.is_zero()
 
 
+def test_cancelling_arithmetic_prunes_and_keeps_term_order():
+    x = Polynomial.variable(0, 1)
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17 of rounding, under PRUNE_TOL.
+    assert (0.1 * x + 0.2 * x - 0.3 * x).is_zero()
+    p = (x + 1) * (x - 1)
+    assert (p - x**2 + 1).is_zero()
+    assert (p + -p).terms == {}
+    # The surviving terms keep their insertion order.
+    assert list(((x**2 + x + 1) - x).terms.items()) == [((2,), 1.0), ((0,), 1.0)]
+
+
 def test_exponent_cap_enforced():
     with pytest.raises(ValueError):
         Polynomial({(MAX_EXPONENT + 1,): 1.0}, 1)
+
+
+def test_products_keep_the_exponent_cap():
+    x = Polynomial.variable(0, 1)
+    top = x**MAX_EXPONENT
+    assert top.terms == {(MAX_EXPONENT,): 1.0}
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        top * x
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        (x**40000) ** 2
+
+
+def test_non_integral_exponents_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        Polynomial({(0.9, 0): 2.0}, 2)
+    with pytest.raises(ValueError, match="integers"):
+        Polynomial.monomial([1.5], 1)
+    with pytest.raises(ValueError, match="integers"):
+        Polynomial({("1",): 1.0}, 1)
+    # NumPy integers are integers, stored as Python ints.
+    p = Polynomial({(np.int64(2), np.uint8(1)): 1.0}, 2)
+    assert p.terms == {(2, 1): 1.0}
+    assert all(type(e) is int for e in next(iter(p.terms)))
 
 
 def test_nonfinite_coefficient_rejected():
@@ -256,6 +326,25 @@ def test_nonfinite_coefficient_rejected():
         Polynomial({(1,): float("nan")}, 1)
     with pytest.raises(ValueError):
         Polynomial({(1,): float("inf")}, 1)
+
+
+def test_arithmetic_results_refuse_non_finite_coefficients():
+    x = Polynomial.variable(0, 1)
+    c = Polynomial.constant(1e200, 1)
+    big = Polynomial.constant(1.5e308, 1)
+    results = [
+        lambda: c * c,
+        lambda: c**2,
+        lambda: c * 1e200,
+        lambda: (x + 1) * float("nan"),
+        lambda: (x + 1) * float("inf"),
+        lambda: big + big,
+        lambda: big - -big,
+        lambda: partial_derivative(Polynomial({(1000,): 1e306}, 1), 0),
+    ]
+    for result in results:
+        with pytest.raises(ValueError, match="non-finite"):
+            result()
 
 
 def test_polynomials_are_immutable():
