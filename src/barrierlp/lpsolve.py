@@ -13,12 +13,13 @@ phase-1 simplex over split free variables z = z+ - z-, sign columns,
 slacks and one artificial per row. Only the z+ and sign columns and the
 slacks are stored: a z- column is the exact negative of its z+ column and
 enters by pivoting on the negated column, and the artificials, which never
-re-enter, are not stored at all. The entering column is Dantzig's, the
-argmin of one reduced-cost vector over (z+, z-, slacks) in which the
-missing minus twins of sign columns read +inf; the leaving row comes from
-Harris's two-pass ratio test (Math. Prog. 5, 1973), which prefers the
-largest pivot entry among near-ties. That pairing has no anti-cycling
-guarantee: the progress window bounds any cycle.
+re-enter, are not stored at all. The entering column is Dantzig's: one
+argmin over the z+ reduced costs, one over their negations with the
+missing minus twins of sign columns reading +inf, one over the slacks, and
+the lowest code among equal minima. The leaving row comes from Harris's
+two-pass ratio test (Math. Prog. 5, 1973), which prefers the largest pivot
+entry among near-ties. That pairing has no anti-cycling guarantee: the
+progress window bounds any cycle.
 Only a run that ends optimal is trusted. Every other exit (pivot budget,
 progress window, an entering column with no usable pivot) reads
 IterationLimit, and so does an optimal run whose final basis is singular
@@ -41,6 +42,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,13 +169,20 @@ class LpProblem:
         return len(self.eq_rows) + len(self.ub_rows)
 
     def max_violation(self, z: Sequence[float]) -> float:
+        # Each row adds its products one at a time, in entry order. sum()
+        # would not: from Python 3.12 on it compensates float sums.
+        z = np.asarray(z, dtype=float).tolist()
         worst = 0.0
         for coefs, rhs in self.eq_rows:
-            v = sum(c * z[i] for i, c in coefs.items()) - rhs
-            worst = max(worst, abs(v))
+            v = 0.0
+            for i, c in coefs.items():
+                v += c * z[i]
+            worst = max(worst, abs(v - rhs))
         for coefs, rhs in self.ub_rows:
-            v = sum(c * z[i] for i, c in coefs.items()) - rhs
-            worst = max(worst, v)
+            v = 0.0
+            for i, c in coefs.items():
+                v += c * z[i]
+            worst = max(worst, v - rhs)
         return worst
 
     def __eq__(self, other):
@@ -204,18 +213,22 @@ def validate_farkas(
     """
     if len(cert.eq_mults) != len(lp.eq_rows) or len(cert.ub_mults) != len(lp.ub_rows):
         raise ValueError("certificate length does not match the row counts")
-    combo = np.zeros(lp.nvars)
-    rhs = 0.0
-    for mult, (coefs, beta) in zip(cert.eq_mults, lp.eq_rows):
-        for i, c in coefs.items():
-            combo[i] += mult * c
-        rhs += mult * beta
-    for mult, (coefs, beta) in zip(cert.ub_mults, lp.ub_rows):
+    for mult in cert.ub_mults:
         if mult < -tol:
             raise ValueError("negative multiplier %g on an inequality row" % mult)
-        for i, c in coefs.items():
-            combo[i] += mult * c
-        rhs += mult * beta
+    # Rows are combined in order. A zero multiplier adds only signed zeros
+    # to sums that start at +0.0, which leaves every bit alone, so its row
+    # is skipped.
+    combo = [0.0] * lp.nvars
+    rhs = 0.0
+    for mults, rows in ((cert.eq_mults, lp.eq_rows), (cert.ub_mults, lp.ub_rows)):
+        for mult, (coefs, beta) in zip(mults, rows):
+            if mult == 0.0:
+                continue
+            for i, c in coefs.items():
+                combo[i] += mult * c
+            rhs += mult * beta
+    # np.max, unlike max(), carries a NaN through to the gate.
     max_coef = float(np.max(np.abs(combo))) if lp.nvars else 0.0
     return max_coef, rhs
 
@@ -462,6 +475,8 @@ class _Presolve:
         bounds = {j: r for j, r in self.sign_row.items() if self.live[r] and self.coefs[r]}
         combo = dict.fromkeys(bounds, 0.0)
         for r, u in mults.items():
+            if u == 0.0:
+                continue  # adds signed zeros to sums that start at +0.0
             for j, a in self.coefs[r].items():
                 if j in combo:
                     combo[j] += u * a
@@ -497,7 +512,6 @@ def _phase1(
     n = len(cols)
     if m == 0:
         return "optimal", 0, np.zeros(n), None
-    pos = dict(zip(cols, range(n)))
     ub = np.flatnonzero([orig >= n_eq for orig, _, _ in rows])
     n_ub = ub.size
     # Logical columns are the n plus columns, the n minus columns, the
@@ -519,8 +533,10 @@ def _phase1(
     # flipped to a non-negative right-hand side. A slack's entry is
     # flip * scale / scale, exactly +-1.
     er = np.repeat(np.arange(m), counts)
-    ec = np.fromiter((pos[i] for _, coefs, _ in rows for i in coefs), np.intp, er.size)
-    ev = np.fromiter((c for _, coefs, _ in rows for c in coefs.values()), float, er.size)
+    pos = np.empty(cols[-1] + 1, np.intp)
+    pos[cols] = np.arange(n)
+    ec = pos[np.fromiter(chain.from_iterable(coefs for _, coefs, _ in rows), np.intp, er.size)]
+    ev = np.fromiter(chain.from_iterable(coefs.values() for _, coefs, _ in rows), float, er.size)
     scale = np.maximum.reduceat(np.abs(ev), np.cumsum(counts) - counts)
     b = np.array([beta for _, _, beta in rows]) / scale
     flip = np.where(b < 0, -1.0, 1.0)
@@ -541,13 +557,17 @@ def _phase1(
 
     basis = np.arange(art0, art0 + m)
 
-    # Reduced costs of the logical columns that may enter, in code order;
-    # blocked adds +inf for the minus twins of sign columns. Artificials
-    # never enter: a basic one keeps reduced cost exactly 0, and one that
-    # has left stays out.
-    cost = np.empty(art0)
-    blocked = np.zeros(art0)
-    blocked[n : 2 * n][np.array(nonneg, dtype=bool)] = np.inf
+    # Reduced costs are read in place from the objective row: the plus
+    # columns, then the slacks. A minus column's reduced cost is minus its
+    # plus column's; mask - plus gives it, with mask +inf on the sign
+    # columns, whose minus twins never enter, and 0 on the free ones.
+    # Artificials never enter: a basic one keeps reduced cost exactly 0,
+    # and one that has left stays out.
+    plus = T[m, :n]
+    slack = T[m, n:w]
+    mask = np.where(nonneg, np.inf, 0.0)
+    minus = np.empty(n)
+    rhs_col = T[:m, w]
 
     iterations = 0
     reason = "optimal"
@@ -561,55 +581,64 @@ def _phase1(
         if iterations >= max_iters:
             reason = "max_iters"
             break
-        # Dantzig: the entering column has the most negative reduced cost
-        # (the lowest code on a tie). A minus column's reduced cost is minus
-        # its plus column's. If its entries have all eroded below the pivot
-        # tolerance it cannot be pivoted (phase 1 is never truly unbounded),
-        # and the run ends eroded.
-        objrow = T[m, :w]
-        cost[:n] = objrow[:n]
-        np.negative(objrow[:n], out=cost[n : 2 * n])
-        cost[2 * n :] = objrow[n:]
-        priced = cost + blocked
-        pc = int(priced.argmin())
-        if priced[pc] >= -PIVOT_TOL:
+        # Dantzig: the entering column has the most negative reduced cost,
+        # the lowest code among equal minima. Each block's argmin takes its
+        # first minimum, and a later block (minus, then slack) wins only if
+        # it is strictly lower. If the column's entries have all eroded
+        # below the pivot tolerance it cannot be pivoted (phase 1 is never
+        # truly unbounded), and the run ends eroded.
+        pc = int(plus.argmin())
+        price = plus.item(pc)
+        np.subtract(mask, plus, out=minus)
+        jm = int(minus.argmin())
+        if minus.item(jm) < price:
+            pc, price = n + jm, minus.item(jm)
+        if n_ub:
+            js = int(slack.argmin())
+            if slack.item(js) < price:
+                pc, price = 2 * n + js, slack.item(js)
+        if price >= -PIVOT_TOL:
             break
         j = pc if pc < n else pc - n
-        col = -T[:m, j] if n <= pc < 2 * n else T[:m, j]
-        up = col > PIVOT_TOL
-        if not up.any():
+        colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
+        eligible = (colvals[:m] > PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
             reason = "eroded"
             break
-        # Harris two-pass ratio test: pass 1 bounds the step with every
-        # right-hand side relaxed by PIVOT_TOL; pass 2 takes, among the rows
-        # whose exact ratio fits under that bound, the largest pivot entry
-        # (the first on a tie). Pivoting on the smallest-index tie instead
-        # lets entries near PIVOT_TOL through and blows the tableau up.
-        eligible = up.nonzero()[0]
-        a = col[eligible]
-        rhs = T[eligible, w]
-        bound = ((np.maximum(rhs, 0.0) + PIVOT_TOL) / a).min()
-        fits = rhs / a <= bound
-        pr = int(eligible[np.where(fits, a, -np.inf).argmax()])
+        # Harris two-pass ratio test, on Python floats over the eligible
+        # rows: pass 1 bounds the step with every right-hand side relaxed by
+        # PIVOT_TOL; pass 2 takes, among the rows whose exact ratio fits
+        # under that bound, the largest pivot entry (the first on a tie).
+        # Pivoting on the smallest-index tie instead lets entries near
+        # PIVOT_TOL through and blows the tableau up. The conditional is
+        # max(r, 0.0), NaN and -0.0 included, without the call.
+        a = colvals[eligible].tolist()
+        rhs = rhs_col[eligible].tolist()
+        bound = min([((0.0 if r < 0.0 else r) + PIVOT_TOL) / x for r, x in zip(rhs, a)])
+        largest, at = -math.inf, 0
+        for k, (r, x) in enumerate(zip(rhs, a)):
+            if x > largest and r / x <= bound:
+                largest, at = x, k
+        pr = int(eligible[at])
         # Pivot on (pr, pc). A row whose pivot-column entry is zero would
         # change by exactly 0 * T[pr], so when at most half the rows have a
         # nonzero entry only those are gathered, updated and scattered back.
-        piv = col[pr]
-        colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
+        piv = colvals.item(pr)
         colvals[pr] = 0.0
-        T[pr, :] /= piv
+        row = T[pr]
+        row /= piv
         erows = colvals.nonzero()[0]
         k = erows.size
         if 2 * k > m + 1:
-            T -= np.multiply(colvals[:, None], T[pr], out=scratch)
+            T -= np.multiply(colvals[:, None], row, out=scratch)
         else:
             # mode="clip" gathers straight into scratch; "raise" would buffer.
             blk = np.take(T, erows, axis=0, out=scratch[:k], mode="clip")
-            blk -= np.multiply(colvals[erows, None], T[pr], out=scratch[k : 2 * k])
+            blk -= np.multiply(colvals[erows, None], row, out=scratch[k : 2 * k])
             T[erows] = blk
         basis[pr] = pc
         iterations += 1
-        value_now = -T[m, w]
+        value_now = -T.item(m, w)
         if value_now < best_value - PIVOT_TOL:
             best_value = value_now
             no_progress = 0

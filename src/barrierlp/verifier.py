@@ -792,12 +792,16 @@ def certificate_residual(
             raise ValueError("multiplier count does not match the input dimension")
         a = cert.a if cert.a is not None else 0
         power_term = Polynomial.one(b.nvars) if a == 0 else lfb ** (2 * a)
+        # A channel product with a zero factor adds nothing and is skipped,
+        # as in the Lie derivatives; the sum keeps every bit.
         h1 = s_polys[0] + b * cert.p10
         for j in range(lgb.cols):
-            h1 = h1 + lgb[0, j] * cert.p1[j]
+            if lgb[0, j].terms and cert.p1[j].terms:
+                h1 = h1 + lgb[0, j] * cert.p1[j]
         e = h1 * lfb - s_polys[1] - b * cert.p20
         for j in range(lgb.cols):
-            e = e - lgb[0, j] * cert.p2[j]
+            if lgb[0, j].terms and cert.p2[j].terms:
+                e = e - lgb[0, j] * cert.p2[j]
         e = e - power_term
         return e.max_abs_coefficient()
 

@@ -19,12 +19,30 @@ Lie derivatives add every product grad_i * f_i and grad_i * g_ij, zero or
 not, with each sum, product and derivative built by the validating
 Polynomial constructor, the way the program did before its arithmetic
 results skipped that validation.
+
+The reference phase-1 simplex prices one concatenated reduced-cost vector
+and runs the Harris ratio test on arrays; the reference Farkas gate, point
+check and single-certificate residual add every term, zero or not. The
+program's faster versions must reproduce them bit for bit.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from barrierlp.lpsolve import (
+    FARKAS_SIGN_TOL,
+    FEAS_TOL,
+    INFEAS_MARGIN,
+    MAX_TABLEAU_BYTES,
+    PIVOT_TOL,
+    FarkasCertificate,
+    LpCapacityError,
+    LpProblem,
+)
 from barrierlp.polyring import PRUNE_TOL, Polynomial, grlex_key
 
 # coefs.z <= rhs
@@ -320,3 +338,248 @@ def lie_derivatives(b, sys):
 
     return (chain([sys.f[i, 0] for i in range(n)]),
             [chain([sys.g[i, j] for i in range(n)]) for j in range(sys.m)])
+
+
+# -- reference simplex and gates ----------------------------------------------
+#
+# The phase-1 simplex, the Farkas gate and the point check as they were
+# before their hot paths moved to single argmins per block, Python floats
+# and skipped zero terms. The program must agree with them bit for bit:
+# the same pivots, points, multipliers and gate values.
+
+def max_violation(lp, z):
+    """lp's worst row violation at z, each row summed with sum() over NumPy scalars."""
+    worst = 0.0
+    for coefs, rhs in lp.eq_rows:
+        v = sum(c * z[i] for i, c in coefs.items()) - rhs
+        worst = max(worst, abs(v))
+    for coefs, rhs in lp.ub_rows:
+        v = sum(c * z[i] for i, c in coefs.items()) - rhs
+        worst = max(worst, v)
+    return worst
+
+
+def validate_farkas(
+    lp: LpProblem, cert: FarkasCertificate, tol: float = FARKAS_SIGN_TOL
+) -> Tuple[float, float]:
+    """(max |combined coefficient|, combined right-hand side).
+
+    A valid certificate has the first value <= tol and the second <= -tol,
+    with every ub multiplier non-negative.
+    """
+    if len(cert.eq_mults) != len(lp.eq_rows) or len(cert.ub_mults) != len(lp.ub_rows):
+        raise ValueError("certificate length does not match the row counts")
+    combo = np.zeros(lp.nvars)
+    rhs = 0.0
+    for mult, (coefs, beta) in zip(cert.eq_mults, lp.eq_rows):
+        for i, c in coefs.items():
+            combo[i] += mult * c
+        rhs += mult * beta
+    for mult, (coefs, beta) in zip(cert.ub_mults, lp.ub_rows):
+        if mult < -tol:
+            raise ValueError("negative multiplier %g on an inequality row" % mult)
+        for i, c in coefs.items():
+            combo[i] += mult * c
+        rhs += mult * beta
+    max_coef = float(np.max(np.abs(combo))) if lp.nvars else 0.0
+    return max_coef, rhs
+
+
+def phase1(
+    rows: List[Tuple[int, Dict[int, float], float]],
+    cols: List[int],
+    nonneg: List[bool],
+    n_eq: int,
+    max_iters: int,
+) -> Tuple[str, int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Phase-1 simplex over rows (row, entries, beta) in the variables `cols`.
+
+    A variable whose `nonneg` flag is set is bounded below by 0; the others
+    are free. Returns (exit, pivots, point on cols or None, multipliers on
+    rows or None). Only exit "optimal" returns either: multipliers when the
+    artificial sum stays above INFEAS_MARGIN, the point otherwise.
+    """
+    m = len(rows)
+    n = len(cols)
+    if m == 0:
+        return "optimal", 0, np.zeros(n), None
+    pos = dict(zip(cols, range(n)))
+    ub = np.flatnonzero([orig >= n_eq for orig, _, _ in rows])
+    n_ub = ub.size
+    # Logical columns are the n plus columns, the n minus columns, the
+    # slacks and one artificial per row; basis codes number them in that
+    # order. Only plus columns and slacks are stored: minus column j is
+    # exactly -T[:, j] (every update is linear, negation is exact), and the
+    # artificials never re-enter. A sign column's minus twin never enters.
+    w = n + n_ub  # stored columns; the right-hand side sits at column w
+    art0 = 2 * n + n_ub
+    ncols = art0 + m
+    counts = [len(coefs) for _, coefs, _ in rows]
+    nnz = sum(counts) + n_ub
+    need = 8 * (2 * (m + 1) * (w + 1) + 3 * nnz + 2 * min(m, w) ** 2)
+    if need > MAX_TABLEAU_BYTES:
+        raise LpCapacityError("tableau of %d x %d needs %d bytes, capacity is %d; export the"
+                              " LP instead" % (m + 1, w + 1, need, MAX_TABLEAU_BYTES))
+    # The starting tableau as flat (row, stored column, value) entries, kept
+    # for the final solve: each row is divided by its largest |entry| and
+    # flipped to a non-negative right-hand side. A slack's entry is
+    # flip * scale / scale, exactly +-1.
+    er = np.repeat(np.arange(m), counts)
+    ec = np.fromiter((pos[i] for _, coefs, _ in rows for i in coefs), np.intp, er.size)
+    ev = np.fromiter((c for _, coefs, _ in rows for c in coefs.values()), float, er.size)
+    scale = np.maximum.reduceat(np.abs(ev), np.cumsum(counts) - counts)
+    b = np.array([beta for _, _, beta in rows]) / scale
+    flip = np.where(b < 0, -1.0, 1.0)
+    er = np.concatenate((er, ub))
+    ec = np.concatenate((ec, np.arange(n, w)))
+    ev = flip[er] * np.concatenate((ev, scale[ub])) / scale[er]
+    T = np.zeros((m + 1, w + 1))
+    T[er, ec] = ev
+    T[:m, w] = flip * b
+    # The one work array of every pivot update. A temporary of varying size
+    # per pivot would be mapped afresh each time, which costs millions of
+    # page faults on a long first solve.
+    scratch = np.empty_like(T)
+
+    # Objective row holds reduced costs for min(sum of artificials); the
+    # starting basis is the artificials themselves.
+    T[m, :] = -T[:m, :].sum(axis=0)
+
+    basis = np.arange(art0, art0 + m)
+
+    # Reduced costs of the logical columns that may enter, in code order;
+    # blocked adds +inf for the minus twins of sign columns. Artificials
+    # never enter: a basic one keeps reduced cost exactly 0, and one that
+    # has left stays out.
+    cost = np.empty(art0)
+    blocked = np.zeros(art0)
+    blocked[n : 2 * n][np.array(nonneg, dtype=bool)] = np.inf
+
+    iterations = 0
+    reason = "optimal"
+    best_value = math.inf
+    no_progress = 0
+    # A run of twice the rows plus logical columns without lowering the
+    # artificial sum is numerical treading water, not progress; end it as
+    # IterationLimit rather than burn the whole iteration budget.
+    progress_window = 2 * (m + ncols)
+    while True:
+        if iterations >= max_iters:
+            reason = "max_iters"
+            break
+        # Dantzig: the entering column has the most negative reduced cost
+        # (the lowest code on a tie). A minus column's reduced cost is minus
+        # its plus column's. If its entries have all eroded below the pivot
+        # tolerance it cannot be pivoted (phase 1 is never truly unbounded),
+        # and the run ends eroded.
+        objrow = T[m, :w]
+        cost[:n] = objrow[:n]
+        np.negative(objrow[:n], out=cost[n : 2 * n])
+        cost[2 * n :] = objrow[n:]
+        priced = cost + blocked
+        pc = int(priced.argmin())
+        if priced[pc] >= -PIVOT_TOL:
+            break
+        j = pc if pc < n else pc - n
+        col = -T[:m, j] if n <= pc < 2 * n else T[:m, j]
+        up = col > PIVOT_TOL
+        if not up.any():
+            reason = "eroded"
+            break
+        # Harris two-pass ratio test: pass 1 bounds the step with every
+        # right-hand side relaxed by PIVOT_TOL; pass 2 takes, among the rows
+        # whose exact ratio fits under that bound, the largest pivot entry
+        # (the first on a tie). Pivoting on the smallest-index tie instead
+        # lets entries near PIVOT_TOL through and blows the tableau up.
+        eligible = up.nonzero()[0]
+        a = col[eligible]
+        rhs = T[eligible, w]
+        bound = ((np.maximum(rhs, 0.0) + PIVOT_TOL) / a).min()
+        fits = rhs / a <= bound
+        pr = int(eligible[np.where(fits, a, -np.inf).argmax()])
+        # Pivot on (pr, pc). A row whose pivot-column entry is zero would
+        # change by exactly 0 * T[pr], so when at most half the rows have a
+        # nonzero entry only those are gathered, updated and scattered back.
+        piv = col[pr]
+        colvals = -T[:, j] if n <= pc < 2 * n else T[:, j].copy()
+        colvals[pr] = 0.0
+        T[pr, :] /= piv
+        erows = colvals.nonzero()[0]
+        k = erows.size
+        if 2 * k > m + 1:
+            T -= np.multiply(colvals[:, None], T[pr], out=scratch)
+        else:
+            # mode="clip" gathers straight into scratch; "raise" would buffer.
+            blk = np.take(T, erows, axis=0, out=scratch[:k], mode="clip")
+            blk -= np.multiply(colvals[erows, None], T[pr], out=scratch[k : 2 * k])
+            T[erows] = blk
+        basis[pr] = pc
+        iterations += 1
+        value_now = -T[m, w]
+        if value_now < best_value - PIVOT_TOL:
+            best_value = value_now
+            no_progress = 0
+        else:
+            no_progress += 1
+            if no_progress >= progress_window:
+                reason = "stall_window"
+                break
+
+    if reason != "optimal":
+        return reason, iterations, None, None
+    # Refactorize the final basis once, from the starting entries. A basic
+    # artificial never leaves its own row. With A the rows whose artificial
+    # is basic and I the others, the basis is [N | unit columns on A], and
+    # it is nonsingular exactly when the s x s block N_I of the other s
+    # basic columns is. N_I is gathered into the work array, minus columns
+    # as their plus twins: the solve then gives z_j itself, and the
+    # multipliers do not depend on a column's sign.
+    inner = basis < art0
+    stored = np.where(basis < n, basis, basis - n)[inner]
+    s = stored.size
+    col_at = np.full(w, -1)
+    col_at[stored] = np.arange(s)
+    row_at = np.full(m, -1)
+    row_at[inner] = np.arange(s)
+    p, q = col_at[ec], row_at[er]
+    on_i, on_a = (p >= 0) & (q >= 0), (p >= 0) & (q < 0)
+    N = scratch.reshape(-1)[: s * s].reshape(s, s)
+    N.fill(0.0)
+    N[q[on_i], p[on_i]] = ev[on_i]
+    try:
+        if -T[m, w] > INFEAS_MARGIN:
+            # Simplex multipliers y = c_B^T B^-1 with c_B marking the basic
+            # artificials: y is 1 on A, and on I it zeroes every other basic
+            # column, N_I^T y_I = -N_A^T 1. Undo scaling and flips, negate,
+            # and the rows combine to 0 <= -value, up to a non-negative
+            # combination on the sign columns that their sign rows cancel.
+            y = np.ones(m)
+            y[inner] = np.linalg.solve(
+                N.T, -np.bincount(p[on_a], weights=ev[on_a], minlength=s))
+            u = -y * flip / scale
+            u[ub] = np.where(u[ub] > -FEAS_TOL, np.maximum(u[ub], 0.0), u[ub])
+            return reason, iterations, None, u
+        x = np.linalg.solve(N, (flip * b)[inner])
+    except np.linalg.LinAlgError:
+        # The final basis is singular in the starting entries.
+        return "eroded", iterations, None, None
+    z = np.zeros(n)
+    structural = stored < n
+    z[stored[structural]] = x[structural]
+    return reason, iterations, z, None
+
+
+def single_residual(cert, cand):
+    """certificate_residual of a single certificate, every Lgb channel multiplied and added."""
+    s_polys = cert.s_polys()
+    b, lfb, lgb = cand.b, cand.lfb, cand.lgb
+    a = cert.a if cert.a is not None else 0
+    power_term = Polynomial.one(b.nvars) if a == 0 else lfb ** (2 * a)
+    h1 = s_polys[0] + b * cert.p10
+    for j in range(lgb.cols):
+        h1 = h1 + lgb[0, j] * cert.p1[j]
+    e = h1 * lfb - s_polys[1] - b * cert.p20
+    for j in range(lgb.cols):
+        e = e - lgb[0, j] * cert.p2[j]
+    e = e - power_term
+    return e.max_abs_coefficient()

@@ -1,12 +1,12 @@
 """Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, the simplex
-pivot loop and a joint verification (need pytest-benchmark)."""
+pivot loop, the Farkas gate and a joint verification (need pytest-benchmark)."""
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
 import barrierlp.verifier as verifier
-from barrierlp.lpsolve import FEAS_TOL, LpStatus, solve_feasibility
+from barrierlp.lpsolve import FEAS_TOL, LpStatus, solve_feasibility, validate_farkas
 from barrierlp.specio import load_problem
 from barrierlp.polyring import evaluate, mul
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
@@ -94,6 +94,18 @@ def test_pivot_sweep_one_chaser_a1(benchmark):
     assert out.status is LpStatus.FEASIBLE
     assert out.iterations == 63
     assert lp.max_violation(out.point) <= FEAS_TOL
+
+
+def test_farkas_gate_six_chaser_emptiness(benchmark):
+    """The Farkas gate on the L=6 fleet's emptiness refutation at deg_s=1, 962 x 259."""
+    _, cands = fleet(6)
+    lp, _ = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    out = solve_feasibility(lp)
+    # Presolve refutes it: 35 of the 962 multipliers are nonzero.
+    assert (out.status, out.iterations) == (LpStatus.INFEASIBLE, 0)
+    assert sum(u != 0.0 for u in out.farkas.eq_mults + out.farkas.ub_mults) == 35
+    gate = benchmark.pedantic(validate_farkas, args=(lp, out.farkas), rounds=20, iterations=5)
+    assert gate == (0.0, -1.0)
 
 
 def test_assemble_single_six_chasers(benchmark):
