@@ -4,26 +4,26 @@ A polynomial whose coefficients are linear in a global decision vector z is
 a LinearPoly: three flat arrays holding, per term, a monomial code, a
 decision column and a coefficient. A (monomial, column) pair may repeat;
 nothing is summed until coefficient_system, which turns the identity
-``lin + fixed == 0`` into one equality row ``(coefs, rhs)`` per monomial.
-Monomial codes are additive (MonomialCodes), so multiplying by a fixed
-polynomial is one outer shift-and-scale of the arrays and a signed sum is
-one concatenation. A DSOS polynomial's Gram matrix is a non-negative
-combination of the extreme rays of the diagonally dominant cone, v v^T
-with at most two nonzero entries +-1 in v (Barker & Carlson 1975; Ahmadi &
-Majumdar 2019). Its decision columns are the ray weights, so DSOS
-membership is one sign row per column, in the same ``(coefs, rhs)`` shape
-that LpProblem stores.
+``lin + fixed == 0`` into one equality row per monomial. Monomial codes are
+additive (MonomialCodes), so multiplying by a fixed polynomial is one outer
+shift-and-scale of the arrays and a signed sum is one concatenation. A DSOS
+polynomial's Gram matrix is a non-negative combination of the extreme rays
+of the diagonally dominant cone, v v^T with at most two nonzero entries +-1
+in v (Barker & Carlson 1975; Ahmadi & Majumdar 2019). Its decision columns
+are the ray weights, so DSOS membership is one sign row per column. Both
+kinds of rows come as a RowBlock, the arrays LpProblem stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .lpsolve import RowBlock
 from .polyring import PRUNE_TOL, Monomial, Polynomial
 
 # A sparse row of decision columns.
@@ -145,8 +145,8 @@ def mul_fixed(lin: LinearPoly, p: Polynomial) -> LinearPoly:
     )
 
 
-def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> List[Tuple[Row, float]]:
-    """Rows (coefs, rhs) of lin + fixed == 0, one per monomial in the global term order.
+def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> RowBlock:
+    """The rows coefs . z == rhs of lin + fixed == 0, one per monomial in the global term order.
 
     Satisfying every row is equivalent to the identity holding as
     polynomials, which is how a Gram-style matching condition is imposed
@@ -154,9 +154,9 @@ def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> List[Tuple[Row, fl
     basis convention. This is the one place where terms are summed: the
     terms of each (monomial, column) pair are added in lin's order, a sum
     that is not finite raises ValueError, and a sum below PRUNE_TOL is
-    dropped. A row keeps its columns in ascending order. A monomial whose
-    columns all cancel has no row unless fixed has a term there; a monomial
-    without a fixed term gets rhs -0.0, which exported LP text prints as -0.
+    dropped. The rows come as a RowBlock, each row's columns ascending. A
+    monomial whose columns all cancel has no row unless fixed has a term
+    there; one without a fixed term gets rhs -0.0, which LP text prints as -0.
     """
     codes = lin.codes
     if codes.nvars != fixed.nvars:
@@ -179,13 +179,10 @@ def coefficient_system(lin: LinearPoly, fixed: Polynomial) -> List[Tuple[Row, fl
     new_row = np.ones(mono.size, dtype=bool)
     new_row[1:] = mono[1:] != mono[:-1]
     row = np.cumsum(new_row) - 1
-    nrows = int(new_row.sum())
-    rhs = np.full(nrows, -0.0)
-    on_fixed = col < 0
+    rhs = np.full(row[-1] + 1 if row.size else 0, -0.0)
+    on_fixed, on_cols = col < 0, col >= 0
     rhs[row[on_fixed]] = -sums[on_fixed]
-    counts = np.bincount(row[~on_fixed], minlength=nrows)
-    entries = zip(col[~on_fixed].tolist(), sums[~on_fixed].tolist())
-    return [(dict(islice(entries, c)), b) for c, b in zip(counts.tolist(), rhs.tolist())]
+    return row[on_cols], col[on_cols], sums[on_cols], rhs
 
 
 def instantiate(lin: LinearPoly, z: Sequence[float], basis: Sequence[Monomial]) -> Polynomial:
@@ -288,19 +285,22 @@ def _ray_terms(pairs: Tuple[Tuple[int, int], ...]):
     return (rays, *arrays)
 
 
-def dd_linear_constraints(v: DsosVar) -> List[Tuple[Row, float]]:
-    """Rows (coefs, rhs) meaning coefs . z <= rhs that make v's Gram matrix diagonally dominant.
+def dd_linear_constraints(v: DsosVar) -> RowBlock:
+    """The rows coefs . z <= rhs that make v's Gram matrix diagonally dominant.
 
     One sign row -w <= 0 per ray weight w, in allocation order.
     """
-    return [({col: -1.0}, 0.0) for col in v.rays]
+    cols = np.fromiter(v.rays, np.int64, len(v.rays))
+    return np.arange(cols.size), cols, np.full(cols.size, -1.0), np.zeros(cols.size)
 
 
 def is_diagonally_dominant(M: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff M_ii + tol >= sum_{j != i} |M_ij| for every row i."""
+    """True iff M_ii + tol >= sum_{j != i} |M_ij| for every row i, with every entry finite."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square, got shape %s" % (M.shape,))
+    if not np.isfinite(M).all():
+        return False
     k = M.shape[0]
     for i in range(k):
         off = sum(abs(M[i, j]) for j in range(k) if j != i)

@@ -1,37 +1,26 @@
 """Pure-feasibility linear programs: representation, presolve, phase-1 simplex, LP files.
 
 Every program here minimizes the constant zero; the only question is whether
-the constraint system admits a point. Variables are free, except that an
-inequality row -c x_j <= 0 makes x_j a sign column, x_j >= 0, which the
-solver keeps as a bound rather than a row. A presolve first applies two
-rules of Andersen & Andersen (Math. Prog. 71, 1995) to the equality rows: a
-forcing row (right-hand side 0, entries of one sign, all on sign columns)
-fixes its columns at 0, and a row of one or two entries substitutes a
-variable out, a free one where it has one. Neither adds entries to a row,
-so chains of them collapse without a pivot. What is left goes to a dense
-phase-1 simplex over split free variables z = z+ - z-, sign columns,
-slacks and one artificial per row. Only the z+ and sign columns and the
-slacks are stored: a z- column is the exact negative of its z+ column and
-enters by pivoting on the negated column, and the artificials, which never
-re-enter, are not stored at all. The entering column is Dantzig's: one
-argmin over the z+ reduced costs, one over their negations with the
-missing minus twins of sign columns reading +inf, one over the slacks, and
-the lowest code among equal minima. The leaving row comes from Harris's
-two-pass ratio test (Math. Prog. 5, 1973), which prefers the largest pivot
-entry among near-ties. That pairing has no anti-cycling guarantee: the
-progress window bounds any cycle.
-Only a run that ends optimal is trusted. Every other exit (pivot budget,
-progress window, an entering column with no usable pivot) reads
-IterationLimit, and so does an optimal run whose final basis is singular
-or whose point misses a row of the caller's program.
-An optimal run refactorizes its final basis once, from the tableau's
-starting entries, and answers from one solve with it: the basic point if
-the artificial sum is 0, else the multipliers y = c_B^T B^-1, which combine
-the constraints into 0^T z <= -delta with delta > 0, so negative verdicts
-carry their own proof and can be revalidated by substitution. Postsolve
-maps points and multipliers back through the eliminations and gives every
-sign row the multiplier that zeroes its column, so every answer, and every
-check of it, refers to the caller's rows.
+the constraint system admits a point. Its rows stay arrays from assembly to
+the gates: (row, column, value) sorted by row, and the right-hand sides.
+Variables are free, except that an inequality row -c x_j <= 0 makes x_j a
+sign column, x_j >= 0, which the solver keeps as a bound. A presolve applies
+two rules of Andersen & Andersen (Math. Prog. 71, 1995) to the equality rows,
+forcing rows and rows of one or two entries, which collapse in chains
+without a pivot. What is left goes to a dense phase-1 simplex over split
+free variables z = z+ - z-, sign columns, slacks and one artificial per row,
+with Dantzig's entering column and Harris's two-pass ratio test (Math. Prog.
+5, 1973). That pairing has no anti-cycling guarantee: the progress window
+bounds any cycle. Only a run that ends optimal is trusted. Every other exit
+(pivot budget, progress window, an entering column with no usable pivot)
+reads IterationLimit, and so does an optimal run whose final basis is
+singular or whose point misses a row of the caller's program. An optimal run
+answers from one solve with its final basis: the basic point if the
+artificial sum is 0, else the multipliers y = c_B^T B^-1, which combine the
+constraints into 0^T z <= -delta with delta > 0, so negative verdicts carry
+their own proof and can be revalidated by substitution. Postsolve maps
+points and multipliers back through the eliminations, so every answer, and
+every check of it, refers to the caller's rows.
 """
 
 from __future__ import annotations
@@ -39,11 +28,12 @@ from __future__ import annotations
 import math
 import re
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import deque, namedtuple
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,10 +92,10 @@ class LpOutcome:
     or decided without pivoting), "max_iters" (pivot budget spent),
     "stall_window" (too many pivots without lowering the artificial sum) or
     "eroded" (the entering column has no entry above PIVOT_TOL, the final
-    basis is singular in the starting entries, or the final point misses a
-    row of the caller's program by more than FEAS_TOL). Every exit but
-    "optimal" comes with IterationLimit. point and farkas always refer to
-    the caller's rows.
+    basis is singular in the starting entries, or the final point is not
+    finite or misses a row of the caller's program by more than FEAS_TOL).
+    Every exit but "optimal" comes with IterationLimit. point and farkas
+    always refer to the caller's rows.
     """
 
     status: LpStatus
@@ -117,19 +107,27 @@ class LpOutcome:
 
 
 SparseRow = Tuple[Dict[int, float], float]
+# Rows in array form: the (row, column, value) of every entry, sorted by row with
+# columns ascending within a row, and each row's right-hand side; rows count from 0.
+RowBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class LpProblem:
-    """Sparse equality/inequality system a^T z {=, <=} beta with free z."""
+    """Sparse equality/inequality system a^T z {=, <=} beta with free z.
+
+    The rows are held as one RowBlock, equality rows first, with the count
+    of equality rows: `arrays()`. add_eq and add_ub check one row given as a
+    dict; add_rows appends whole blocks as assembly builds them, unchecked.
+    Rows added either way join the arrays on the next read. eq_rows and
+    ub_rows are (coefs, rhs) views built on each access, for the tests and
+    export_lp_text; the solver and the gates read the arrays.
+    """
 
     def __init__(self, nvars: int, names: Optional[Sequence[str]] = None):
         if nvars < 0:
             raise ValueError("nvars must be >= 0, got %d" % nvars)
         self.nvars = nvars
-        if names is None:
-            # Generated names are valid and unique by construction.
-            names = ["z%d" % (i + 1) for i in range(nvars)]
-        else:
+        if names is not None:
             names = list(names)
             if len(names) != nvars:
                 raise ValueError("expected %d names, got %d" % (nvars, len(names)))
@@ -138,11 +136,18 @@ class LpProblem:
                     raise ValueError("invalid variable name %r" % nm)
             if len(set(names)) != nvars:
                 raise ValueError("variable names must be unique")
-        self.names = names
-        self.eq_rows: List[SparseRow] = []
-        self.ub_rows: List[SparseRow] = []
+        self._names = names
+        self._arrays = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0), 0)
+        self._added: Tuple[List[RowBlock], List[RowBlock]] = ([], [])
 
-    def _clean(self, coefs: Dict[int, float], rhs: float) -> SparseRow:
+    @property
+    def names(self) -> List[str]:
+        if self._names is None:
+            # Generated on first use; valid and unique by construction.
+            self._names = ["z%d" % (i + 1) for i in range(self.nvars)]
+        return self._names
+
+    def _clean(self, coefs: Dict[int, float], rhs: float) -> RowBlock:
         out: Dict[int, float] = {}
         for idx, c in coefs.items():
             i = int(idx)
@@ -156,51 +161,77 @@ class LpProblem:
         b = float(rhs)
         if not math.isfinite(b):
             raise ValueError("non-finite right-hand side %r" % b)
-        return out, b
+        cols = sorted(out)
+        return (np.zeros(len(cols), np.intp), np.array(cols, np.intp),
+                np.array([out[i] for i in cols], float), np.array([b]))
 
     def add_eq(self, coefs: Dict[int, float], rhs: float) -> None:
-        self.eq_rows.append(self._clean(coefs, rhs))
+        self._added[0].append(self._clean(coefs, rhs))
 
     def add_ub(self, coefs: Dict[int, float], rhs: float) -> None:
-        self.ub_rows.append(self._clean(coefs, rhs))
+        self._added[1].append(self._clean(coefs, rhs))
+
+    def add_rows(self, eq: Sequence[RowBlock] = (), ub: Sequence[RowBlock] = ()) -> None:
+        """Append blocks of equality and of inequality rows, unchecked."""
+        self._added[0].extend(eq)
+        self._added[1].extend(ub)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """(row, column, value, rhs, n_eq): the rows, the n_eq equality rows first."""
+        eq, ub = self._added
+        if eq or ub:
+            row, col, val, rhs, n_eq = self._arrays
+            if rhs.size:
+                # Rows added after a read: the stored rows go around the new equality rows.
+                cut = int(np.searchsorted(row, n_eq))
+                eq.insert(0, (row[:cut], col[:cut], val[:cut], rhs[:n_eq]))
+                ub.insert(0, (row[cut:] - n_eq, col[cut:], val[cut:], rhs[n_eq:]))
+            blocks = eq + ub
+            offsets = list(accumulate([b[3].size for b in blocks], initial=0))
+            row = np.concatenate([b[0] + o if o else b[0] for b, o in zip(blocks, offsets)])
+            self._arrays = (row, *(np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3)),
+                            offsets[len(eq)])
+            self._added = ([], [])
+        return self._arrays
+
+    def _views(self, eq: bool) -> List[SparseRow]:
+        row, col, val, rhs, n_eq = self.arrays()
+        lo, hi = (0, n_eq) if eq else (n_eq, rhs.size)
+        a, b = np.searchsorted(row, (lo, hi))
+        entries = zip(col[a:b].tolist(), val[a:b].tolist())
+        counts = np.bincount(row[a:b] - lo, minlength=hi - lo).tolist()
+        return [(dict(islice(entries, c)), beta) for c, beta in zip(counts, rhs[lo:hi].tolist())]
+
+    # (coefs, rhs) views of the rows, built on each access.
+    eq_rows = property(lambda self: self._views(True))
+    ub_rows = property(lambda self: self._views(False))
 
     @property
     def nrows(self) -> int:
-        return len(self.eq_rows) + len(self.ub_rows)
+        return self.arrays()[3].size
 
     def max_violation(self, z: Sequence[float]) -> float:
-        # Each row adds its products one at a time, in entry order. sum()
-        # would not: from Python 3.12 on it compensates float sums.
-        z = np.asarray(z, dtype=float).tolist()
-        worst = 0.0
-        for coefs, rhs in self.eq_rows:
-            v = 0.0
-            for i, c in coefs.items():
-                v += c * z[i]
-            worst = max(worst, abs(v - rhs))
-        for coefs, rhs in self.ub_rows:
-            v = 0.0
-            for i, c in coefs.items():
-                v += c * z[i]
-            worst = max(worst, v - rhs)
-        return worst
+        """The largest amount by which a row misses at z (0.0 if none does); NaN propagates.
+
+        Each row adds its products in column order: bincount adds its input
+        in order.
+        """
+        row, col, val, rhs, n_eq = self.arrays()
+        v = np.bincount(row, val * np.asarray(z, dtype=float)[col], rhs.size) - rhs
+        v[:n_eq] = np.abs(v[:n_eq])
+        worst = float(v.max()) if v.size else 0.0
+        return 0.0 if worst <= 0.0 else worst
 
     def __eq__(self, other):
         if not isinstance(other, LpProblem):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.names == other.names
-            and self.eq_rows == other.eq_rows
-            and self.ub_rows == other.ub_rows
-        )
+        mine, theirs = self.arrays(), other.arrays()
+        return (self.nvars == other.nvars and self.names == other.names and mine[4] == theirs[4]
+                and all(np.array_equal(a, b) for a, b in zip(mine[:4], theirs[:4])))
 
     def __repr__(self):
-        return "LpProblem(nvars=%d, eq=%d, ub=%d)" % (
-            self.nvars,
-            len(self.eq_rows),
-            len(self.ub_rows),
-        )
+        n_eq = self.arrays()[4]
+        return "LpProblem(nvars=%d, eq=%d, ub=%d)" % (self.nvars, n_eq, self.nrows - n_eq)
 
 
 def validate_farkas(
@@ -211,26 +242,20 @@ def validate_farkas(
     A valid certificate has the first value <= tol and the second <= -tol,
     with every ub multiplier non-negative.
     """
-    if len(cert.eq_mults) != len(lp.eq_rows) or len(cert.ub_mults) != len(lp.ub_rows):
+    row, col, val, rhs, n_eq = lp.arrays()
+    if len(cert.eq_mults) != n_eq or len(cert.ub_mults) != rhs.size - n_eq:
         raise ValueError("certificate length does not match the row counts")
     for mult in cert.ub_mults:
         if mult < -tol:
             raise ValueError("negative multiplier %g on an inequality row" % mult)
-    # Rows are combined in order. A zero multiplier adds only signed zeros
-    # to sums that start at +0.0, which leaves every bit alone, so its row
-    # is skipped.
-    combo = [0.0] * lp.nvars
-    rhs = 0.0
-    for mults, rows in ((cert.eq_mults, lp.eq_rows), (cert.ub_mults, lp.ub_rows)):
-        for mult, (coefs, beta) in zip(mults, rows):
-            if mult == 0.0:
-                continue
-            for i, c in coefs.items():
-                combo[i] += mult * c
-            rhs += mult * beta
+    # Rows are combined in order: bincount adds its input in order, and the
+    # right-hand side is a running sum from +0.0 (np.sum would add pairwise).
+    u = np.fromiter(chain(cert.eq_mults, cert.ub_mults), float, rhs.size)
+    combo = np.bincount(col, weights=u[row] * val, minlength=lp.nvars)
+    total = np.cumsum(np.append(0.0, u * rhs))[-1]
     # np.max, unlike max(), carries a NaN through to the gate.
     max_coef = float(np.max(np.abs(combo))) if lp.nvars else 0.0
-    return max_coef, rhs
+    return max_coef, float(total)
 
 
 def solve_feasibility(lp: LpProblem, max_iters: int = MAX_ITERS) -> LpOutcome:
@@ -251,20 +276,28 @@ def solve_feasibility(lp: LpProblem, max_iters: int = MAX_ITERS) -> LpOutcome:
     if pre.contradiction is not None:
         # An empty row that cannot hold is its own one-row certificate,
         # scaled to a combined right-hand side of -1.
-        r = pre.contradiction
-        return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate({r: -1.0 / pre.beta[r]}))
-    rows, cols, nonneg = pre.reduced()
-    reason, iterations, z, y = _phase1(rows, cols, nonneg, pre.n_eq, max_iters)
+        y = np.array([-1.0 / pre.beta[pre.contradiction]])
+        return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate(y))
+    red = pre.reduced()
+    reason, iterations, z, y = _phase1(red, max_iters)
     if reason != "optimal":
         return outcome(LpStatus.ITERATION_LIMIT, reason)
     if y is not None:
-        return outcome(LpStatus.INFEASIBLE,
-                       farkas=pre.certificate(dict(zip([r for r, _, _ in rows], y.tolist()))))
-    point = pre.point(cols, z)
-    if lp.max_violation(point) > FEAS_TOL:
-        # The reduced tableau's point misses a row of the caller's program.
+        return outcome(LpStatus.INFEASIBLE, farkas=pre.certificate(y, red))
+    point = pre.point(red.cols, z)
+    if not lp.max_violation(point) <= FEAS_TOL:
+        # The reduced tableau's point misses a row of the caller's program,
+        # or is not finite.
         return outcome(LpStatus.ITERATION_LIMIT, "eroded")
     return outcome(LpStatus.FEASIBLE, point=point)
+
+
+# The program presolve hands the simplex. rows lists the caller's indices of
+# its rows, ascending, and ub the positions among them of the inequality rows.
+# Entry e lies in row er[e] (a position in rows) and column ec[e] (a position
+# in cols) with value ev[e], grouped by row. beta holds the right-hand sides,
+# cols the caller's columns in use, ascending, and nonneg flags sign columns.
+_Reduced = namedtuple("_Reduced", "rows ub er ec ev beta cols nonneg")
 
 
 class _Presolve:
@@ -273,7 +306,7 @@ class _Presolve:
     Rows are numbered equality rows first, then inequality rows. The first
     inequality row -c x_j <= 0 (c > 0) of a variable makes x_j a sign column
     and is its sign row; every other variable is free. Equality rows are
-    taken off a queue:
+    taken in a first sweep in row order, then off a queue:
 
     - A forcing row has right-hand side 0 and entries of one sign, all on
       sign columns. Each of its columns is then 0: it is taken out of every
@@ -284,41 +317,66 @@ class _Presolve:
       That variable, x_j, is replaced everywhere by
       (beta_r - sum_k a_rk x_k) / a_rj.
 
-    Neither rule adds entries to a row, and a changed equality row rejoins
-    the queue. An updated entry (or right-hand side) within DROP_TOL of both
-    terms that made it is cancellation noise and becomes an exact zero. A row
-    left empty is dropped if it holds within FEAS_TOL and is the
-    contradiction otherwise; a fixed sign column's sign row settles that way.
-    The sign rows still live at the end leave the tableau as native bounds.
+    Neither rule adds entries to a row. A changed equality row joins the
+    sweep if its turn is ahead, the queue otherwise. An updated entry (or
+    right-hand side) within DROP_TOL of both terms that made it is
+    cancellation noise and becomes an exact zero. A row left empty is dropped
+    if it holds within FEAS_TOL and is the contradiction otherwise; a fixed
+    sign column's sign row settles that way. The sign rows still live at the
+    end leave the tableau as native bounds.
+
+    The caller's arrays are only read. NumPy finds the sign rows, the empty
+    rows and the rows the sweep starts with. Rows become dicts, in ascending
+    column order, once there is work: every equality row at once, since
+    presolve changes most of them (93% on the benchmark corpus), and an
+    inequality row when it changes. The rows holding a column come from a
+    stable argsort of the columns, plus those a substitution gave it.
 
     `steps` records each elimination as (row r, variable j, row r's
     entries, beta_r, [(i, a_ij / a_rj) for every other row i holding j
     then]), and each forcing row as (row r, None, row r's entries, 0.0,
     [(k, sign row of k, c_k, [(i, a_ik) for every other row i holding k
     then]) for every column k of r]); postsolve replays them backwards.
-    Rows are copied before their first update, so the caller's program is
-    never modified.
     """
 
     def __init__(self, lp: LpProblem):
-        self.nvars = lp.nvars
-        self.n_eq = len(lp.eq_rows)
-        self.coefs = [coefs for coefs, _ in lp.eq_rows] + [coefs for coefs, _ in lp.ub_rows]
-        self.beta = [beta for _, beta in lp.eq_rows] + [beta for _, beta in lp.ub_rows]
-        self.live = [True] * len(self.coefs)
+        row, col, val, rhs, n_eq = lp.arrays()
+        nrows = rhs.size
+        self.nvars, self.n_eq = lp.nvars, n_eq
+        ptr = np.searchsorted(row, np.arange(nrows + 1))
+        counts = ptr[1:] - ptr[:-1]
+        self.ptr, self.beta = ptr.tolist(), rhs.tolist()
+        self.cols, self.vals = col.tolist(), val.tolist()
+        self.live = [True] * nrows
+        self.coefs: List[Optional[Dict[int, float]]] = [None] * nrows
         self.steps: List[tuple] = []
         self.contradiction: Optional[int] = None
-        self.sign_row: Dict[int, int] = {}
-        for r, coefs in enumerate(self.coefs):
-            if not coefs and self._settle_empty(r):
+        one = n_eq + np.flatnonzero(counts[n_eq:] == 1)
+        one = one[(rhs[one] == 0.0) & (val[ptr[one]] < 0.0)][::-1]
+        signs = col[ptr[one]]
+        # Reversed, the dict keeps each column's first sign row.
+        self.sign_row = dict(zip(signs.tolist(), one.tolist()))
+        self.is_sign = np.zeros(lp.nvars, bool)
+        self.is_sign[signs] = True
+        for r in np.flatnonzero(counts == 0).tolist():
+            if self._settle_empty(r):
                 return
-            if r >= self.n_eq and len(coefs) == 1 and self.beta[r] == 0.0:
-                (j, c), = coefs.items()
-                if c < 0.0:
-                    self.sign_row.setdefault(j, r)
-        queue = deque(r for r in range(self.n_eq) if self.live[r])
-        if queue:
-            self._eliminate(queue)
+        # The equality rows presolve can take as they stand: one or two
+        # entries, or forcing (the signs of their entries on sign columns
+        # add up to +-count).
+        k, c = ptr[n_eq], counts[:n_eq]
+        total = np.bincount(row[:k], np.copysign(self.is_sign[col[:k]], val[:k]), n_eq)
+        due = (c <= 2) | ((rhs[:n_eq] == 0.0) & (np.abs(total) == c))
+        if due.any():
+            self._eliminate(due.tolist(), row, col, c.tolist())
+
+    def _entries(self, r: int) -> Dict[int, float]:
+        """Row r's dict, made from its slice of the arrays on first use."""
+        row = self.coefs[r]
+        if row is None:
+            a, b = self.ptr[r], self.ptr[r + 1]
+            row = self.coefs[r] = dict(zip(self.cols[a:b], self.vals[a:b]))
+        return row
 
     def _settle_empty(self, r: int) -> bool:
         """Drop empty row r if it holds; otherwise record it and return True."""
@@ -329,61 +387,71 @@ class _Presolve:
         self.live[r] = False
         return False
 
-    def _forcing(self, r: int) -> bool:
-        row = self.coefs[r]
-        if self.beta[r] != 0.0 or any(k not in self.sign_row for k in row):
-            return False
-        return all(a > 0.0 for a in row.values()) or all(a < 0.0 for a in row.values())
-
-    def _eliminate(self, queue: "deque[int]") -> None:
+    def _eliminate(self, due: List[bool], row: np.ndarray, col: np.ndarray,
+                   sizes: List[int]) -> None:
         coefs, beta, live, n_eq = self.coefs, self.beta, self.live, self.n_eq
-        sign_row = self.sign_row
-        owned = [False] * len(coefs)
-        queued = [False] * len(coefs)
-        for r in queue:
-            queued[r] = True
-        cols: List[set] = [set() for _ in range(self.nvars)]
-        for r, row in enumerate(coefs):
-            if live[r]:
-                for j in row:
-                    cols[j].add(r)
+        sign_row, entries = self.sign_row, self._entries
+        flat = zip(self.cols, self.vals)
+        coefs[:n_eq] = [dict(islice(flat, size)) for size in sizes]
+        order = np.argsort(col.astype(np.int16) if self.nvars < 2 ** 15 else col, kind="stable")
+        held = row[order].tolist()
+        start = np.searchsorted(col[order], np.arange(self.nvars + 1)).tolist()
+        gained: Dict[int, List[int]] = {}
+        queue: "deque[int]" = deque()
+        queued = [False] * n_eq
+        turn = -1
 
-        def own(i: int) -> Dict[int, float]:
-            if not owned[i]:
-                coefs[i] = dict(coefs[i])
-                owned[i] = True
-            return coefs[i]
+        def holding(j: int) -> List[int]:
+            """The live rows holding column j, ascending."""
+            rows = [i for i in held[start[j] : start[j + 1]]
+                    if live[i] and (coefs[i] is None or j in coefs[i])]
+            if j in gained:
+                rows = sorted({*rows, *(i for i in gained[j] if live[i] and j in coefs[i])})
+            return rows
 
         def changed(i: int) -> bool:
             """Settle or requeue row i after an update; True on a contradiction."""
-            if not coefs[i]:
+            ri = coefs[i]
+            if not ri:
                 return self._settle_empty(i)
-            if i < n_eq and not queued[i] and (len(coefs[i]) <= 2 or beta[i] == 0.0):
-                queued[i] = True
-                queue.append(i)
+            if i < n_eq and (len(ri) <= 2 or beta[i] == 0.0):
+                if i > turn:
+                    due[i] = True
+                elif not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
             return False
 
-        while queue:
-            r = queue.popleft()
-            queued[r] = False
+        def turns() -> Iterator[int]:
+            """The rows due in the first sweep, in row order, then the queue's."""
+            nonlocal turn
+            for turn in range(n_eq):
+                if due[turn]:
+                    yield turn
+            turn = n_eq
+            while queue:
+                r = queue.popleft()
+                queued[r] = False
+                yield r
+
+        for r in turns():
             if not live[r]:
                 continue
             row = coefs[r]
-            if self._forcing(r):
+            if (beta[r] == 0.0 and row.keys() <= sign_row.keys()
+                    and (min(row.values()) > 0.0 or max(row.values()) < 0.0)):
                 live[r] = False
                 fixed = []
                 hit: set = set()
                 for k in row:
-                    cols[k].discard(r)
                     sr = sign_row[k]
                     others = []
-                    fixed.append((k, sr, -coefs[sr][k], others))
-                    for i in sorted(cols[k]):
-                        a_ik = own(i).pop(k)
+                    fixed.append((k, sr, -self.vals[self.ptr[sr]], others))
+                    for i in holding(k):
+                        a_ik = (coefs[i] or entries(i)).pop(k)
                         if i != sr:
                             others.append((i, a_ik))
                         hit.add(i)
-                    cols[k] = set()
                 self.steps.append((r, None, row, 0.0, fixed))
                 for i in sorted(hit):
                     if changed(i):
@@ -398,12 +466,10 @@ class _Presolve:
             a_rj, b_r = row[j], beta[r]
             rest = [(k, a / a_rj) for k, a in row.items() if k != j]
             live[r] = False
-            for k in row:
-                cols[k].discard(r)
             column: List[Tuple[int, float]] = []
             self.steps.append((r, j, row, b_r, column))
-            for i in sorted(cols[j]):
-                ri = own(i)
+            for i in holding(j):
+                ri = coefs[i] or entries(i)
                 a_ij = ri.pop(j)
                 column.append((i, a_ij / a_rj))
                 # row i -= (a_ij / a_rj) row r, entry by entry.
@@ -412,14 +478,13 @@ class _Presolve:
                     old = ri.get(k)
                     if old is None:
                         ri[k] = -d
-                        cols[k].add(i)
+                        gained.setdefault(k, []).append(i)
                         continue
                     new = old - d
                     if abs(new) > DROP_TOL * max(abs(old), abs(d)):
                         ri[k] = new
                     else:
                         del ri[k]
-                        cols[k].discard(i)
                 if b_r:
                     old = beta[i]
                     d = a_ij * (b_r / a_rj)
@@ -427,25 +492,25 @@ class _Presolve:
                     beta[i] = new if abs(new) > DROP_TOL * max(abs(old), abs(d)) else 0.0
                 if changed(i):
                     return
-            cols[j] = set()
 
-    def reduced(self) -> Tuple[List[Tuple[int, Dict[int, float], float]], List[int], List[bool]]:
-        """(row, entries, beta) of the live rows but the sign rows, the variables
-        they use, and which of those are sign columns."""
+    def reduced(self) -> _Reduced:
+        """The live rows but the sign rows, over the columns they use."""
         bounds = set(self.sign_row.values())
-        rows = [(r, self.coefs[r], self.beta[r]) for r in range(len(self.coefs))
-                if self.live[r] and r not in bounds]
-        used: set = set()
-        for _, coefs, _ in rows:
-            used.update(coefs)
-        cols = sorted(used)
-        return rows, cols, [j in self.sign_row for j in cols]
+        rows = [r for r, on in enumerate(self.live) if on and r not in bounds]
+        entries = [self._entries(r) for r in rows]
+        sizes = [len(row) for row in entries]
+        ec = np.fromiter(chain.from_iterable(entries), np.intp, sum(sizes))
+        used = np.zeros(self.nvars, bool)
+        used[ec] = True
+        return _Reduced(rows, np.arange(bisect_left(rows, self.n_eq), len(rows)),
+                        np.repeat(np.arange(len(rows)), sizes), (np.cumsum(used) - 1)[ec],
+                        np.fromiter(chain.from_iterable(row.values() for row in entries), float,
+                                    ec.size),
+                        np.array([self.beta[r] for r in rows]), np.flatnonzero(used),
+                        self.is_sign[used])
 
-    def point(self, cols: List[int], z: np.ndarray) -> np.ndarray:
-        """The reduced point on `cols`, back-substituted into every eliminated variable.
-
-        Columns fixed by a forcing row keep their 0.
-        """
+    def point(self, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The reduced point on `cols`, back-substituted; columns a forcing row fixed keep 0."""
         x = np.zeros(self.nvars)
         x[cols] = z
         out = x.tolist()
@@ -454,34 +519,27 @@ class _Presolve:
                 out[j] = (b_r - sum(a * out[k] for k, a in row.items() if k != j)) / row[j]
         return np.array(out)
 
-    def certificate(self, mults: Dict[int, float]) -> FarkasCertificate:
-        """Multipliers on reduced rows ({row: y}), extended to the eliminated ones.
+    def certificate(self, u: np.ndarray, red: Optional[_Reduced] = None) -> FarkasCertificate:
+        """Multipliers u on red's rows (or the contradiction alone), extended to the other rows.
 
-        Each sign row gets the multiplier that zeroes its column. For a
-        sign row kept as a bound that is s_j / c_j, where s_j >= 0 is the
-        combination of the reduced rows on column j. An eliminated row gets
-        y_r = -sum_i y_i a_ij / a_rj, which zeroes column j. A forcing row
-        gets the extreme y_r of -s_k / a_rk over its columns (the largest
-        when its entries are positive), so that every s_k + y_r a_rk is
-        >= 0, and each column's sign row takes that rest. The certificate
-        combines the caller's rows as y did the reduced ones. Rows absent
-        from mults get 0.
+        A sign row kept as a bound gets s_j / c_j, where s_j >= 0 is the
+        combination of red's rows on column j (one bincount, in row order).
+        An eliminated row gets y_r = -sum_i y_i a_ij / a_rj, which zeroes
+        column j. A forcing row gets the extreme y_r of -s_k / a_rk over its
+        columns (the largest when its entries are positive), so that every
+        s_k + y_r a_rk is >= 0, and each column's sign row takes that rest.
         """
         y = [0.0] * len(self.beta)
-        for r, u in mults.items():
-            y[r] = u
-        # A contradiction can stop presolve between emptying a sign row and
-        # settling it; such a row no longer bounds its column.
-        bounds = {j: r for j, r in self.sign_row.items() if self.live[r] and self.coefs[r]}
-        combo = dict.fromkeys(bounds, 0.0)
-        for r, u in mults.items():
-            if u == 0.0:
-                continue  # adds signed zeros to sums that start at +0.0
-            for j, a in self.coefs[r].items():
-                if j in combo:
-                    combo[j] += u * a
-        for j, r in bounds.items():
-            y[r] = max(combo[j], 0.0) / -self.coefs[r][j]
+        for r, v in zip([self.contradiction] if red is None else red.rows, u.tolist()):
+            y[r] = v
+        # A contradiction has no entries to combine: its bounds keep 0.
+        if red is not None:
+            s = np.bincount(red.cols[red.ec], weights=u[red.er] * red.ev, minlength=self.nvars)
+            bounds = [(j, r) for j, r in self.sign_row.items() if self.live[r]]
+            combo = s[[j for j, _ in bounds]]
+            c = np.array([-self.vals[self.ptr[r]] for _, r in bounds])
+            for (_, r), v in zip(bounds, (np.where(0.0 > combo, 0.0, combo) / c).tolist()):
+                y[r] = v
         for r, j, row, _, column in reversed(self.steps):
             if j is not None:
                 y[r] = -sum(y[i] * f for i, f in column)
@@ -494,25 +552,19 @@ class _Presolve:
         return FarkasCertificate(y[: self.n_eq], y[self.n_eq :])
 
 
-def _phase1(
-    rows: List[Tuple[int, Dict[int, float], float]],
-    cols: List[int],
-    nonneg: List[bool],
-    n_eq: int,
-    max_iters: int,
-) -> Tuple[str, int, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Phase-1 simplex over rows (row, entries, beta) in the variables `cols`.
+def _phase1(red: _Reduced, max_iters: int) -> Tuple[str, int, Optional[np.ndarray],
+                                                     Optional[np.ndarray]]:
+    """Phase-1 simplex over the reduced program `red`.
 
-    A variable whose `nonneg` flag is set is bounded below by 0; the others
-    are free. Returns (exit, pivots, point on cols or None, multipliers on
-    rows or None). Only exit "optimal" returns either: multipliers when the
+    A sign column is bounded below by 0; the others are free. Returns
+    (exit, pivots, point on red.cols or None, multipliers on red.rows or
+    None). Only exit "optimal" returns either: multipliers when the
     artificial sum stays above INFEAS_MARGIN, the point otherwise.
     """
-    m = len(rows)
-    n = len(cols)
+    m, n = len(red.rows), red.cols.size
     if m == 0:
         return "optimal", 0, np.zeros(n), None
-    ub = np.flatnonzero([orig >= n_eq for orig, _, _ in rows])
+    ub, nonneg = red.ub, red.nonneg
     n_ub = ub.size
     # Logical columns are the n plus columns, the n minus columns, the
     # slacks and one artificial per row; basis codes number them in that
@@ -522,8 +574,7 @@ def _phase1(
     w = n + n_ub  # stored columns; the right-hand side sits at column w
     art0 = 2 * n + n_ub
     ncols = art0 + m
-    counts = [len(coefs) for _, coefs, _ in rows]
-    nnz = sum(counts) + n_ub
+    nnz = red.ev.size + n_ub
     need = 8 * (2 * (m + 1) * (w + 1) + 3 * nnz + 2 * min(m, w) ** 2)
     if need > MAX_TABLEAU_BYTES:
         raise LpCapacityError("tableau of %d x %d needs %d bytes, capacity is %d; export the"
@@ -532,23 +583,18 @@ def _phase1(
     # for the final solve: each row is divided by its largest |entry| and
     # flipped to a non-negative right-hand side. A slack's entry is
     # flip * scale / scale, exactly +-1.
-    er = np.repeat(np.arange(m), counts)
-    pos = np.empty(cols[-1] + 1, np.intp)
-    pos[cols] = np.arange(n)
-    ec = pos[np.fromiter(chain.from_iterable(coefs for _, coefs, _ in rows), np.intp, er.size)]
-    ev = np.fromiter(chain.from_iterable(coefs.values() for _, coefs, _ in rows), float, er.size)
-    scale = np.maximum.reduceat(np.abs(ev), np.cumsum(counts) - counts)
-    b = np.array([beta for _, _, beta in rows]) / scale
+    counts = np.bincount(red.er, minlength=m)
+    scale = np.maximum.reduceat(np.abs(red.ev), np.cumsum(counts) - counts)
+    b = red.beta / scale
     flip = np.where(b < 0, -1.0, 1.0)
-    er = np.concatenate((er, ub))
-    ec = np.concatenate((ec, np.arange(n, w)))
-    ev = flip[er] * np.concatenate((ev, scale[ub])) / scale[er]
+    er = np.concatenate((red.er, ub))
+    ec = np.concatenate((red.ec, np.arange(n, w)))
+    ev = flip[er] * np.concatenate((red.ev, scale[ub])) / scale[er]
     T = np.zeros((m + 1, w + 1))
     T[er, ec] = ev
     T[:m, w] = flip * b
-    # The one work array of every pivot update. A temporary of varying size
-    # per pivot would be mapped afresh each time, which costs millions of
-    # page faults on a long first solve.
+    # The one work array of every pivot update: a temporary of varying size per
+    # pivot would be mapped afresh each time, millions of page faults on a long solve.
     scratch = np.empty_like(T)
 
     # Objective row holds reduced costs for min(sum of artificials); the
@@ -573,9 +619,8 @@ def _phase1(
     reason = "optimal"
     best_value = math.inf
     no_progress = 0
-    # A run of twice the rows plus logical columns without lowering the
-    # artificial sum is numerical treading water, not progress; end it as
-    # IterationLimit rather than burn the whole iteration budget.
+    # A run of twice the rows plus logical columns without lowering the artificial
+    # sum is treading water; end it as IterationLimit, not at the pivot budget.
     progress_window = 2 * (m + ncols)
     while True:
         if iterations >= max_iters:
@@ -705,12 +750,8 @@ def _row_text(lp: LpProblem, coefs: Dict[int, float]) -> str:
             raise ValueError("cannot export a termless row with no variables")
         # A termless row still needs one syntactic term.
         return "+0 %s" % lp.names[0]
-    parts = []
-    for i in sorted(coefs):
-        c = coefs[i]
-        sign = "+" if c >= 0 else "-"
-        parts.append("%s%s %s" % (sign, _fmt(abs(c)), lp.names[i]))
-    return " ".join(parts)
+    return " ".join("%s%s %s" % ("+" if c >= 0 else "-", _fmt(abs(c)), lp.names[i])
+                    for i, c in sorted(coefs.items()))
 
 
 def export_lp_text(lp: LpProblem, destination: Optional[str] = None) -> str:
@@ -719,24 +760,13 @@ def export_lp_text(lp: LpProblem, destination: Optional[str] = None) -> str:
     Equality rows come first, inequality rows after, both in insertion
     order; re-parsing with parse_lp_text reproduces the problem exactly.
     """
-    lines = [
-        "\\ feasibility program: %d variables, %d equalities, %d inequalities"
-        % (lp.nvars, len(lp.eq_rows), len(lp.ub_rows)),
-        "Minimize",
-        " obj:",
-        "Subject To",
-    ]
-    cnum = 0
-    for coefs, rhs in lp.eq_rows:
-        cnum += 1
-        lines.append(" c%d: %s = %s" % (cnum, _row_text(lp, coefs), _fmt(rhs)))
-    for coefs, rhs in lp.ub_rows:
-        cnum += 1
-        lines.append(" c%d: %s <= %s" % (cnum, _row_text(lp, coefs), _fmt(rhs)))
-    lines.append("Bounds")
-    for name in lp.names:
-        lines.append(" %s free" % name)
-    lines.append("End")
+    eq, ub = lp.eq_rows, lp.ub_rows
+    rows = [(coefs, "=", rhs) for coefs, rhs in eq] + [(coefs, "<=", rhs) for coefs, rhs in ub]
+    lines = ["\\ feasibility program: %d variables, %d equalities, %d inequalities"
+             % (lp.nvars, len(eq), len(ub)), "Minimize", " obj:", "Subject To"]
+    lines += [" c%d: %s %s %s" % (k, _row_text(lp, coefs), rel, _fmt(rhs))
+              for k, (coefs, rel, rhs) in enumerate(rows, 1)]
+    lines += ["Bounds"] + [" %s free" % name for name in lp.names] + ["End"]
     text = "\n".join(lines) + "\n"
     if destination is not None:
         with open(destination, "w") as fh:
@@ -748,6 +778,8 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rel><=|>=|=)|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sign>[+-])|(?P<colon>:))"
 )
+# Section keywords, lower-cased; "subject" must be followed by "to".
+_SECTIONS = {"minimize": "minimize", "min": "minimize", "st": "subject", "bounds": "bounds"}
 
 
 class LpParseError(ValueError):
@@ -759,81 +791,50 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     for raw in text.splitlines():
         line = raw.split("\\", 1)[0]
         pos = 0
-        while pos < len(line):
+        while line[pos:].strip():
             mt = _TOKEN_RE.match(line, pos)
-            if not mt or mt.end() == pos:
-                if line[pos:].strip():
-                    raise LpParseError("unrecognized input %r" % line[pos:].strip())
-                break
+            if not mt:
+                raise LpParseError("unrecognized input %r" % line[pos:].strip())
             pos = mt.end()
-            for kind in ("rel", "num", "name", "sign", "colon"):
-                val = mt.group(kind)
-                if val is not None:
-                    tokens.append((kind, val))
-                    break
+            tokens.append((mt.lastgroup, mt.group(mt.lastgroup)))
     return tokens
 
 
 def parse_lp_text(text: str) -> LpProblem:
     """Parse the subset of the LP format produced by export_lp_text."""
     tokens = _tokenize(text)
-    # Section split driven by the keywords.
-    sections: Dict[str, List[Tuple[str, str]]] = {
-        "minimize": [],
-        "subject": [],
-        "bounds": [],
-    }
+    sections: Dict[str, List[Tuple[str, str]]] = {"minimize": [], "subject": [], "bounds": []}
     current: Optional[str] = None
     i = 0
     while i < len(tokens):
         kind, val = tokens[i]
-        low = val.lower()
-        if kind == "name" and low in ("minimize", "min"):
-            current = "minimize"
-            i += 1
-            continue
-        if kind == "name" and low == "subject":
-            if i + 1 < len(tokens) and tokens[i + 1][1].lower() == "to":
-                current = "subject"
-                i += 2
-                continue
-        if kind == "name" and low in ("st", "s.t."):
-            current = "subject"
-            i += 1
-            continue
-        if kind == "name" and low == "bounds":
-            current = "bounds"
-            i += 1
-            continue
-        if kind == "name" and low == "end":
-            break
-        if current is None:
-            raise LpParseError("token %r before any section" % val)
-        sections[current].append((kind, val))
+        low = val.lower() if kind == "name" else ""
         i += 1
+        if low == "end":
+            break
+        if low == "subject" and i < len(tokens) and tokens[i][1].lower() == "to":
+            current, i = "subject", i + 1
+        elif low in _SECTIONS:
+            current = _SECTIONS[low]
+        elif current is None:
+            raise LpParseError("token %r before any section" % val)
+        else:
+            sections[current].append((kind, val))
 
     # Bounds section declares every variable, in index order.
-    names: List[str] = []
     btoks = sections["bounds"]
-    j = 0
-    while j < len(btoks):
-        kind, val = btoks[j]
-        if kind != "name":
-            raise LpParseError("expected a variable name in Bounds, got %r" % val)
+    for j in range(0, len(btoks), 2):
+        if btoks[j][0] != "name":
+            raise LpParseError("expected a variable name in Bounds, got %r" % btoks[j][1])
         if j + 1 >= len(btoks) or btoks[j + 1][1].lower() != "free":
-            raise LpParseError("variable %r must be declared free" % val)
-        names.append(val)
-        j += 2
-
+            raise LpParseError("variable %r must be declared free" % btoks[j][1])
+    names = [val for _, val in btoks[::2]]
     lp = LpProblem(len(names), names or None)
     index = {nm: k for k, nm in enumerate(names)}
 
     # Objective must be zero: a label plus nothing, or terms with coefficient 0.
-    otoks = [t for t in sections["minimize"]]
-    j = 0
-    if j < len(otoks) and otoks[j][0] == "name" and j + 1 < len(otoks) and otoks[j + 1][0] == "colon":
-        j += 2
-    terms, j = _parse_terms(otoks, j, index)
+    otoks = sections["minimize"]
+    terms, j = _parse_terms(otoks, _past_label(otoks, 0), index)
     if j != len(otoks):
         raise LpParseError("unexpected token %r in the objective" % (otoks[j][1],))
     if any(c != 0.0 for c in terms.values()):
@@ -842,29 +843,33 @@ def parse_lp_text(text: str) -> LpProblem:
     stoks = sections["subject"]
     j = 0
     while j < len(stoks):
-        if stoks[j][0] == "name" and j + 1 < len(stoks) and stoks[j + 1][0] == "colon":
-            j += 2  # row label
-        coefs, j = _parse_terms(stoks, j, index)
+        coefs, j = _parse_terms(stoks, _past_label(stoks, j), index)
         if j >= len(stoks) or stoks[j][0] != "rel":
             raise LpParseError("constraint row is missing its relation")
         rel = stoks[j][1]
-        j += 1
-        rhs, j = _parse_number(stoks, j)
-        if rel == "=":
-            lp.add_eq(coefs, rhs)
-        elif rel == "<=":
-            lp.add_ub(coefs, rhs)
-        else:
+        rhs, j = _parse_number(stoks, j + 1)
+        if rel not in ("=", "<="):
             raise LpParseError("unsupported relation %r" % rel)
+        (lp.add_eq if rel == "=" else lp.add_ub)(coefs, rhs)
     return lp
 
 
-def _parse_number(tokens, j) -> Tuple[float, int]:
+def _past_label(tokens, j) -> int:
+    """The index past a row label "name:" at j, or j if there is none."""
+    return j + 2 if tokens[j + 1 : j + 2] == [("colon", ":")] and tokens[j][0] == "name" else j
+
+
+def _signs(tokens, j) -> Tuple[float, int]:
+    """The product of the sign tokens from j on, and the index past them."""
     sign = 1.0
     while j < len(tokens) and tokens[j][0] == "sign":
-        if tokens[j][1] == "-":
-            sign = -sign
+        sign = -sign if tokens[j][1] == "-" else sign
         j += 1
+    return sign, j
+
+
+def _parse_number(tokens, j) -> Tuple[float, int]:
+    sign, j = _signs(tokens, j)
     if j >= len(tokens) or tokens[j][0] != "num":
         raise LpParseError("expected a number")
     return sign * float(tokens[j][1]), j + 1
@@ -872,21 +877,13 @@ def _parse_number(tokens, j) -> Tuple[float, int]:
 
 def _parse_terms(tokens, j, index) -> Tuple[Dict[int, float], int]:
     coefs: Dict[int, float] = {}
-    while j < len(tokens):
-        kind, val = tokens[j]
-        if kind == "rel":
-            break
-        sign = 1.0
-        while j < len(tokens) and tokens[j][0] == "sign":
-            if tokens[j][1] == "-":
-                sign = -sign
-            j += 1
+    while j < len(tokens) and tokens[j][0] != "rel":
+        coef, j = _signs(tokens, j)
         if j >= len(tokens):
             break
         kind, val = tokens[j]
-        coef = sign
         if kind == "num":
-            coef = sign * float(val)
+            coef *= float(val)
             j += 1
             if j >= len(tokens) or tokens[j][0] != "name":
                 raise LpParseError("number %s is not followed by a variable" % val)
@@ -895,8 +892,9 @@ def _parse_terms(tokens, j, index) -> Tuple[Dict[int, float], int]:
             raise LpParseError("expected a variable name, got %r" % val)
         if val not in index:
             raise LpParseError("unknown variable %r" % val)
-        coefs[index[val]] = coefs.get(index[val], 0.0) + coef
+        k = index[val]
+        coefs[k] = coefs.get(k, 0.0) + coef
+        if coefs[k] == 0.0:
+            del coefs[k]
         j += 1
-        if coefs.get(index[val], 0.0) == 0.0:
-            coefs.pop(index[val], None)
     return coefs, j

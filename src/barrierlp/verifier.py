@@ -531,12 +531,12 @@ def _identity_lp(
     in place of LpProblem's per-row check: every column lies in [0, nvars).
     coefficient_system has already refused any sum that is not finite.
     """
-    cols = np.concatenate([identity.col] + [np.fromiter(v.rays, np.int64) for v in dsos_vars])
+    signs = [dd_linear_constraints(var) for var in dsos_vars]
+    cols = np.concatenate([identity.col] + [block[1] for block in signs])
     if cols.size and not (0 <= cols.min() and cols.max() < nvars):
         raise ValueError("decision column out of range [0, %d)" % nvars)
     lp = LpProblem(nvars)
-    lp.eq_rows = coefficient_system(identity, fixed)
-    lp.ub_rows = [row for var in dsos_vars for row in dd_linear_constraints(var)]
+    lp.add_rows([coefficient_system(identity, fixed)], signs)
     return lp
 
 

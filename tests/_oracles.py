@@ -20,13 +20,17 @@ not, with each sum, product and derivative built by the validating
 Polynomial constructor, the way the program did before its arithmetic
 results skipped that validation.
 
-The reference phase-1 simplex prices one concatenated reduced-cost vector
-and runs the Harris ratio test on arrays; the reference Farkas gate, point
-check and single-certificate residual add every term, zero or not. The
-program's faster versions must reproduce them bit for bit.
+The reference presolve walks one dict per row, with a set of rows per
+column, as the program did before it held each program as arrays. The
+reference phase-1 simplex prices one concatenated reduced-cost vector and
+runs the Harris ratio test on arrays; the reference Farkas gate, point
+check and single-certificate residual add every term, zero or not, one
+row at a time. The program's faster versions must reproduce them bit for
+bit.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
@@ -34,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from barrierlp.lpsolve import (
+    DROP_TOL,
     FARKAS_SIGN_TOL,
     FEAS_TOL,
     INFEAS_MARGIN,
@@ -193,6 +198,15 @@ def mul_fixed(lin, p):
         for eb, coef in p.terms.items():
             _accumulate(acc, tuple(a + b for a, b in zip(ea, eb)), row, coef)
     return {mono: row for mono, row in acc.items() if row}
+
+
+def rows(block):
+    """The rows of a RowBlock (row, column, value, rhs) as [(coefs, rhs)], one dict per row."""
+    row, col, val, rhs = block
+    out = [({}, b) for b in rhs.tolist()]
+    for r, c, v in zip(row.tolist(), col.tolist(), val.tolist()):
+        out[r][0][c] = v
+    return out
 
 
 def coefficient_system(lin, fixed):
@@ -383,6 +397,233 @@ def validate_farkas(
         rhs += mult * beta
     max_coef = float(np.max(np.abs(combo))) if lp.nvars else 0.0
     return max_coef, rhs
+
+
+class Presolve:
+    """Sign columns, substitution and forcing rows over one dict per row, as before the arrays.
+
+    Rows are numbered equality rows first, then inequality rows. The first
+    inequality row -c x_j <= 0 (c > 0) of a variable makes x_j a sign column
+    and is its sign row; every other variable is free. Equality rows are
+    taken off a queue:
+
+    - A forcing row has right-hand side 0 and entries of one sign, all on
+      sign columns. Each of its columns is then 0: it is taken out of every
+      row, and the forcing row is dropped.
+    - A row of one or two entries substitutes one variable out. Of two, the
+      free one with the larger |entry| (the lower index on a tie) goes; two
+      sign columns stay. A single entry fixes its variable, free or sign.
+      That variable, x_j, is replaced everywhere by
+      (beta_r - sum_k a_rk x_k) / a_rj.
+
+    Neither rule adds entries to a row, and a changed equality row rejoins
+    the queue. An updated entry (or right-hand side) within DROP_TOL of both
+    terms that made it is cancellation noise and becomes an exact zero. A row
+    left empty is dropped if it holds within FEAS_TOL and is the
+    contradiction otherwise; a fixed sign column's sign row settles that way.
+    The sign rows still live at the end leave the tableau as native bounds.
+
+    `steps` records each elimination as (row r, variable j, row r's
+    entries, beta_r, [(i, a_ij / a_rj) for every other row i holding j
+    then]), and each forcing row as (row r, None, row r's entries, 0.0,
+    [(k, sign row of k, c_k, [(i, a_ik) for every other row i holding k
+    then]) for every column k of r]); postsolve replays them backwards.
+    Rows are copied before their first update, so the caller's program is
+    never modified.
+    """
+
+    def __init__(self, lp: LpProblem):
+        self.nvars = lp.nvars
+        self.n_eq = len(lp.eq_rows)
+        self.coefs = [coefs for coefs, _ in lp.eq_rows] + [coefs for coefs, _ in lp.ub_rows]
+        self.beta = [beta for _, beta in lp.eq_rows] + [beta for _, beta in lp.ub_rows]
+        self.live = [True] * len(self.coefs)
+        self.steps: List[tuple] = []
+        self.contradiction: Optional[int] = None
+        self.sign_row: Dict[int, int] = {}
+        for r, coefs in enumerate(self.coefs):
+            if not coefs and self._settle_empty(r):
+                return
+            if r >= self.n_eq and len(coefs) == 1 and self.beta[r] == 0.0:
+                (j, c), = coefs.items()
+                if c < 0.0:
+                    self.sign_row.setdefault(j, r)
+        queue = deque(r for r in range(self.n_eq) if self.live[r])
+        if queue:
+            self._eliminate(queue)
+
+    def _settle_empty(self, r: int) -> bool:
+        """Drop empty row r if it holds; otherwise record it and return True."""
+        b = self.beta[r]
+        if (abs(b) if r < self.n_eq else -b) > FEAS_TOL:
+            self.contradiction = r
+            return True
+        self.live[r] = False
+        return False
+
+    def _forcing(self, r: int) -> bool:
+        row = self.coefs[r]
+        if self.beta[r] != 0.0 or any(k not in self.sign_row for k in row):
+            return False
+        return all(a > 0.0 for a in row.values()) or all(a < 0.0 for a in row.values())
+
+    def _eliminate(self, queue: "deque[int]") -> None:
+        coefs, beta, live, n_eq = self.coefs, self.beta, self.live, self.n_eq
+        sign_row = self.sign_row
+        owned = [False] * len(coefs)
+        queued = [False] * len(coefs)
+        for r in queue:
+            queued[r] = True
+        cols: List[set] = [set() for _ in range(self.nvars)]
+        for r, row in enumerate(coefs):
+            if live[r]:
+                for j in row:
+                    cols[j].add(r)
+
+        def own(i: int) -> Dict[int, float]:
+            if not owned[i]:
+                coefs[i] = dict(coefs[i])
+                owned[i] = True
+            return coefs[i]
+
+        def changed(i: int) -> bool:
+            """Settle or requeue row i after an update; True on a contradiction."""
+            if not coefs[i]:
+                return self._settle_empty(i)
+            if i < n_eq and not queued[i] and (len(coefs[i]) <= 2 or beta[i] == 0.0):
+                queued[i] = True
+                queue.append(i)
+            return False
+
+        while queue:
+            r = queue.popleft()
+            queued[r] = False
+            if not live[r]:
+                continue
+            row = coefs[r]
+            if self._forcing(r):
+                live[r] = False
+                fixed = []
+                hit: set = set()
+                for k in row:
+                    cols[k].discard(r)
+                    sr = sign_row[k]
+                    others = []
+                    fixed.append((k, sr, -coefs[sr][k], others))
+                    for i in sorted(cols[k]):
+                        a_ik = own(i).pop(k)
+                        if i != sr:
+                            others.append((i, a_ik))
+                        hit.add(i)
+                    cols[k] = set()
+                self.steps.append((r, None, row, 0.0, fixed))
+                for i in sorted(hit):
+                    if changed(i):
+                        return
+                continue
+            if len(row) > 2:
+                continue
+            free = [k for k in row if k not in sign_row] if len(row) == 2 else list(row)
+            if not free:
+                continue
+            j = max(free, key=lambda k: (abs(row[k]), -k))
+            a_rj, b_r = row[j], beta[r]
+            rest = [(k, a / a_rj) for k, a in row.items() if k != j]
+            live[r] = False
+            for k in row:
+                cols[k].discard(r)
+            column: List[Tuple[int, float]] = []
+            self.steps.append((r, j, row, b_r, column))
+            for i in sorted(cols[j]):
+                ri = own(i)
+                a_ij = ri.pop(j)
+                column.append((i, a_ij / a_rj))
+                # row i -= (a_ij / a_rj) row r, entry by entry.
+                for k, g in rest:
+                    d = a_ij * g
+                    old = ri.get(k)
+                    if old is None:
+                        ri[k] = -d
+                        cols[k].add(i)
+                        continue
+                    new = old - d
+                    if abs(new) > DROP_TOL * max(abs(old), abs(d)):
+                        ri[k] = new
+                    else:
+                        del ri[k]
+                        cols[k].discard(i)
+                if b_r:
+                    old = beta[i]
+                    d = a_ij * (b_r / a_rj)
+                    new = old - d
+                    beta[i] = new if abs(new) > DROP_TOL * max(abs(old), abs(d)) else 0.0
+                if changed(i):
+                    return
+            cols[j] = set()
+
+    def reduced(self) -> Tuple[List[Tuple[int, Dict[int, float], float]], List[int], List[bool]]:
+        """(row, entries, beta) of the live rows but the sign rows, the variables
+        they use, and which of those are sign columns."""
+        bounds = set(self.sign_row.values())
+        rows = [(r, self.coefs[r], self.beta[r]) for r in range(len(self.coefs))
+                if self.live[r] and r not in bounds]
+        used: set = set()
+        for _, coefs, _ in rows:
+            used.update(coefs)
+        cols = sorted(used)
+        return rows, cols, [j in self.sign_row for j in cols]
+
+    def point(self, cols: List[int], z: np.ndarray) -> np.ndarray:
+        """The reduced point on `cols`, back-substituted into every eliminated variable.
+
+        Columns fixed by a forcing row keep their 0.
+        """
+        x = np.zeros(self.nvars)
+        x[cols] = z
+        out = x.tolist()
+        for _, j, row, b_r, _ in reversed(self.steps):
+            if j is not None:
+                out[j] = (b_r - sum(a * out[k] for k, a in row.items() if k != j)) / row[j]
+        return np.array(out)
+
+    def certificate(self, mults: Dict[int, float]) -> FarkasCertificate:
+        """Multipliers on reduced rows ({row: y}), extended to the eliminated ones.
+
+        Each sign row gets the multiplier that zeroes its column. For a
+        sign row kept as a bound that is s_j / c_j, where s_j >= 0 is the
+        combination of the reduced rows on column j. An eliminated row gets
+        y_r = -sum_i y_i a_ij / a_rj, which zeroes column j. A forcing row
+        gets the extreme y_r of -s_k / a_rk over its columns (the largest
+        when its entries are positive), so that every s_k + y_r a_rk is
+        >= 0, and each column's sign row takes that rest. The certificate
+        combines the caller's rows as y did the reduced ones. Rows absent
+        from mults get 0.
+        """
+        y = [0.0] * len(self.beta)
+        for r, u in mults.items():
+            y[r] = u
+        # A contradiction can stop presolve between emptying a sign row and
+        # settling it; such a row no longer bounds its column.
+        bounds = {j: r for j, r in self.sign_row.items() if self.live[r] and self.coefs[r]}
+        combo = dict.fromkeys(bounds, 0.0)
+        for r, u in mults.items():
+            if u == 0.0:
+                continue  # adds signed zeros to sums that start at +0.0
+            for j, a in self.coefs[r].items():
+                if j in combo:
+                    combo[j] += u * a
+        for j, r in bounds.items():
+            y[r] = max(combo[j], 0.0) / -self.coefs[r][j]
+        for r, j, row, _, column in reversed(self.steps):
+            if j is not None:
+                y[r] = -sum(y[i] * f for i, f in column)
+                continue
+            s = [sum(y[i] * a for i, a in others) for _, _, _, others in column]
+            ratios = [-s_k / row[k] for s_k, (k, _, _, _) in zip(s, column)]
+            y[r] = max(ratios) if next(iter(row.values())) > 0.0 else min(ratios)
+            for s_k, (k, sr, c_k, _) in zip(s, column):
+                y[sr] = max(s_k + y[r] * row[k], 0.0) / c_k
+        return FarkasCertificate(y[: self.n_eq], y[self.n_eq :])
 
 
 def phase1(

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from _oracles import fm_feasible, fold, instantiate, ray_weights
+from _oracles import rows as rows_of
 from barrierlp.affinegram import (
     DecisionAllocator,
     MonomialCodes,
@@ -91,7 +92,7 @@ def test_criterion_01_gram_example_fidelity():
     }
     assert fold(prod) == expected
     # The equality rows carry the same forms in term order, with zero right-hand sides.
-    rows = coefficient_system(prod, Polynomial.zero(1))
+    rows = rows_of(coefficient_system(prod, Polynomial.zero(1)))
     assert [coefs for coefs, _ in rows] == [expected[m] for m in sorted(expected, key=grlex_key)]
     assert all(rhs == 0.0 for _, rhs in rows)
 
@@ -115,8 +116,7 @@ def test_criterion_02_dd_linearization_correctness():
         v = fresh_dsos_poly(alloc, monomial_basis(1, k - 1), MonomialCodes(1, 2 * k - 2))
         assert v.dim == k
         lp = LpProblem(alloc.count)
-        for coefs, rhs in dd_linear_constraints(v):
-            lp.add_ub(coefs, rhs)
+        lp.add_rows(ub=[dd_linear_constraints(v)])
         for (i, j), row in v.entries().items():
             lp.add_eq(row, float(M[i, j]))
         out = solve_feasibility(lp)

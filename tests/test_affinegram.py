@@ -21,6 +21,7 @@ from barrierlp.affinegram import (
 from barrierlp.polyring import Polynomial, grlex_key, monomial_basis
 
 from _oracles import decode, fold, instantiate, ray_weights
+from _oracles import rows as rows_of
 
 
 def row_value(coefs, z):
@@ -112,7 +113,7 @@ def test_fresh_dsos_expansion_univariate():
 def test_fresh_dsos_degree_zero():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, monomial_basis(2, 0), MonomialCodes(2, 0))
-    rows = dd_linear_constraints(v)
+    rows = rows_of(dd_linear_constraints(v))
     # Single ray e_1 e_1^T, single sign row -a1 <= 0.
     assert v.dim == 1
     assert v.rays == {0: (0, 0, 1.0)}
@@ -164,7 +165,7 @@ def test_coefficient_system_examples():
     ap = fresh_free_poly(alloc, monomial_basis(1, 2), MonomialCodes(1, 4))
     x = Polynomial.variable(0, 1)
     prod = mul_fixed(ap, x**2 - 4)
-    system = coefficient_system(prod, Polynomial.zero(1))
+    system = rows_of(coefficient_system(prod, Polynomial.zero(1)))
     assert len(system) == 5
     # Third entry is the x^2 coefficient c1 - 4 c3.
     assert system[2] == ({0: 1.0, 2: -4.0}, 0.0)
@@ -172,19 +173,21 @@ def test_coefficient_system_examples():
     assert all(math.copysign(1.0, rhs) == -1.0 for _, rhs in system)
 
     empty = fresh_free_poly(DecisionAllocator(), [], MonomialCodes(3, 0))
-    assert coefficient_system(empty, Polynomial.zero(3)) == []
+    assert rows_of(coefficient_system(empty, Polynomial.zero(3))) == []
 
     # 1 + s0 == 0: the fixed 1 moves to the right-hand side.
     alloc = DecisionAllocator()
     s0 = fresh_dsos_poly(alloc, monomial_basis(1, 0), MonomialCodes(1, 0))
     system = coefficient_system(s0.expansion, Polynomial.one(1))
-    assert system == [({0: 1.0}, -1.0)]
+    assert rows_of(system) == [({0: 1.0}, -1.0)]
+    # The array form: (row, column, value) sorted by row, then the right-hand sides.
+    assert [a.tolist() for a in system] == [[0], [0], [1.0], [-1.0]]
 
 
 def test_dd_rows_k2_exact_set():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, monomial_basis(1, 1), MonomialCodes(1, 2))
-    rows = dd_linear_constraints(v)
+    rows = rows_of(dd_linear_constraints(v))
     # One sign row per ray weight, in allocation order, with right-hand side +0.
     assert rows == [({0: -1.0}, 0.0), ({1: -1.0}, 0.0), ({2: -1.0}, 0.0), ({3: -1.0}, 0.0)]
     assert all(math.copysign(1.0, rhs) == 1.0 for _, rhs in rows)
@@ -196,7 +199,7 @@ def test_dd_row_count_formula():
         codes = MonomialCodes(nvars, 2 * halfdeg)
         v = fresh_dsos_poly(alloc, monomial_basis(nvars, halfdeg), codes)
         k = v.dim
-        assert len(dd_linear_constraints(v)) == k * k
+        assert len(rows_of(dd_linear_constraints(v))) == k * k
 
 
 def test_pruned_pairs_get_no_ray():
@@ -222,7 +225,7 @@ def test_dd_feasible_assignment_is_dd():
         assert v.dim == k
         for _ in range(20):
             z = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(alloc.count)]
-            for coefs, rhs in dd_linear_constraints(v):
+            for coefs, rhs in rows_of(dd_linear_constraints(v)):
                 assert row_value(coefs, z) <= rhs
             Q = v.gram(z)
             assert is_diagonally_dominant(Q, tol=1e-12)
@@ -234,6 +237,13 @@ def test_is_diagonally_dominant_examples():
     assert is_diagonally_dominant(np.eye(3))
     assert not is_diagonally_dominant(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert is_diagonally_dominant(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_is_diagonally_dominant_refuses_non_finite_entries():
+    # Every comparison with a NaN is false, so a row test alone would pass these.
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not is_diagonally_dominant(np.array([[bad, 1.0], [1.0, 2.0]]))
+        assert not is_diagonally_dominant(np.array([[2.0, bad], [bad, 2.0]]), tol=1.0)
 
 
 def test_is_diagonally_dominant_rejects_nonsquare():
@@ -294,7 +304,7 @@ def test_linearity_is_preserved_everywhere():
     z = [rng.uniform(-2, 2) for _ in range(alloc.count)]
     inst = instantiate(fold(lin), z, 2) - fixed
     monos = sorted(set(fold(lin)) | set(fixed.terms), key=grlex_key)
-    rows = coefficient_system(lin, -fixed)
+    rows = rows_of(coefficient_system(lin, -fixed))
     assert len(rows) == len(monos)
     for mono, (coefs, rhs) in zip(monos, rows):
         assert abs(inst.coefficient(mono) - (row_value(coefs, z) - rhs)) <= 1e-12
@@ -309,7 +319,7 @@ def test_coefficient_system_zero_implies_zero_polynomial():
     # coefficient system forces e to vanish identically.
     lin = mul_fixed(ap, x - 1)
     fixed = x**2 - x
-    system = coefficient_system(lin, fixed)
+    system = rows_of(coefficient_system(lin, fixed))
     # c0 = 0, c1 = -1 solves the system.
     z = [0.0, -1.0]
     assert all(abs(row_value(coefs, z) - rhs) <= 1e-12 for coefs, rhs in system)
@@ -328,13 +338,14 @@ def test_linear_sum_prunes_cancelled_entries():
     both = linear_sum([(1.0, one), (-1.0, one)])
     assert both.col.tolist() == [0, 1, 0, 1] and both.coef.tolist() == [1.0, 2.0, -1.0, -2.0]
     zero = Polynomial.zero(1)
-    assert coefficient_system(both, zero) == []
-    assert coefficient_system(linear_sum([(1.0, one), (-1.0, c0)]), zero) == [({1: 2.0}, -0.0)]
+    assert rows_of(coefficient_system(both, zero)) == []
+    assert rows_of(coefficient_system(linear_sum([(1.0, one), (-1.0, c0)]), zero)) == \
+        [({1: 2.0}, -0.0)]
     # A sum below the pruning tolerance is dropped as well.
     near = linear_sum([(1.0, c0), (-(1.0 - 1e-15), c0)])
-    assert coefficient_system(near, zero) == []
+    assert rows_of(coefficient_system(near, zero)) == []
     # A monomial whose columns cancel still gets a row from its fixed term.
-    assert coefficient_system(both, Polynomial.one(1)) == [({}, -1.0)]
+    assert rows_of(coefficient_system(both, Polynomial.one(1))) == [({}, -1.0)]
 
 
 def test_coefficient_system_refuses_non_finite_sums():

@@ -132,7 +132,7 @@ def test_cancelled_monomial_keeps_a_row_only_for_a_fixed_term():
     identity = linear_sum([(1.0, mul_fixed(lin, x)), (-1.0, mul_fixed(lin, x)),
                            (1.0, mul_fixed(other, x ** 3))])
     fixed = Polynomial.constant(2.0, 1) * x ** 2 + 1.0
-    rows = coefficient_system(identity, fixed)
+    rows = ref.rows(coefficient_system(identity, fixed))
     assert rows == [({}, -1.0), ({}, -2.0), ({2: 1.0}, -0.0)]
     parts = [(1.0, ref.mul_fixed(ref.fold(lin), x)), (-1.0, ref.mul_fixed(ref.fold(lin), x)),
              (1.0, ref.mul_fixed(ref.fold(other), x ** 3))]

@@ -11,15 +11,21 @@ import inspect
 from pathlib import Path
 
 import barrierlp.verifier as V
+from barrierlp.lpsolve import LpProblem
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_layers_are_verifier_attributes():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_layers_are_verifier_attributes():
+    spans = load_spans()
     assert spans.LAYER_OF
     assert [name for name in spans.LAYER_OF if not hasattr(V, name)] == []
 
@@ -59,3 +65,31 @@ def test_verification_calls_the_traced_assembly_names(monkeypatch):
     assert out.verdict is V.Verdict.MULTI_VERIFIED
     # Two emptiness degrees; the relabelled chasers share the a=0 and a=1 programs.
     assert calls == {"assemble_single_lp": 2, "assemble_emptiness_lp": 2, "solve_feasibility": 4}
+
+
+def test_traced_row_readers_count_the_arrays():
+    # The traced run reads each program's rows through the eq_rows and
+    # ub_rows views; the untraced run never builds them.
+    spans = load_spans()
+    params = CwParams(L=2)
+    sys = build_cw_system(params)
+    cands = [build_inspection_cbf(params, i, sys) for i in range(2)]
+    deg_s = V.default_deg_s(cands[0].b)
+    single, _ = V.assemble_single_lp(cands[0], 0, deg_s, V.default_deg_p(cands[0], 0, deg_s),
+                                     reduce_basis=True)
+    emptiness, _ = V.assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    signatures = set()
+    for lp in (single, emptiness):
+        row, col, val, rhs, n_eq = lp.arrays()
+        shape = spans._lp_shape(lp)
+        assert (shape["rows"], shape["cols"], shape["nnz"]) == (lp.nrows, lp.nvars, val.size)
+        assert 0 < n_eq < lp.nrows and val.size > lp.nrows
+        # The same program with its columns and its rows of each kind reversed.
+        relabelled = LpProblem(lp.nvars)
+        for add, rows in ((relabelled.add_eq, lp.eq_rows), (relabelled.add_ub, lp.ub_rows)):
+            for coefs, beta in reversed(rows):
+                add({lp.nvars - 1 - j: a for j, a in coefs.items()}, beta)
+        assert relabelled != lp
+        assert spans.relabel_signature(relabelled) == spans.relabel_signature(lp)
+        signatures.add(spans.relabel_signature(lp))
+    assert len(signatures) == 2

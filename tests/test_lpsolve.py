@@ -1,12 +1,14 @@
 """Feasibility solver, Farkas certificates, and LP text round-trips."""
 
 import copy
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import barrierlp.lpsolve as lpsolve
 from _oracles import fm_feasible
 from barrierlp.affinegram import (
     DecisionAllocator,
@@ -63,8 +65,7 @@ def test_dd_system_with_negative_diagonal_is_infeasible():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, monomial_basis(1, 1), MonomialCodes(1, 2))
     lp = LpProblem(alloc.count)
-    for coefs, rhs in dd_linear_constraints(v):
-        lp.add_ub(coefs, rhs)
+    lp.add_rows(ub=[dd_linear_constraints(v)])
     lp.add_eq(v.entries()[(0, 0)], -1.0)
     out = solve_feasibility(lp)
     assert out.status is LpStatus.INFEASIBLE
@@ -385,6 +386,29 @@ def test_singular_final_basis_ends_eroded(monkeypatch):
     out = solve_feasibility(repeated_rows_lp())
     assert (out.status, out.exit, out.iterations) == (LpStatus.ITERATION_LIMIT, "eroded", 25)
     assert out.point is None and out.farkas is None
+
+
+def test_point_check_carries_a_nan():
+    # Python's max() drops a NaN row and would report 0.0.
+    lp = LpProblem(2)
+    lp.add_eq({0: 1.0, 1: 1.0}, 2.0)
+    lp.add_ub({0: 1.0}, 5.0)
+    assert math.isnan(lp.max_violation([float("nan"), 1.0]))
+    assert lp.max_violation([1.0, 1.0]) == 0.0
+    assert lp.max_violation([1.0, 2.0]) == 1.0
+
+
+def test_non_finite_point_ends_eroded(monkeypatch):
+    # A NaN point fails no "> FEAS_TOL" test; the point check must still refuse it.
+    def nan_point(red, max_iters):
+        return "optimal", 1, np.full(red.cols.size, np.nan), None
+
+    monkeypatch.setattr(lpsolve, "_phase1", nan_point)
+    lp = LpProblem(3)
+    lp.add_eq({0: 1.0, 1: 1.0, 2: 1.0}, 2.0)
+    out = solve_feasibility(lp)
+    assert (out.status, out.exit, out.iterations) == (LpStatus.ITERATION_LIMIT, "eroded", 1)
+    assert out.point is None
 
 
 def test_wide_lp_with_few_rows_solves():

@@ -1,12 +1,20 @@
-"""Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, the simplex
-pivot loop, the Farkas gate and a joint verification (need pytest-benchmark)."""
+"""Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, presolve, the
+simplex pivot loop, the Farkas gate and a joint verification (need pytest-benchmark)."""
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
 import barrierlp.verifier as verifier
-from barrierlp.lpsolve import FEAS_TOL, LpStatus, solve_feasibility, validate_farkas
+from barrierlp.affinegram import coefficient_system, dd_linear_constraints
+from barrierlp.lpsolve import (
+    FEAS_TOL,
+    LpProblem,
+    LpStatus,
+    _Presolve,
+    solve_feasibility,
+    validate_farkas,
+)
 from barrierlp.specio import load_problem
 from barrierlp.polyring import evaluate, mul
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
@@ -106,6 +114,23 @@ def test_farkas_gate_six_chaser_emptiness(benchmark):
     assert sum(u != 0.0 for u in out.farkas.eq_mults + out.farkas.ub_mults) == 35
     gate = benchmark.pedantic(validate_farkas, args=(lp, out.farkas), rounds=20, iterations=5)
     assert gate == (0.0, -1.0)
+
+
+def test_presolve_six_chaser_emptiness(benchmark):
+    """coefficient_system and presolve of the L=6 fleet's emptiness program, 962 x 259."""
+    _, cands = fleet(6)
+    _, layout = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    signs = [dd_linear_constraints(v) for v in layout.s_vars]
+
+    def presolve():
+        lp = LpProblem(layout.nvars)
+        lp.add_rows([coefficient_system(layout.identity, layout.fixed)], signs)
+        return _Presolve(lp)
+
+    pre = benchmark.pedantic(presolve, rounds=10, iterations=2)
+    # 237 forcing rows and one substitution leave the first sign row at 0 <= -1.
+    assert (len(pre.beta), pre.n_eq, pre.contradiction) == (962, 703, 703)
+    assert (len(pre.steps), sum(step[1] is None for step in pre.steps)) == (238, 237)
 
 
 def test_assemble_single_six_chasers(benchmark):
