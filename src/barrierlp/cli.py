@@ -86,8 +86,6 @@ def _add_option_flags(sub: argparse.ArgumentParser) -> None:
                      help="add the generator C - sum x_i^2 to the emptiness program")
     sub.add_argument("--max-iters", type=int, default=None, metavar="N",
                      help="simplex pivot budget per program")
-    sub.add_argument("--no-reduce-basis", action="store_true",
-                     help="assemble over full monomial bases")
 
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
@@ -105,8 +103,6 @@ def _options_from_args(args, problem_options: Optional[VerifierOptions]) -> Veri
     base = problem_options if problem_options is not None else VerifierOptions()
     given = {f.name: getattr(args, f.name) for f in fields(VerifierOptions)
              if getattr(args, f.name, None) not in (None, [])}
-    if args.no_reduce_basis:
-        given["reduce_basis"] = False
     try:
         return replace(base, **given)
     except ValueError as exc:
@@ -176,10 +172,7 @@ def cmd_export_lp(args) -> int:
     opts = _options_from_args(args, spec.options)
     if args.emptiness:
         ds = _emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"][0]
-        lp, _ = assemble_emptiness_lp(
-            spec.candidates, ds, archimedean_C=opts.archimedean_C,
-            reduce_basis=opts.reduce_basis,
-        )
+        lp, _ = assemble_emptiness_lp(spec.candidates, ds, archimedean_C=opts.archimedean_C)
     else:
         if not 0 <= args.candidate < len(spec.candidates):
             raise _UsageError(
@@ -188,7 +181,7 @@ def cmd_export_lp(args) -> int:
             )
         cand = spec.candidates[args.candidate]
         a, ds, dp = _resolved_single_schedule(cand, opts)[0]
-        lp, _ = assemble_single_lp(cand, a, ds, dp, reduce_basis=opts.reduce_basis)
+        lp, _ = assemble_single_lp(cand, a, ds, dp)
     text = export_lp_text(lp, destination=args.out)
     if args.out is None:
         sys.stdout.write(text)

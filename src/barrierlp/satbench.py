@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .polyring import Polynomial, PolyMatrix
+from .specio import REPORT_SCHEMA_VERSION
 from .verifier import (
     CandidateCbf,
     ControlAffineSystem,
@@ -192,7 +193,7 @@ def run_benchmark(
                 "error": str(exc),
             })
     return {
-        "schema": 1,
+        "schema": REPORT_SCHEMA_VERSION,
         "benchmark": "cw-inspection",
         "params": {
             "n_mean_motion": params_template.n_mean_motion,

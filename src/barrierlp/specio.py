@@ -29,7 +29,7 @@ from .verifier import (
 )
 
 PROBLEM_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class PolyParseError(ValueError):

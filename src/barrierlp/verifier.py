@@ -19,28 +19,28 @@ residual bound before it yields a certificate. An infeasible answer is kept
 with its Farkas certificate revalidated, so each record says whether the
 refutation holds; the drivers only decide what a schedule of records means.
 
-Basis reduction (on by default, disable via VerifierOptions.reduce_basis):
-multipliers are built over the variables that actually occur in the fixed
-data, and Gram entries whose basis product flips sign under a symmetry of
-the fixed data are pinned to zero. Substituting the inert variables to zero
-maps any full solution onto the restricted space, and averaging a solution
-over the sign-flip group zeroes exactly the pruned entries while preserving
-diagonal dominance, so the reduced program is feasible if and only if the
-full one is; verdicts in both directions survive the reduction.
+Basis reduction: multipliers are built over the variables that actually
+occur in the fixed data, and Gram entries whose basis product flips sign
+under a symmetry of the fixed data are pinned to zero. Substituting the
+inert variables to zero maps any full solution onto the restricted space,
+and averaging a solution over the sign-flip group zeroes exactly the pruned
+entries while preserving diagonal dominance, so the reduced program is
+feasible if and only if the full one is; verdicts in both directions
+survive the reduction. Every program is assembled reduced; the full-ring
+assembly is the test suite's reference (tests/_oracles.py).
 
 A candidate derives Lfb and Lgb once, from the system it is built with.
 Single programs are assembled in its support ring (SupportRing): system and
 candidate projected onto the state variables occurring in b, Lfb or Lgb, in
 ascending order, and the nonzero Lgb channels. Dropping variables that every
 basis monomial leaves at exponent zero keeps the graded lexicographic order,
-so the program is row for row the one the reduced full ring gives, over
-shorter monomials. The projected (b, Lfb, Lgb) terms are the class key:
+so the program is row for row the one the full ring gives, over shorter
+monomials. The projected (b, Lfb, Lgb) terms are the class key:
 candidates that differ only by a renaming of variables and channels, like
 the chasers of the satellite fleet, share a key and therefore a program.
 Within one call each program of a key is solved once; every candidate then
 lifts the point back to its own variables and channels and passes both
-certificate gates in its own full ring before it counts as verified. With
-reduce_basis off the support ring is the full ring.
+certificate gates in its own full ring before it counts as verified.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .polyring import (
     PolyMatrix,
     lie_derivative_drift,
     lie_derivative_input,
-    monomial_basis,
     monomial_basis_on_support,
 )
 
@@ -183,26 +182,23 @@ class SupportRing:
         return Polynomial({self.lift_monomial(mo): c for mo, c in p.terms.items()}, self.nvars)
 
 
-def support_ring(cand: CandidateCbf, reduce_basis: bool) -> SupportRing:
+def support_ring(cand: CandidateCbf) -> SupportRing:
     """Project cand and its system onto its support ring.
 
     Projection sets the dropped variables to zero. That is a ring
     homomorphism, and none of them occurs in b, Lfb or Lgb, so the Lie
     derivatives derived in the support ring are the projected full-ring
-    ones, term for term. With reduce_basis off, or nothing to drop, the ring
-    candidate is cand itself. A ring needs one variable and a matrix one
-    column, so when no variable or no channel is live the first one is kept;
-    a kept zero channel is dropped by the reduced assembly all the same.
+    ones, term for term. With nothing to drop, the ring candidate is cand
+    itself. A ring needs one variable and a matrix one column, so when no
+    variable or no channel is live the first one is kept; a kept zero
+    channel is dropped by the assembly all the same.
     """
     sys = cand.sys
     n, m = sys.n, sys.m
-    full = tuple(range(n)), tuple(range(m))
-    variables, channels = full
-    if reduce_basis:
-        lgb = cand.lgb.entry_list()
-        variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
-        channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
-    if (variables, channels) == full:
+    lgb = cand.lgb.entry_list()
+    variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
+    channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
+    if (variables, channels) == (tuple(range(n)), tuple(range(m))):
         return SupportRing(variables, channels, n, m, cand)
 
     def project(p: Polynomial) -> Polynomial:
@@ -222,7 +218,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class VerifierOptions:
-    """Search schedule, pivot budget and basis reduction; the one check of every value.
+    """Search schedule and pivot budget; the one check of every value.
 
     a_values: exponents a tried for the Lfb^(2a) term, ascending.
     deg_s: DSOS half-degree schedule (default: [ceil(deg(b)/2)]).
@@ -236,7 +232,6 @@ class VerifierOptions:
         records that compactness of the described region is the caller's
         responsibility.
     max_iters: simplex pivot budget of each program.
-    reduce_basis: apply support restriction and sign-symmetry pruning.
 
     Schedules are non-empty, non-decreasing lists or tuples of non-negative
     ints, stored as tuples; a bool is not an int anywhere. None is accepted
@@ -251,7 +246,6 @@ class VerifierOptions:
     emptiness_deg_s: Optional[Tuple[int, ...]] = None
     archimedean_C: Optional[int] = None
     max_iters: int = MAX_ITERS
-    reduce_basis: bool = True
 
     def __post_init__(self):
         for name in ("a_values", "deg_s", "deg_p", "emptiness_deg_s"):
@@ -285,8 +279,6 @@ class VerifierOptions:
                 float(self.archimedean_C)
             except OverflowError:
                 raise ValueError("archimedean_C: too large for a float") from None
-        if not isinstance(self.reduce_basis, bool):
-            raise ValueError("reduce_basis: expected a boolean")
 
 
 @dataclass
@@ -437,9 +429,11 @@ def default_emptiness_deg_s(cands: Sequence[CandidateCbf]) -> List[int]:
 class SingleLayout:
     """Decision-space map of one single-candidate program.
 
-    Allocation order: p10, p20, p1 (m polynomials), p2 (m polynomials),
-    then the ray weights of s1, then those of s2. With shared full bases of
-    size k this totals 2k^2 + (2m + 2)k variables. The identity is
+    Allocation order: p10, p20, p1, p2, then the ray weights of s1, then
+    those of s2. p1 and p2 hold one polynomial per live channel and None
+    where the channel's Lgb entry is zero. With a free basis of size f, l
+    live channels, and a Gram basis of size k that keeps P off-diagonal
+    pairs, this totals (2l + 2)f + 2(k + 2P) variables. The identity is
     ``identity + fixed == 0`` with fixed = -Lfb^(2a).
     """
 
@@ -464,9 +458,10 @@ class EmptinessLayout:
     """Decision-space map of one emptiness program.
 
     Allocation order: s0, then one DSOS variable per generator (candidates
-    first, the compactness generator last when present). With a shared full
-    basis of size k and no augmentation this totals k^2 (L + 1). The
-    identity is ``identity + fixed == 0`` with fixed = 1.
+    first, the compactness generator last when present). With a Gram basis
+    of size k that keeps P off-diagonal pairs and no augmentation this
+    totals (k + 2P)(L + 1). The identity is ``identity + fixed == 0`` with
+    fixed = 1.
     """
 
     deg_s: int
@@ -482,44 +477,37 @@ class EmptinessLayout:
 class _Bases:
     """Gram and free bases over one set of fixed data.
 
-    Reduced bases live on the fixed data's support; free monomials and Gram
+    The bases live on the fixed data's support; free monomials and Gram
     entries that flip sign under the data's sign symmetries are dropped.
     The support and the sign classes are computed once, here, and each Gram
     basis once per degree, so the programs of one candidate share them.
     """
 
-    def __init__(self, fixed: Sequence[Polynomial], n: int, reduce_basis: bool):
+    def __init__(self, fixed: Sequence[Polynomial], n: int):
         self.n = n
-        self.reduce_basis = reduce_basis
-        if reduce_basis:
-            self.support = _union_support(fixed)
-            self.sign_class = sign_classes(fixed)
-        self._gram: Dict[int, Tuple[List[Monomial], Dict[str, object]]] = {}
+        self.support = _union_support(fixed)
+        self.sign_class = sign_classes(fixed)
+        self._gram: Dict[int, Tuple[List[Monomial], Callable[[int, int], bool]]] = {}
 
-    def gram(self, deg_s: int) -> Tuple[List[Monomial], Dict[str, object]]:
-        """(Gram basis, fresh_dsos_poly keywords) at deg_s."""
+    def gram(self, deg_s: int) -> Tuple[List[Monomial], Callable[[int, int], bool]]:
+        """(Gram basis, fresh_dsos_poly's keep_pair) at deg_s."""
         if deg_s not in self._gram:
-            if not self.reduce_basis:
-                self._gram[deg_s] = monomial_basis(self.n, deg_s), {}
-            else:
-                basis = monomial_basis_on_support(self.n, deg_s, self.support)
-                classes = [self.sign_class(mo) for mo in basis]
+            basis = monomial_basis_on_support(self.n, deg_s, self.support)
+            classes = [self.sign_class(mo) for mo in basis]
 
-                def keep_pair(i: int, j: int) -> bool:
-                    return classes[i] == classes[j]
+            def keep_pair(i: int, j: int) -> bool:
+                return classes[i] == classes[j]
 
-                self._gram[deg_s] = basis, {"keep_pair": keep_pair}
+            self._gram[deg_s] = basis, keep_pair
         return self._gram[deg_s]
 
     def free(self, deg_p: int) -> List[Monomial]:
-        if not self.reduce_basis:
-            return monomial_basis(self.n, deg_p)
         return [mo for mo in monomial_basis_on_support(self.n, deg_p, self.support)
                 if self.sign_class(mo) == 0]
 
 
-def _single_bases(cand: CandidateCbf, reduce_basis: bool) -> _Bases:
-    return _Bases([cand.b, cand.lfb] + cand.lgb.entry_list(), cand.b.nvars, reduce_basis)
+def _single_bases(cand: CandidateCbf) -> _Bases:
+    return _Bases([cand.b, cand.lfb] + cand.lgb.entry_list(), cand.b.nvars)
 
 
 def _identity_lp(
@@ -545,7 +533,6 @@ def assemble_single_lp(
     a: int,
     deg_s: int,
     deg_p: int,
-    reduce_basis: bool = False,
     bases: Optional[_Bases] = None,
 ) -> Tuple[LpProblem, SingleLayout]:
     """Transcribe the single-candidate identity into an equality/DD system.
@@ -553,19 +540,19 @@ def assemble_single_lp(
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows keep the ray weights of s1 and s2 non-negative.
     The Lie derivatives are those cand derived from its own system. bases,
-    when given, is _single_bases(cand, reduce_basis), which cand's programs
-    share within one verification; it is built here otherwise.
+    when given, is _single_bases(cand), which cand's programs share within
+    one verification; it is built here otherwise.
     """
     if bases is None:
-        bases = _single_bases(cand, reduce_basis)
+        bases = _single_bases(cand)
     b, lfb, lgb = cand.b, cand.lfb, cand.lgb
     n = b.nvars
     m = lgb.cols
     lgb_entries = lgb.entry_list()
-    gram_basis, dsos_kw = bases.gram(deg_s)
+    gram_basis, keep_pair = bases.gram(deg_s)
     free_basis = bases.free(deg_p)
-    # A reduced program drops the channels that never enter the identity.
-    live = [j for j, g in enumerate(lgb_entries) if not (bases.reduce_basis and g.is_zero())]
+    # Channels that never enter the identity get no multipliers.
+    live = [j for j, g in enumerate(lgb_entries) if not g.is_zero()]
 
     fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
 
@@ -593,8 +580,8 @@ def assemble_single_lp(
     for channel in (p1, p2):
         for j in live:
             channel[j] = fresh_free_poly(alloc, free_basis, codes)
-    s1 = fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
-    s2 = fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
+    s1 = fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
+    s2 = fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
 
     h1 = linear_sum([(1.0, s1.expansion), (1.0, mul_fixed(p10, b))]
                     + [(1.0, mul_fixed(p1[j], lgb_entries[j])) for j in live])
@@ -675,7 +662,6 @@ def assemble_emptiness_lp(
     cands: Sequence[CandidateCbf],
     deg_s: int,
     archimedean_C: Optional[int] = None,
-    reduce_basis: bool = False,
 ) -> Tuple[LpProblem, EmptinessLayout]:
     """Transcribe 1 + s0 + sum_i si*bi == 0 into an equality/DD system."""
     if len(cands) < 1:
@@ -685,13 +671,13 @@ def assemble_emptiness_lp(
     augmented = archimedean_C is not None
     if augmented:
         generators = augment_archimedean(cands, archimedean_C)
-    gram_basis, dsos_kw = _Bases(generators, n, reduce_basis).gram(deg_s)
+    gram_basis, keep_pair = _Bases(generators, n).gram(deg_s)
     # s_i * b_i reaches 2 deg_s + deg(b_i).
     codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
 
     alloc = DecisionAllocator()
     s_vars = [
-        fresh_dsos_poly(alloc, gram_basis, codes, **dsos_kw)
+        fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
         for _ in range(1 + len(generators))
     ]
 
@@ -852,7 +838,6 @@ def _emptiness_schedule(cands: Sequence[CandidateCbf], opts: VerifierOptions) ->
             else default_emptiness_deg_s(cands)
         ),
         "archimedean_C": opts.archimedean_C,
-        "reduce_basis": opts.reduce_basis,
     }
 
 
@@ -964,16 +949,13 @@ def _verify_singles(
     outcomes = []
     for cand in cands:
         t0 = time.perf_counter()
-        ring = support_ring(cand, opts.reduce_basis)
+        ring = support_ring(cand)
         class_key = ring.key
-        bases = _single_bases(ring.cand, opts.reduce_basis)
+        bases = _single_bases(ring.cand)
         schedule = _resolved_single_schedule(ring.cand, opts)
         outcome = VerificationOutcome(
             verdict=Verdict.INCONCLUSIVE,
-            schedule={
-                "entries": [[a, ds, dp] for a, ds, dp in schedule],
-                "reduce_basis": opts.reduce_basis,
-            },
+            schedule={"entries": [[a, ds, dp] for a, ds, dp in schedule]},
         )
         for a, ds, dp in schedule:
             name = "single a=%d deg_s=%d deg_p=%d" % (a, ds, dp)
@@ -983,8 +965,7 @@ def _verify_singles(
                 record = replace(record, seconds=0.0, assemble_s=0.0, gate_s=0.0, reused=True)
             else:
                 t_asm = time.perf_counter()
-                lp, layout = assemble_single_lp(ring.cand, a, ds, dp,
-                                                reduce_basis=opts.reduce_basis, bases=bases)
+                lp, layout = assemble_single_lp(ring.cand, a, ds, dp, bases=bases)
                 record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
                 solved[key] = record, out, layout
             cert, warning = _gate(
@@ -1015,9 +996,7 @@ def _emptiness_sweep(
     for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]:
         name = "emptiness deg_s=%d" % ds
         t_asm = time.perf_counter()
-        lp, layout = assemble_emptiness_lp(
-            cands, ds, archimedean_C=opts.archimedean_C, reduce_basis=opts.reduce_basis
-        )
+        lp, layout = assemble_emptiness_lp(cands, ds, archimedean_C=opts.archimedean_C)
         record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
         cert, warning = _gate(
             record, out, lambda z: extract_emptiness_certificate(layout, z, cands)

@@ -14,11 +14,14 @@ Growth control, all exactness-preserving:
 
 The reference assembler transcribes polynomial identities over dicts, term
 by term, the way the program did before it assembled over arrays; ray
-weights reads DSOS weights off a diagonally dominant matrix. The reference
-Lie derivatives add every product grad_i * f_i and grad_i * g_ij, zero or
-not, with each sum, product and derivative built by the validating
-Polynomial constructor, the way the program did before its arithmetic
-results skipped that validation.
+weights reads DSOS weights off a diagonally dominant matrix. The full-ring
+programs are the single and emptiness programs as the program built them
+before it assembled every program over reduced bases; each reduced program
+must have the solve status of its full-ring one. The reference Lie
+derivatives add every product grad_i * f_i and grad_i * g_ij, zero or not,
+with each sum, product and derivative built by the validating Polynomial
+constructor, the way the program did before its arithmetic results skipped
+that validation.
 
 The reference presolve walks one dict per row, with a set of rows per
 column, as the program did before it held each program as arrays. The
@@ -48,7 +51,10 @@ from barrierlp.lpsolve import (
     LpCapacityError,
     LpProblem,
 )
-from barrierlp.polyring import PRUNE_TOL, Polynomial, grlex_key
+from barrierlp import affinegram
+from barrierlp.affinegram import DecisionAllocator, MonomialCodes, fresh_dsos_poly, fresh_free_poly
+from barrierlp.polyring import PRUNE_TOL, Polynomial, grlex_key, monomial_basis
+from barrierlp.verifier import EmptinessLayout, SingleLayout, _identity_lp
 
 # coefs.z <= rhs
 Row = Tuple[Dict[int, Fraction], Fraction]
@@ -309,6 +315,58 @@ def reference_emptiness_identity(layout, magnitude=False):
     s = [expansion(v) for v in layout.s_vars]
     return linear_sum([(1.0, s[0])] + [(1.0, mul_fixed(si, fix(gen)))
                                        for si, gen in zip(s[1:], layout.generators)])
+
+
+# -- full-ring reference programs ----------------------------------------------
+#
+# The single and emptiness programs without basis reduction: full
+# monomial_basis(n, d) Gram and free bases, every Gram pair kept, and every
+# input channel live, zero ones included. They are built from the program's
+# own array primitives in the program's allocation order, so they are the
+# programs the reduction replaced, bit for bit.
+
+def full_ring_single_lp(cand, a, deg_s, deg_p):
+    """(lp, SingleLayout) of the single-candidate program in cand's full ring."""
+    b, lfb, lgb = cand.b, cand.lfb, cand.lgb.entry_list()
+    n = b.nvars
+    gram_basis, free_basis = monomial_basis(n, deg_s), monomial_basis(n, deg_p)
+    fixed = -(Polynomial.one(n) if a == 0 else lfb ** (2 * a))
+    top = max(lfb.degree(), 0)
+    reach = [2 * deg_s + top] + [gen.degree() + deg_p + top for gen in [b] + lgb
+                                 if not gen.is_zero()]
+    codes = MonomialCodes(n, max(reach + [fixed.degree(), deg_p]))
+    alloc = DecisionAllocator()
+    p10 = fresh_free_poly(alloc, free_basis, codes)
+    p20 = fresh_free_poly(alloc, free_basis, codes)
+    p1 = [fresh_free_poly(alloc, free_basis, codes) for _ in lgb]
+    p2 = [fresh_free_poly(alloc, free_basis, codes) for _ in lgb]
+    s1 = fresh_dsos_poly(alloc, gram_basis, codes)
+    s2 = fresh_dsos_poly(alloc, gram_basis, codes)
+    h1 = affinegram.linear_sum([(1.0, s1.expansion), (1.0, affinegram.mul_fixed(p10, b))]
+                               + [(1.0, affinegram.mul_fixed(p, g)) for p, g in zip(p1, lgb)])
+    e = affinegram.linear_sum([(1.0, affinegram.mul_fixed(h1, lfb)), (-1.0, s2.expansion),
+                               (-1.0, affinegram.mul_fixed(p20, b))]
+                              + [(-1.0, affinegram.mul_fixed(p, g)) for p, g in zip(p2, lgb)])
+    lp = _identity_lp(alloc.count, e, fixed, (s1, s2))
+    return lp, SingleLayout(a, deg_s, deg_p, alloc.count, free_basis, gram_basis,
+                            p10, p20, p1, p2, s1, s2, e, fixed)
+
+
+def full_ring_emptiness_lp(cands, deg_s):
+    """(lp, EmptinessLayout) of 1 + s0 + sum_i si*bi == 0 over the full Gram basis."""
+    generators = [c.b for c in cands]
+    n = generators[0].nvars
+    gram_basis = monomial_basis(n, deg_s)
+    codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
+    alloc = DecisionAllocator()
+    s_vars = [fresh_dsos_poly(alloc, gram_basis, codes) for _ in range(1 + len(generators))]
+    e = affinegram.linear_sum([(1.0, s_vars[0].expansion)]
+                              + [(1.0, affinegram.mul_fixed(v.expansion, gen))
+                                 for v, gen in zip(s_vars[1:], generators)])
+    fixed = Polynomial.one(n)
+    lp = _identity_lp(alloc.count, e, fixed, s_vars)
+    return lp, EmptinessLayout(deg_s, alloc.count, gram_basis, s_vars, generators, False,
+                               e, fixed)
 
 
 # -- reference Lie derivatives -------------------------------------------------

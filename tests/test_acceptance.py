@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from _oracles import fm_feasible, fold, instantiate, ray_weights
+from _oracles import full_ring_emptiness_lp, full_ring_single_lp
 from _oracles import rows as rows_of
 from barrierlp.affinegram import (
     DecisionAllocator,
@@ -284,7 +285,11 @@ def test_criterion_09_satellite_benchmark():
 @criterion(10, "full decision-vector sizes match the closed forms")
 def test_criterion_10_layout_conformance():
     # (n, m, deg, L) -> sizes 2k^2 + (2m+2)k and k^2 (L+1) with the full
-    # monomial basis (no reduction) and shared multiplier degree.
+    # monomial basis (the full-ring reference) and shared multiplier degree.
+    # The assembled programs keep P off-diagonal Gram pairs of their basis of
+    # size k and l live channels over f free monomials: (2l+2)f + 2(k+2P)
+    # and (k+2P)(L+1). b is even in every variable, so the emptiness program
+    # prunes pairs.
     configs = [(1, 1, 1, 2), (2, 3, 1, 3), (2, 1, 2, 1)]
     for n, m, deg, L in configs:
         k = len(monomial_basis(n, deg))
@@ -293,14 +298,22 @@ def test_criterion_10_layout_conformance():
         for i in range(n):
             b = b - _x(i, n) ** 2
         cand = CandidateCbf.from_system(b, sys)
-        lp, lay = assemble_single_lp(cand, a=0, deg_s=deg, deg_p=deg)
+        lp, lay = full_ring_single_lp(cand, a=0, deg_s=deg, deg_p=deg)
         want_single = 2 * k * k + (2 * m + 2) * k
         assert lp.nvars == want_single, "(n=%d, m=%d, deg=%d)" % (n, m, deg)
         assert lay.nvars == want_single
-        lp_e, lay_e = assemble_emptiness_lp([cand] * L, deg)
+        lp_e, lay_e = full_ring_emptiness_lp([cand] * L, deg)
         want_empty = k * k * (L + 1)
         assert lp_e.nvars == want_empty, "(n=%d, deg=%d, L=%d)" % (n, deg, L)
         assert lay_e.nvars == want_empty
+        _, red = assemble_single_lp(cand, a=0, deg_s=deg, deg_p=deg)
+        pairs = sum(sign < 0 for _, _, sign in red.s1.rays.values())
+        live = sum(p is not None for p in red.p1)
+        assert red.nvars == ((2 * live + 2) * len(red.free_basis)
+                             + 2 * (len(red.gram_basis) + 2 * pairs))
+        _, red_e = assemble_emptiness_lp([cand] * L, deg)
+        pairs = sum(sign < 0 for _, _, sign in red_e.s_vars[0].rays.values())
+        assert red_e.nvars == (len(red_e.gram_basis) + 2 * pairs) * (L + 1) < lay_e.nvars
 
 
 @criterion(11, "perturbed certificates are rejected by the residual gate")

@@ -74,9 +74,9 @@ def assert_emptiness_matches(lp, layout):
                       ref.reference_emptiness_identity(layout, magnitude=True), layout.fixed)
 
 
-@pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
-def test_pinned_programs_match_the_reference(family, degree, reduce_basis):
-    lp, layout, cand = flagship_program(family, degree, reduce_basis)
+@pytest.mark.parametrize("family,degree,reduced", sorted(PINNED_LP_DIGESTS))
+def test_pinned_programs_match_the_reference(family, degree, reduced):
+    lp, layout, cand = flagship_program(family, degree, reduced)
     if cand is None:
         assert_emptiness_matches(lp, layout)
     else:
@@ -89,13 +89,13 @@ def test_corpus_programs_match_the_reference():
     for doc in corpus_documents(40):
         spec = load_problem(doc)
         for c in spec.candidates:
-            ring = support_ring(c, opts.reduce_basis)
+            ring = support_ring(c)
             for a, ds, dp in _resolved_single_schedule(ring.cand, opts):
-                lp, layout = assemble_single_lp(ring.cand, a, ds, dp, reduce_basis=True)
+                lp, layout = assemble_single_lp(ring.cand, a, ds, dp)
                 assert_single_matches(lp, layout, ring.cand)
                 singles += 1
         for ds in _emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"]:
-            lp, layout = assemble_emptiness_lp(spec.candidates, ds, reduce_basis=True)
+            lp, layout = assemble_emptiness_lp(spec.candidates, ds)
             assert_emptiness_matches(lp, layout)
             emptiness += 1
     assert singles >= 80 and emptiness >= 40
@@ -104,7 +104,7 @@ def test_corpus_programs_match_the_reference():
 def test_unreduced_program_matches_the_reference():
     spec = load_problem(corpus_documents(1)[0])
     c = spec.candidates[0]
-    lp, layout = assemble_single_lp(c, a=1, deg_s=1, deg_p=2, reduce_basis=False)
+    lp, layout = ref.full_ring_single_lp(c, a=1, deg_s=1, deg_p=2)
     assert layout.p10.codes.nvars == c.sys.n
     assert_single_matches(lp, layout, c)
 
@@ -115,7 +115,7 @@ def test_wide_code_program_matches_the_reference():
     params = CwParams(L=6)
     sys6 = build_cw_system(params)
     cands = [build_inspection_cbf(params, i, sys6) for i in range(6)]
-    lp, layout = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    lp, layout = assemble_emptiness_lp(cands, 1)
     assert (lp.nrows, lp.nvars) == (962, 259)
     assert layout.s_vars[0].expansion.mono.dtype == object
     assert_emptiness_matches(lp, layout)

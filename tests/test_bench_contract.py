@@ -75,9 +75,8 @@ def test_traced_row_readers_count_the_arrays():
     sys = build_cw_system(params)
     cands = [build_inspection_cbf(params, i, sys) for i in range(2)]
     deg_s = V.default_deg_s(cands[0].b)
-    single, _ = V.assemble_single_lp(cands[0], 0, deg_s, V.default_deg_p(cands[0], 0, deg_s),
-                                     reduce_basis=True)
-    emptiness, _ = V.assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    single, _ = V.assemble_single_lp(cands[0], 0, deg_s, V.default_deg_p(cands[0], 0, deg_s))
+    emptiness, _ = V.assemble_emptiness_lp(cands, 1)
     signatures = set()
     for lp in (single, emptiness):
         row, col, val, rhs, n_eq = lp.arrays()

@@ -107,7 +107,7 @@ def test_empty_check_exit_codes(tmp_path):
     assert main(["empty-check", nonempty, "--report", str(tmp_path / "r2.json")]) == 1
 
 
-def test_usage_errors_exit_three(tmp_path):
+def test_usage_errors_exit_three(tmp_path, capsys):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
     assert main([]) == 3
     assert main(["verify"]) == 3
@@ -119,10 +119,13 @@ def test_usage_errors_exit_three(tmp_path):
     doc = unit_disc_doc()
     doc["options"] = {"max_iters": -5}
     assert main(["verify", write_problem(tmp_path, "neg.json", doc)]) == 3
-    # There is no parallel setting, as a flag or as a problem-file key.
-    assert main(["verify", path, "--no-parallel"]) == 3
-    doc["options"] = {"parallel": False}
-    assert main(["verify", write_problem(tmp_path, "par.json", doc)]) == 3
+    # There is no parallel or basis-reduction setting, as a flag or as a problem-file key.
+    for flag in ("--no-parallel", "--no-reduce-basis"):
+        assert main(["verify", path, flag]) == 3
+    for key, value in (("parallel", False), ("reduce_basis", True)):
+        doc["options"] = {key: value}
+        assert main(["verify", write_problem(tmp_path, "gone.json", doc)]) == 3
+        assert "options.%s: unknown option" % key in capsys.readouterr().err
     # Physical parameters must be positive and finite.
     for flag, value in [("--mass", "-1"), ("--thrust", "0"), ("--R-t", "0"),
                         ("--n-mean-motion", "0"), ("--mass", "nan"), ("--thrust", "inf")]:
@@ -220,7 +223,7 @@ def test_bad_option_values_exit_three(tmp_path, capsys):
     # null is "default" only where the default is null; every other bad value
     # is a format error naming its field or entry, never an internal error.
     for options, path in [({"max_iters": None}, "options.max_iters: expected an integer"),
-                          ({"reduce_basis": None}, "options.reduce_basis: expected a boolean"),
+                          ({"reduce_basis": True}, "options.reduce_basis: unknown option"),
                           ({"archimedean_C": True}, "options.archimedean_C: expected an integer"),
                           ({"archimedean_C": 10 ** 400}, "options.archimedean_C: too large"),
                           ({"deg_s": [1], "deg_p": [1, 2]}, "options.deg_p: expected one entry"),
@@ -273,7 +276,7 @@ def test_export_lp_emptiness_degree_from_emptiness_deg_s(tmp_path, capsys):
     doc = disjoint_pair_doc()
     path = write_problem(tmp_path, "p.json", doc)
     assert main(["export-lp", path, "--emptiness", "--emptiness-deg-s", "1"]) == 0
-    expected, _ = assemble_emptiness_lp(load_problem(doc).candidates, 1, reduce_basis=True)
+    expected, _ = assemble_emptiness_lp(load_problem(doc).candidates, 1)
     assert parse_lp_text(capsys.readouterr().out) == expected
 
 

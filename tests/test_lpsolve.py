@@ -500,10 +500,9 @@ def test_memory_does_not_grow_with_pivots():
     # STALL_WINDOW_DOC's a=0 program (108 x 56) stalls after 409 pivots.
     # Nothing is kept per pivot, so the long run peaks where one pivot does.
     spec = load_problem(STALL_WINDOW_DOC)
-    cand = support_ring(spec.candidates[0], True).cand
+    cand = support_ring(spec.candidates[0]).cand
     deg_s = default_deg_s(cand.b)
-    lp, _ = assemble_single_lp(cand, 0, deg_s, default_deg_p(cand, 0, deg_s),
-                               reduce_basis=True)
+    lp, _ = assemble_single_lp(cand, 0, deg_s, default_deg_p(cand, 0, deg_s))
     one, peak_one = traced_solve(lp, max_iters=1)
     full, peak_full = traced_solve(lp)
     assert (one.exit, one.iterations) == ("max_iters", 1)

@@ -86,7 +86,7 @@ def test_verify_multi_six_chasers(benchmark, monkeypatch):
 def test_pivot_sweep_one_chaser_a0(benchmark):
     """The infeasible exit: the reference one-chaser a=0 program, 367 x 154."""
     _, cands = fleet(1)
-    lp, _ = assemble_single_lp(*single_args(cands[0]), reduce_basis=True)
+    lp, _ = assemble_single_lp(*single_args(cands[0]))
     assert (lp.nrows, lp.nvars) == (367, 154)
     out = benchmark.pedantic(solve_feasibility, args=(lp,), rounds=3, iterations=1)
     assert out.status is LpStatus.INFEASIBLE
@@ -96,7 +96,7 @@ def test_pivot_sweep_one_chaser_a0(benchmark):
 def test_pivot_sweep_one_chaser_a1(benchmark):
     """The feasible exit: the reference one-chaser a=1 program, 367 x 154."""
     _, cands = fleet(1)
-    lp, _ = assemble_single_lp(*single_args(cands[0], a=1), reduce_basis=True)
+    lp, _ = assemble_single_lp(*single_args(cands[0], a=1))
     assert (lp.nrows, lp.nvars) == (367, 154)
     out = benchmark.pedantic(solve_feasibility, args=(lp,), rounds=3, iterations=1)
     assert out.status is LpStatus.FEASIBLE
@@ -107,7 +107,7 @@ def test_pivot_sweep_one_chaser_a1(benchmark):
 def test_farkas_gate_six_chaser_emptiness(benchmark):
     """The Farkas gate on the L=6 fleet's emptiness refutation at deg_s=1, 962 x 259."""
     _, cands = fleet(6)
-    lp, _ = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    lp, _ = assemble_emptiness_lp(cands, 1)
     out = solve_feasibility(lp)
     # Presolve refutes it: 35 of the 962 multipliers are nonzero.
     assert (out.status, out.iterations) == (LpStatus.INFEASIBLE, 0)
@@ -119,7 +119,7 @@ def test_farkas_gate_six_chaser_emptiness(benchmark):
 def test_presolve_six_chaser_emptiness(benchmark):
     """coefficient_system and presolve of the L=6 fleet's emptiness program, 962 x 259."""
     _, cands = fleet(6)
-    _, layout = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    _, layout = assemble_emptiness_lp(cands, 1)
     signs = [dd_linear_constraints(v) for v in layout.s_vars]
 
     def presolve():
@@ -137,23 +137,22 @@ def test_assemble_single_six_chasers(benchmark):
     """Assembly of the first candidate's a=0 program in the L=6 fleet, 367 x 154."""
     _, cands = fleet(6)
     lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(cands[0]),
-                               kwargs={"reduce_basis": True}, rounds=3, iterations=1)
+                               rounds=3, iterations=1)
     assert (lp.nrows, lp.nvars) == (367, 154)
 
 
 def test_assemble_emptiness_six_chasers(benchmark):
     """Assembly of the L=6 fleet's emptiness program at deg_s=1, 962 x 259."""
     _, cands = fleet(6)
-    lp, _ = benchmark.pedantic(assemble_emptiness_lp, args=(cands, 1),
-                               kwargs={"reduce_basis": True}, rounds=3, iterations=1)
+    lp, _ = benchmark.pedantic(assemble_emptiness_lp, args=(cands, 1), rounds=3, iterations=1)
     assert (lp.nrows, lp.nvars) == (962, 259)
 
 
 def test_assemble_corpus_single(benchmark):
     """Assembly of a corpus-sized a=1 single program (n=3, m=2) in its support ring, 145 x 92."""
     spec = load_problem(STALL_WINDOW_DOC)
-    ring = support_ring(spec.candidates[0], True)
+    ring = support_ring(spec.candidates[0])
     assert (len(ring.variables), len(ring.channels)) == (3, 2)
     lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(ring.cand, a=1),
-                               kwargs={"reduce_basis": True}, rounds=20, iterations=5)
+                               rounds=20, iterations=5)
     assert (lp.nrows, lp.nvars) == (145, 92)

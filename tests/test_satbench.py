@@ -16,6 +16,7 @@ from barrierlp.satbench import (
     run_benchmark,
 )
 from barrierlp.lpsolve import LpStatus, solve_feasibility, validate_farkas
+from barrierlp.specio import REPORT_SCHEMA_VERSION
 from barrierlp.verifier import Verdict, assemble_emptiness_lp
 
 
@@ -148,7 +149,7 @@ def test_stationary_boundary_points_block_drift():
 
 def test_benchmark_two_rows():
     report = run_benchmark(CwParams(L=1), L_max=2)
-    assert report["schema"] == 1
+    assert report["schema"] == REPORT_SCHEMA_VERSION
     assert [row["L"] for row in report["rows"]] == [1, 2]
     assert report["rows"][0]["verdict"] == Verdict.VERIFIED.value
     assert report["rows"][1]["verdict"] == Verdict.MULTI_VERIFIED.value
@@ -177,7 +178,7 @@ def test_fleet_emptiness_program_is_refuted_by_presolve():
     params = CwParams(L=6)
     sys = build_cw_system(params)
     cands = [build_inspection_cbf(params, i, sys) for i in range(6)]
-    lp, _ = assemble_emptiness_lp(cands, 1, reduce_basis=True)
+    lp, _ = assemble_emptiness_lp(cands, 1)
     assert (lp.nrows, lp.nvars) == (962, 259)
     out = solve_feasibility(lp)
     assert (out.status, out.iterations) == (LpStatus.INFEASIBLE, 0)

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from _oracles import fold
+from _oracles import fold, full_ring_emptiness_lp, full_ring_single_lp
 from barrierlp.lpsolve import (
     FEAS_TOL,
     FarkasCertificate,
@@ -34,6 +34,7 @@ from barrierlp.verifier import (
     Verdict,
     VerificationOutcome,
     VerifierOptions,
+    _resolved_single_schedule,
     archimedean_witness,
     assemble_emptiness_lp,
     assemble_single_lp,
@@ -105,13 +106,17 @@ def test_single_layout_allocation_order():
 
 
 def test_emptiness_layout_size():
-    # L=2 candidates, deg_s=1 over one variable: k=2, k^2 (L+1) = 12.
+    # L=2 candidates, deg_s=1 over one variable: k=2, k^2 (L+1) = 12 in the
+    # full ring. x -> -x fixes both generators, so the pair (1, x) is pruned:
+    # k (L+1) = 6.
     sys = single_integrator(1)
     x = _x(0, 1)
     cands = [cand(Polynomial.one(1) - x ** 2, sys), cand(x ** 2 - Polynomial.constant(4.0, 1), sys)]
-    lp, lay = assemble_emptiness_lp(cands, deg_s=1)
+    lp, lay = full_ring_emptiness_lp(cands, deg_s=1)
     assert lay.nvars == 12
     assert lp.nvars == 12
+    lp, lay = assemble_emptiness_lp(cands, deg_s=1)
+    assert lay.nvars == lp.nvars == 6
 
 
 def test_emptiness_layout_with_augmentation():
@@ -569,10 +574,11 @@ def test_sign_classes_match_brute_force_flips():
 
 
 def test_reduction_preserves_single_verdict():
-    """Support restriction plus symmetry pruning never changes the verdict."""
+    """Support restriction plus symmetry pruning keeps every scheduled program's status."""
     rng = np.random.default_rng(11)
     n = 2
     mono2 = monomial_basis(n, 2)
+    programs = 0
     for trial in range(12):
         coefs = rng.integers(-2, 3, size=len(mono2)).astype(float)
         b = Polynomial({m: c for m, c in zip(mono2, coefs) if c != 0.0}, n)
@@ -584,10 +590,15 @@ def test_reduction_preserves_single_verdict():
                         for _ in range(n)])
         sys = ControlAffineSystem(f=f, g=g)
         c = cand(b, sys)
-        full = verify_single(sys, c, VerifierOptions(reduce_basis=False))
-        red = verify_single(sys, c, VerifierOptions(reduce_basis=True))
-        assert full.verdict is red.verdict, "trial %d: %s vs %s" % (
-            trial, full.verdict, red.verdict)
+        ring = support_ring(c)
+        for a, ds, dp in _resolved_single_schedule(ring.cand, VerifierOptions()):
+            full, _ = full_ring_single_lp(c, a, ds, dp)
+            red, _ = assemble_single_lp(ring.cand, a, ds, dp)
+            st_f = solve_feasibility(full).status
+            st_r = solve_feasibility(red).status
+            assert st_f == st_r, "trial %d a=%d: %s vs %s" % (trial, a, st_f, st_r)
+            programs += 1
+    assert programs == 24
 
 
 def test_reduction_preserves_emptiness_status():
@@ -604,8 +615,8 @@ def test_reduction_preserves_emptiness_status():
                 b = Polynomial.one(n)
             cands.append(cand(b, sys))
         for ds in (0, 1):
-            lp_f, _ = assemble_emptiness_lp(cands, ds, reduce_basis=False)
-            lp_r, _ = assemble_emptiness_lp(cands, ds, reduce_basis=True)
+            lp_f, _ = full_ring_emptiness_lp(cands, ds)
+            lp_r, _ = assemble_emptiness_lp(cands, ds)
             st_f = solve_feasibility(lp_f).status
             st_r = solve_feasibility(lp_r).status
             assert st_f == st_r, "trial %d deg %d" % (trial, ds)
@@ -617,8 +628,8 @@ def test_reduced_assembly_is_smaller():
     # b touches only the first variable; the other two are inert.
     b = Polynomial.one(n) - _x(0, n) ** 2
     c = cand(b, sys)
-    _, full = assemble_single_lp(c, a=0, deg_s=1, deg_p=1, reduce_basis=False)
-    _, red = assemble_single_lp(c, a=0, deg_s=1, deg_p=1, reduce_basis=True)
+    _, full = full_ring_single_lp(c, a=0, deg_s=1, deg_p=1)
+    _, red = assemble_single_lp(c, a=0, deg_s=1, deg_p=1)
     assert red.nvars < full.nvars
     assert len(red.gram_basis) < len(full.gram_basis)
 
@@ -648,22 +659,19 @@ def test_support_ring_program_is_the_full_ring_program():
     """Projection keeps grlex order: the same LP text, over 6-tuples instead of 18-tuples."""
     sys, cands = fleet(CwParams(L=3))
     for i, c in enumerate(cands):
-        ring = support_ring(c, reduce_basis=True)
+        ring = support_ring(c)
         assert ring.variables == tuple(range(6 * i, 6 * i + 6))
         assert ring.channels == (3 * i, 3 * i + 1, 3 * i + 2)
         ds = default_deg_s(c.b)
         for a in (0, 1):
             dp = default_deg_p(c, a, ds)
             assert dp == default_deg_p(ring.cand, a, ds)
-            full, _ = assemble_single_lp(c, a, ds, dp, reduce_basis=True)
-            small, layout = assemble_single_lp(ring.cand, a, ds, dp, reduce_basis=True)
+            full, _ = assemble_single_lp(c, a, ds, dp)
+            small, layout = assemble_single_lp(ring.cand, a, ds, dp)
             assert export_lp_text(small) == export_lp_text(full)
             assert all(len(mo) == 6 for mo in layout.gram_basis)
-    keys = {support_ring(c, True).key for c in cands}
+    keys = {support_ring(c).key for c in cands}
     assert len(keys) == 1
-    # Without reduction the projection is the identity, and no two keys agree.
-    assert support_ring(cands[1], False).cand is cands[1]
-    assert len({support_ring(c, False).key for c in cands}) == 3
 
 
 def _projected_key(c, ring):
@@ -680,7 +688,7 @@ def test_ring_derivatives_are_the_projected_full_ring_ones():
     """Lfb and Lgb derived in the support ring agree term for term, in term order."""
     sys, cands = fleet(CwParams(L=3))
     for c in cands:
-        ring = support_ring(c, True)
+        ring = support_ring(c)
         assert ring.cand.sys.n == 6 and ring.cand.sys.m == 3
         assert ring.key == _projected_key(c, ring)
     # b = x1 + x2 under f = [y, -y, 0]: Lfb = y - y cancels, so y is dropped
@@ -692,7 +700,7 @@ def test_ring_derivatives_are_the_projected_full_ring_ones():
                               g=PolyMatrix([[one], [zero], [zero]]))
     c = cand(_x(0, n) + _x(1, n), sys)
     assert c.lfb.is_zero()
-    ring = support_ring(c, True)
+    ring = support_ring(c)
     assert ring.variables == (0, 1) and ring.channels == (0,)
     assert all(p.is_zero() for p in ring.cand.sys.f.entry_list())
     assert ring.key == _projected_key(c, ring)
@@ -737,7 +745,7 @@ def test_every_reused_certificate_holds_in_its_own_ring():
 
 def test_distinct_classes_solve_separately(monkeypatch):
     sys, cands = fleet(CwParams(L=2, masses=(2.0, 3.0)))
-    assert support_ring(cands[0], True).key != support_ring(cands[1], True).key
+    assert support_ring(cands[0]).key != support_ring(cands[1]).key
     calls = counting_solves(monkeypatch)
     out = verify_multi(sys, cands)
     singles = [r for so in out.singles for r in so.lps]
@@ -752,7 +760,7 @@ def test_class_key_separates_candidates_that_differ_only_in_drift():
     sys = ControlAffineSystem(f=PolyMatrix([[zero], [_x(1, n)]]),
                               g=PolyMatrix([[one, zero], [zero, one]]))
     cands = [cand(one - _x(0, n) ** 2, sys), cand(one - _x(1, n) ** 2, sys)]
-    rings = [support_ring(c, True) for c in cands]
+    rings = [support_ring(c) for c in cands]
     assert rings[0].cand.b == rings[1].cand.b and rings[0].cand.lgb == rings[1].cand.lgb
     assert rings[0].key != rings[1].key
     joint = verify_multi(sys, cands)
@@ -833,8 +841,8 @@ def test_options_validation():
 @pytest.mark.parametrize("kwargs, message", [
     ({"max_iters": None}, "max_iters: expected an integer"),
     ({"max_iters": 2.0}, "max_iters: expected an integer"),
-    ({"reduce_basis": None}, "reduce_basis: expected a boolean"),
-    ({"reduce_basis": 1}, "reduce_basis: expected a boolean"),
+    ({"max_iters": -1}, "max_iters: must be at least 0"),
+    ({"max_iters": True}, "max_iters: expected an integer"),
     ({"archimedean_C": True}, "archimedean_C: expected an integer"),
     ({"archimedean_C": 0}, "archimedean_C: must be at least 1"),
     ({"a_values": None}, "a_values: expected a list"),
@@ -914,13 +922,11 @@ def test_lie_derivatives_derived_once_per_candidate(monkeypatch):
     assert verify_multi(sys, cands).verdict is Verdict.MULTI_VERIFIED
     assert sorted(rings) == [("lie_derivative_drift", 6)] * 3 + [("lie_derivative_input", 6)] * 3
     rings.clear()
-    verify_multi(sys, cands, VerifierOptions(reduce_basis=False))
-    assert rings == []
     # A lone chaser uses every variable and channel: its ring is its own.
     sys, (lone,) = fleet(CwParams(L=1))
     assert rings == [("lie_derivative_drift", 6), ("lie_derivative_input", 6)]
     rings.clear()
-    assert support_ring(lone, True).cand is lone
+    assert support_ring(lone).cand is lone
     verify_single(sys, lone)
     assert rings == []
 
@@ -960,9 +966,10 @@ def test_verify_single_deterministic():
         assert np.array_equal(qa, qb)
 
 
-# Digests of export_lp_text for the flagship programs. Any change to a row,
-# a column order or a coefficient changes them; re-record them only for a
-# deliberate change to the programs.
+# Digests of export_lp_text for the flagship programs, keyed (family, degree,
+# reduced): the program's own reduced assembly, or the full-ring reference of
+# tests/_oracles.py. Any change to a row, a column order or a coefficient
+# changes them; re-record them only for a deliberate change to the programs.
 PINNED_LP_DIGESTS = {
     ("single", 0, True): "1d2f4936c9a73dedacbc7e892e0231c0c03a112c7d9e34562ccb27808ade0bda",
     ("single", 1, True): "4143f0a0b952cae07a5550d4d3c244fe59ef0f62ce27f2314c4078e228ef5492",
@@ -982,7 +989,7 @@ PINNED_LP_DIGESTS = {
 }
 
 
-def flagship_program(family, degree, reduce_basis):
+def flagship_program(family, degree, reduced):
     """(lp, layout, candidate assembled, or None for emptiness) of a pinned program.
 
     Single 1 - x^2 at a = degree; emptiness of {1 - x^2, x^2 - 1/4} at
@@ -997,22 +1004,21 @@ def flagship_program(family, degree, reduce_basis):
         sat = build_inspection_cbf(params, 0, sys)
         ds = default_deg_s(sat.b)
         lp, layout = assemble_single_lp(sat, a=degree, deg_s=ds,
-                                        deg_p=default_deg_p(sat, degree, ds),
-                                        reduce_basis=reduce_basis)
+                                        deg_p=default_deg_p(sat, degree, ds))
         assert (lp.nrows, lp.nvars) == (367, 154)
         return lp, layout, sat
     if family == "single":
-        lp, layout = assemble_single_lp(disc, a=degree, deg_s=1,
-                                        deg_p=default_deg_p(disc, degree, 1),
-                                        reduce_basis=reduce_basis)
+        assemble = assemble_single_lp if reduced else full_ring_single_lp
+        lp, layout = assemble(disc, a=degree, deg_s=1, deg_p=default_deg_p(disc, degree, 1))
         return lp, layout, disc
     ring = cand(x ** 2 - Polynomial.constant(0.25, 1), sys)
-    lp, layout = assemble_emptiness_lp([disc, ring], degree, reduce_basis=reduce_basis)
+    assemble = assemble_emptiness_lp if reduced else full_ring_emptiness_lp
+    lp, layout = assemble([disc, ring], degree)
     return lp, layout, None
 
 
-@pytest.mark.parametrize("family,degree,reduce_basis", sorted(PINNED_LP_DIGESTS))
-def test_flagship_lp_text_is_pinned(family, degree, reduce_basis):
-    lp, _, _ = flagship_program(family, degree, reduce_basis)
+@pytest.mark.parametrize("family,degree,reduced", sorted(PINNED_LP_DIGESTS))
+def test_flagship_lp_text_is_pinned(family, degree, reduced):
+    lp, _, _ = flagship_program(family, degree, reduced)
     digest = hashlib.sha256(export_lp_text(lp).encode()).hexdigest()
-    assert digest == PINNED_LP_DIGESTS[(family, degree, reduce_basis)]
+    assert digest == PINNED_LP_DIGESTS[(family, degree, reduced)]
