@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``verify`` a problem file, ``empty-check`` its candidates'
-joint safe set, ``export-lp`` one assembled program in CPLEX LP text form,
-and ``bench-satellite`` for the scaling study. Exit codes form a stable
-contract: 0 Verified/MultiVerified, 1 Inconclusive/MultiInconclusive,
-2 EmptinessCertified, 3 usage or parse error, 4 internal or capacity error.
+joint safe set, ``export-lp`` the first program either would solve, in
+CPLEX LP text form, and ``bench-satellite`` for the scaling study. Exit
+codes form a stable contract: 0 Verified/MultiVerified,
+1 Inconclusive/MultiInconclusive, 2 EmptinessCertified, 3 usage or parse
+error, 4 internal or capacity error.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .verifier import (
     LP_TIMINGS,
     Verdict,
     VerifierOptions,
-    _emptiness_schedule,
-    _resolved_single_schedule,
-    assemble_emptiness_lp,
-    assemble_single_lp,
+    _emptiness_rungs,
+    _single_rungs,
     check_emptiness,
     verify_multi,
     verify_single,
@@ -171,17 +170,13 @@ def cmd_export_lp(args) -> int:
         args.a_values = [args.a]
     opts = _options_from_args(args, spec.options)
     if args.emptiness:
-        ds = _emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"][0]
-        lp, _ = assemble_emptiness_lp(spec.candidates, ds, archimedean_C=opts.archimedean_C)
+        rungs = _emptiness_rungs(spec.candidates, opts)
+    elif 0 <= args.candidate < len(spec.candidates):
+        rungs = _single_rungs(spec.candidates[args.candidate], opts)
     else:
-        if not 0 <= args.candidate < len(spec.candidates):
-            raise _UsageError(
-                "candidate index %d out of range (problem has %d)"
-                % (args.candidate, len(spec.candidates))
-            )
-        cand = spec.candidates[args.candidate]
-        a, ds, dp = _resolved_single_schedule(cand, opts)[0]
-        lp, _ = assemble_single_lp(cand, a, ds, dp)
+        raise _UsageError("candidate index %d out of range (problem has %d)"
+                          % (args.candidate, len(spec.candidates)))
+    lp, _ = rungs[0].assemble()  # the first program the verifier solves
     text = export_lp_text(lp, destination=args.out)
     if args.out is None:
         sys.stdout.write(text)

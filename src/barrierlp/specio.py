@@ -1,13 +1,14 @@
 """Problem-file parsing and report serialization.
 
-Problem files are JSON (`"schema": 1`) declaring state variables, drift,
-input matrix, candidate barriers, and options; every polynomial is written
-in a small expression grammar: a signed sum of terms, each an optional real
-coefficient and '*'-separated `name^k` powers (`^1` may be omitted,
-multiplication is always explicit). Reports serialize a verification
-outcome to stable-ordered JSON or a short text summary; Gram matrices
-appear as row-major arrays and polynomials as [exponents, coefficient]
-pairs so certificates can be rechecked by other tools.
+Problem files are JSON (`"schema": 1`) declaring state variables (names
+matching `[A-Za-z_][A-Za-z_0-9]*`), drift, input matrix, candidate
+barriers, and options; every polynomial is written in a small expression
+grammar: a signed sum of terms, each an optional real coefficient and
+'*'-separated `name^k` powers (`^1` may be omitted, multiplication is
+always explicit). Reports serialize a verification outcome to
+stable-ordered JSON or a short text summary; Gram matrices appear as
+row-major arrays and polynomials as [exponents, coefficient] pairs so
+certificates can be rechecked by other tools.
 """
 
 from __future__ import annotations
@@ -51,60 +52,36 @@ class ProblemFormatError(ValueError):
 
 # -- polynomial grammar --------------------------------------------------------
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<name>" + _NAME + r")"
     r"|(?P<op>[*^+\-])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
 
-def _tokenize_poly(text: str):
-    tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # Skip over whitespace-only tails, otherwise the character is bad.
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = rest.lstrip()[0]
-            skipped = len(rest) - len(rest.lstrip())
-            _, line, col = _advance(text, pos, pos + skipped, line, col)
-            raise PolyParseError("unexpected character %r" % bad, line, col)
-        ws_end = m.start(m.lastgroup)
-        _, line, col = _advance(text, pos, ws_end, line, col)
-        tok_line, tok_col = line, col
-        kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append((kind, value, tok_line, tok_col))
-        _, line, col = _advance(text, ws_end, m.end(), line, col)
-        pos = m.end()
-    return tokens, line, col
-
-
-def _advance(text: str, start: int, end: int, line: int, col: int):
-    for ch in text[start:end]:
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    return end, line, col
-
-
 class _PolyParser:
-    """Recursive-descent parser for signed sums of coefficient*power terms."""
+    """Recursive-descent parser for signed sums of coefficient*power terms.
+
+    A token is (kind, text, offset); fail turns an offset into a line and
+    column. An error at the end of the input is placed just after the last
+    token.
+    """
 
     def __init__(self, text: str, variables: Sequence[str]):
-        self.tokens, end_line, end_col = _tokenize_poly(text)
+        self.text = text
+        self.tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(text)]
         self.pos = 0
-        self.end = (end_line, end_col)
+        self.end = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 0
         self.var_index = {name: i for i, name in enumerate(variables)}
         self.nvars = len(self.var_index)
+        for tok in self.tokens:
+            if tok[0] == "bad":
+                self.fail("unexpected character %r" % tok[1], tok)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -118,13 +95,13 @@ class _PolyParser:
     def fail(self, message: str, tok=None):
         if tok is None:
             tok = self.peek()
-        if tok is None:
-            raise PolyParseError(message, *self.end)
-        raise PolyParseError(message, tok[2], tok[3])
+        offset = self.end if tok is None else tok[2]
+        line = self.text.count("\n", 0, offset) + 1
+        raise PolyParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def parse(self) -> Polynomial:
         if not self.tokens:
-            raise PolyParseError("empty polynomial", 1, 1)
+            self.fail("empty polynomial")
         total: Dict[Monomial, float] = {}
         sign = 1.0
         tok = self.peek()
@@ -301,6 +278,10 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
     variables = _require(document, "variables", list, "")
     if not variables or not all(isinstance(v, str) for v in variables):
         raise ProblemFormatError("variables", "expected a non-empty list of names")
+    for i, name in enumerate(variables):
+        if not re.fullmatch(_NAME, name):
+            raise ProblemFormatError("variables[%d]" % i, "expected a name matching %s, got %r"
+                                     % (_NAME, name))
     if len(set(variables)) != len(variables):
         raise ProblemFormatError("variables", "duplicate variable names")
     n = len(variables)

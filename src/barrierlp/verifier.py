@@ -11,13 +11,14 @@ under unbounded inputs. The emptiness program asks for DSOS s0..sL with
     1 + s0 + sum_i si*bi == 0,
 
 whose solvability certifies the joint safe set is empty (a failure verdict
-for a multi-candidate system). Both families share one path: assemble the
-identity into an LP, solve it, gate the answer, record the outcome
-(_solve_gated). Feasibility alone is never trusted: every returned point is
-re-expanded symbolically and must pass a diagonal dominance check plus a
-residual bound before it yields a certificate. An infeasible answer is kept
-with its Farkas certificate revalidated, so each record says whether the
-refutation holds; the drivers only decide what a schedule of records means.
+for a multi-candidate system). Both families run through one schedule
+runner (_run_schedule): assemble the identity into an LP, solve it, gate
+the answer, record the outcome. Feasibility alone is never trusted: every
+returned point is re-expanded symbolically and must pass a diagonal
+dominance check plus a residual bound before it yields a certificate. An
+infeasible answer is kept with its Farkas certificate revalidated, so each
+record says whether the refutation holds, and a failed revalidation is
+warned about; the drivers only decide what a schedule of records means.
 
 Basis reduction: multipliers are built over the variables that actually
 occur in the fixed data, and Gram entries whose basis product flips sign
@@ -50,7 +51,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -764,8 +765,13 @@ def certificate_residual(
 
     The expansion is recomputed from the Gram matrices with plain polynomial
     arithmetic; nothing from the LP transcription is reused, so this is an
-    independent check of the returned numbers.
+    independent check of the returned numbers. sys, when not None, must be
+    the system the candidate (or every candidate) was built for.
     """
+    if sys is not None:
+        owners = [cand_or_cands] if cert.kind == "single" else cand_or_cands
+        if any(c.sys != sys for c in owners):
+            raise ValueError("candidate was built for another system")
     s_polys = cert.s_polys()
     if cert.kind == "single":
         cand: CandidateCbf = cand_or_cands
@@ -917,6 +923,78 @@ def _gate(
         name, cert.residual)
 
 
+class _Rung(NamedTuple):
+    """One program of a schedule.
+
+    assemble() returns (lp, layout); extract(layout, z) the certificate that
+    the point z of lp gives. Programs with equal keys are identical.
+    """
+
+    name: str
+    key: object
+    entry: object  # the schedule entry, as the report records it
+    assemble: Callable[[], tuple]
+    extract: Callable[[object, np.ndarray], Certificate]
+
+
+def _single_rungs(cand: CandidateCbf, opts: VerifierOptions) -> List[_Rung]:
+    """cand's (a, deg_s, deg_p) schedule, each program assembled in its support ring."""
+    ring = support_ring(cand)
+    bases = _single_bases(ring.cand)
+    return [
+        _Rung("single a=%d deg_s=%d deg_p=%d" % entry, (ring.key,) + entry, list(entry),
+              lambda entry=entry: assemble_single_lp(ring.cand, *entry, bases=bases),
+              lambda layout, z: extract_single_certificate(layout, z, cand, ring))
+        for entry in _resolved_single_schedule(ring.cand, opts)
+    ]
+
+
+def _emptiness_rungs(cands: Sequence[CandidateCbf], opts: VerifierOptions) -> List[_Rung]:
+    return [
+        _Rung("emptiness deg_s=%d" % ds, ds, ds,
+              lambda ds=ds: assemble_emptiness_lp(cands, ds, archimedean_C=opts.archimedean_C),
+              lambda layout, z: extract_emptiness_certificate(layout, z, cands))
+        for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]
+    ]
+
+
+def _run_schedule(
+    rungs: Sequence[_Rung],
+    opts: VerifierOptions,
+    solved: Dict[object, Tuple[LpRecord, LpOutcome, object]],
+) -> Tuple[List[LpRecord], Optional[Certificate], List[str]]:
+    """Solve and gate the rungs in order until one yields a certificate.
+
+    Returns (records, certificate or None, warnings). solved maps the key of
+    every program solved so far in the call to its (record, outcome,
+    layout). A program's first use records its assembly and solve; a later
+    rung with the same key, such as the rung of another candidate of the
+    same class, gets a copy with seconds and assemble_s 0.0 and reused set,
+    gates the same point with its own extract, and records that gate's time
+    alone in gate_s. Nothing is kept beyond the call.
+    """
+    records: List[LpRecord] = []
+    warnings: List[str] = []
+    for rung in rungs:
+        if rung.key in solved:
+            record, out, layout = solved[rung.key]
+            record = replace(record, seconds=0.0, assemble_s=0.0, gate_s=0.0, reused=True)
+        else:
+            t0 = time.perf_counter()
+            lp, layout = rung.assemble()
+            record, out = _solve(rung.name, lp, opts, time.perf_counter() - t0)
+            solved[rung.key] = record, out, layout
+        cert, warning = _gate(record, out, lambda z: rung.extract(layout, z))
+        records.append(record)
+        if warning is not None:
+            warnings.append(warning)
+        if record.farkas_valid is False:
+            warnings.append("%s: infeasibility certificate failed revalidation" % rung.name)
+        if cert is not None:
+            return records, cert, warnings
+    return records, None, warnings
+
+
 def verify_single(
     sys: ControlAffineSystem, cand: CandidateCbf, opts: Optional[VerifierOptions] = None
 ) -> VerificationOutcome:
@@ -932,90 +1010,28 @@ def verify_single(
         opts = VerifierOptions()
     if cand.sys != sys:
         raise ValueError("candidate was built for another system")
-    return _verify_singles([cand], opts)[0]
+    return _verify_single(cand, opts, {})
 
 
-def _verify_singles(
-    cands: Sequence[CandidateCbf], opts: VerifierOptions
-) -> List[VerificationOutcome]:
-    """verify_single for each candidate, solving each program once per class key.
-
-    A program's first use records its assembly and solve; a later candidate
-    of the same class gets a copy with seconds and assemble_s 0.0 and reused
-    set, gates the same point in its own ring, and records that gate's time
-    alone in gate_s. Nothing is kept beyond the call.
-    """
-    solved: Dict[tuple, Tuple[LpRecord, LpOutcome, SingleLayout]] = {}
-    outcomes = []
-    for cand in cands:
-        t0 = time.perf_counter()
-        ring = support_ring(cand)
-        class_key = ring.key
-        bases = _single_bases(ring.cand)
-        schedule = _resolved_single_schedule(ring.cand, opts)
-        outcome = VerificationOutcome(
-            verdict=Verdict.INCONCLUSIVE,
-            schedule={"entries": [[a, ds, dp] for a, ds, dp in schedule]},
-        )
-        for a, ds, dp in schedule:
-            name = "single a=%d deg_s=%d deg_p=%d" % (a, ds, dp)
-            key = (class_key, a, ds, dp)
-            if key in solved:
-                record, out, layout = solved[key]
-                record = replace(record, seconds=0.0, assemble_s=0.0, gate_s=0.0, reused=True)
-            else:
-                t_asm = time.perf_counter()
-                lp, layout = assemble_single_lp(ring.cand, a, ds, dp, bases=bases)
-                record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
-                solved[key] = record, out, layout
-            cert, warning = _gate(
-                record, out, lambda z: extract_single_certificate(layout, z, cand, ring)
-            )
-            outcome.lps.append(record)
-            if warning is not None:
-                outcome.warnings.append(warning)
-            if cert is not None:
-                outcome.verdict = Verdict.VERIFIED
-                outcome.certificate = cert
-                break
-        outcome.seconds = time.perf_counter() - t0
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _emptiness_sweep(
-    cands: Sequence[CandidateCbf], opts: VerifierOptions
-) -> Tuple[List[LpRecord], Optional[Certificate], bool, List[str]]:
-    """Run the emptiness program at every scheduled degree.
-
-    Returns (records, certificate or None, all_infeasible_with_valid_farkas,
-    warnings).
-    """
-    records: List[LpRecord] = []
-    warnings: List[str] = []
-    for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]:
-        name = "emptiness deg_s=%d" % ds
-        t_asm = time.perf_counter()
-        lp, layout = assemble_emptiness_lp(cands, ds, archimedean_C=opts.archimedean_C)
-        record, out = _solve(name, lp, opts, time.perf_counter() - t_asm)
-        cert, warning = _gate(
-            record, out, lambda z: extract_emptiness_certificate(layout, z, cands)
-        )
-        records.append(record)
-        if warning is not None:
-            warnings.append(warning)
-        if record.farkas_valid is False:
-            warnings.append("%s: infeasibility certificate failed revalidation" % name)
-        if cert is not None:
-            return records, cert, False, warnings
-    all_refuted = all(r.farkas_valid is True for r in records)
-    return records, None, all_refuted, warnings
+def _verify_single(cand: CandidateCbf, opts: VerifierOptions, solved: dict) -> VerificationOutcome:
+    """verify_single without the system check, reusing the programs in solved."""
+    t0 = time.perf_counter()
+    rungs = _single_rungs(cand, opts)
+    records, cert, warnings = _run_schedule(rungs, opts, solved)
+    return VerificationOutcome(
+        verdict=Verdict.VERIFIED if cert is not None else Verdict.INCONCLUSIVE,
+        lps=records,
+        certificate=cert,
+        warnings=warnings,
+        schedule={"entries": [rung.entry for rung in rungs]},
+        seconds=time.perf_counter() - t0,
+    )
 
 
 def check_emptiness(
     cands: Sequence[CandidateCbf], opts: Optional[VerifierOptions] = None
 ) -> VerificationOutcome:
-    """Run only the emptiness sweep over the candidates' safe sets.
+    """Run the emptiness program at every scheduled degree.
 
     EmptinessCertified when some scheduled degree yields a gated
     certificate; otherwise Inconclusive (non-detection proves nothing
@@ -1026,10 +1042,9 @@ def check_emptiness(
     if len(cands) < 1:
         raise ValueError("need at least one candidate")
     t0 = time.perf_counter()
-    records, cert, _, warnings = _emptiness_sweep(cands, opts)
-    verdict = Verdict.EMPTINESS_CERTIFIED if cert is not None else Verdict.INCONCLUSIVE
+    records, cert, warnings = _run_schedule(_emptiness_rungs(cands, opts), opts, {})
     return VerificationOutcome(
-        verdict=verdict,
+        verdict=Verdict.EMPTINESS_CERTIFIED if cert is not None else Verdict.INCONCLUSIVE,
         lps=records,
         certificate=cert,
         warnings=warnings,
@@ -1050,12 +1065,12 @@ def verify_multi(
     then the verdict is MultiVerified. A feasible emptiness program that
     passes the certificate gate certifies the joint safe set empty, which is
     reported as EmptinessCertified. Anything else is MultiInconclusive. A
-    candidate built for another system raises ValueError.
+    candidate built for another system raises ValueError. The candidates
+    share one map of solved programs, so each class's programs are solved
+    once.
     """
     if opts is None:
         opts = VerifierOptions()
-    if len(cands) < 1:
-        raise ValueError("need at least one candidate")
     if any(c.sys != sys for c in cands):
         raise ValueError("candidate was built for another system")
     t0 = time.perf_counter()
@@ -1070,26 +1085,28 @@ def verify_multi(
                 "(set archimedean_C to enforce it)"
             )
 
-    empt_records, empt_cert, empt_refuted, empt_warnings = _emptiness_sweep(cands, opts)
-    singles = _verify_singles(cands, opts)
+    emptiness = check_emptiness(cands, opts)
+    solved: dict = {}
+    singles = [_verify_single(c, opts, solved) for c in cands]
 
-    warnings.extend(empt_warnings)
+    warnings.extend(emptiness.warnings)
     for i, so in enumerate(singles):
         warnings.extend("candidate %d: %s" % (i, w) for w in so.warnings)
 
-    if empt_cert is not None:
+    if emptiness.verdict is Verdict.EMPTINESS_CERTIFIED:
         verdict = Verdict.EMPTINESS_CERTIFIED
-    elif all(so.verdict is Verdict.VERIFIED for so in singles) and empt_refuted:
+    elif (all(so.verdict is Verdict.VERIFIED for so in singles)
+          and all(r.farkas_valid is True for r in emptiness.lps)):
         verdict = Verdict.MULTI_VERIFIED
     else:
         verdict = Verdict.MULTI_INCONCLUSIVE
 
     return VerificationOutcome(
         verdict=verdict,
-        lps=empt_records,
-        certificate=empt_cert,
+        lps=emptiness.lps,
+        certificate=emptiness.certificate,
         singles=singles,
         warnings=warnings,
-        schedule={"a_values": list(opts.a_values), **_emptiness_schedule(cands, opts)},
+        schedule={"a_values": list(opts.a_values), **emptiness.schedule},
         seconds=time.perf_counter() - t0,
     )

@@ -280,6 +280,32 @@ def test_export_lp_emptiness_degree_from_emptiness_deg_s(tmp_path, capsys):
     assert parse_lp_text(capsys.readouterr().out) == expected
 
 
+def test_export_lp_writes_the_first_program_the_verifier_solves(tmp_path, capsys, monkeypatch):
+    import barrierlp.verifier as verifier
+
+    params = barrierlp.CwParams(L=2)
+    system = barrierlp.build_cw_system(params)
+    doc = barrierlp.problem_document(
+        system, [barrierlp.build_inspection_cbf(params, i, system) for i in range(2)])
+    path = write_problem(tmp_path, "fleet.json", doc)
+    assert main(["export-lp", path, "--candidate", "1"]) == 0
+    exported = parse_lp_text(capsys.readouterr().out)
+
+    solved = []
+    solve = verifier._solve
+
+    def capture(name, lp, *rest):
+        solved.append(lp)
+        return solve(name, lp, *rest)
+
+    monkeypatch.setattr(verifier, "_solve", capture)
+    spec = load_problem(doc)
+    out = verifier.verify_single(spec.system, spec.candidates[1])
+    assert out.lps[0].name == "single a=0 deg_s=1 deg_p=1"
+    assert exported == solved[0]
+    assert (exported.nrows, exported.nvars) == (out.lps[0].rows, out.lps[0].cols)
+
+
 def test_export_lp_bad_candidate_index(tmp_path):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
     assert main(["export-lp", path, "--candidate", "5"]) == 3

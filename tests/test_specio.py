@@ -71,6 +71,24 @@ def test_parse_error_reports_line_and_column():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    # An error on line 3, after two newlines.
+    ("x +\n  y\n  + q", "unknown variable 'q'", 3, 5),
+    # A bad character after leading blanks is placed on the character.
+    ("   @x", "unexpected character '@'", 1, 4),
+    ("x\n  $ y", "unexpected character '$'", 2, 3),
+    # An end-of-input error is placed just after the last token, not after
+    # the trailing blanks.
+    ("x + y*   ", "expected a variable", 1, 7),
+    ("x^2 -  \n  ", "expected a term", 1, 6),
+])
+def test_parse_error_positions(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(text, ["x", "y"])
+    assert str(err.value) == "%s (line %d, column %d)" % (message, line, column)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_whitespace_and_unit_exponent():
     a = parse_polynomial(" x^1 * y ", ["x", "y"])
     b = parse_polynomial("x*y", ["x", "y"])
@@ -154,6 +172,24 @@ def test_load_problem_missing_field_paths():
     with pytest.raises(ProblemFormatError) as err:
         load_problem(doc)
     assert err.value.path == "drift"
+
+
+@pytest.mark.parametrize("names, index", [
+    (["x", "2"], 1),  # would read as the constant 2
+    (["y z"], 0),  # no polynomial could name it
+    (["x1", "1x"], 1),
+    (["x", ""], 1),
+    (["x", "x'"], 1),
+])
+def test_load_problem_rejects_names_the_grammar_cannot_use(names, index):
+    doc = minimal_doc()
+    doc["variables"] = names
+    doc["drift"] = ["0"] * len(names)
+    doc["input_matrix"] = [["1"]] * len(names)
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(doc)
+    assert err.value.path == "variables[%d]" % index
+    assert repr(names[index]) in str(err.value)
 
 
 def test_load_problem_bad_entry_path():

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import json
 import logging
 
 import numpy as np
 import pytest
 
 from _oracles import fold, full_ring_emptiness_lp, full_ring_single_lp
+from test_cli import disjoint_pair_doc, overlapping_pair_doc
 from barrierlp.lpsolve import (
     FEAS_TOL,
     FarkasCertificate,
@@ -26,8 +28,9 @@ from barrierlp.polyring import (
     monomial_basis,
 )
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
-from barrierlp.specio import load_problem
+from barrierlp.specio import load_problem, problem_document, write_report
 from barrierlp.verifier import (
+    LP_TIMINGS,
     CandidateCbf,
     Certificate,
     ControlAffineSystem,
@@ -40,6 +43,7 @@ from barrierlp.verifier import (
     assemble_single_lp,
     augment_archimedean,
     certificate_residual,
+    check_emptiness,
     default_deg_p,
     default_deg_s,
     sign_classes,
@@ -950,6 +954,73 @@ def test_farkas_gate_rejects_negative_inequality_multiplier():
     out.farkas = FarkasCertificate(eq_mults=[], ub_mults=[1.0, 1.0])
     with pytest.raises(ValueError):
         _farkas_acceptable(lp, out)
+
+
+# -- the schedule runner -------------------------------------------------------------
+
+
+def test_failed_single_refutation_is_warned(monkeypatch):
+    """A single program whose Farkas certificate fails revalidation says so in the report."""
+    import barrierlp.verifier as verifier
+
+    n = 1
+    sys = ControlAffineSystem(f=PolyMatrix([[Polynomial.constant(-1.0, n)]]),
+                              g=PolyMatrix([[Polynomial.zero(n)]]))
+    monkeypatch.setattr(verifier, "_farkas_acceptable", lambda lp, out: False)
+    out = verify_single(sys, cand(_x(0, n), sys))
+    assert out.verdict is Verdict.INCONCLUSIVE
+    assert [(r.status, r.farkas_valid) for r in out.lps] == [("Infeasible", False)] * 2
+    assert out.warnings == ["%s: infeasibility certificate failed revalidation" % r.name
+                            for r in out.lps]
+    report = json.loads(write_report(out, deterministic=True))
+    assert report["warnings"] == out.warnings
+
+
+def test_repeated_emptiness_degree_is_solved_once(monkeypatch):
+    spec = load_problem(overlapping_pair_doc())
+    calls = counting_solves(monkeypatch)
+    out = check_emptiness(spec.candidates, VerifierOptions(emptiness_deg_s=(1, 1)))
+    assert len(calls) == 1
+    assert [r.reused for r in out.lps] == [False, True]
+    first, again = out.lps
+    assert (again.seconds, again.assemble_s) == (0.0, 0.0)
+    assert dataclasses.replace(again, gate_s=first.gate_s, seconds=first.seconds,
+                               assemble_s=first.assemble_s, reused=False) == first
+    assert out.schedule["emptiness_deg_s"] == [1, 1]
+
+
+@pytest.mark.parametrize("doc", [overlapping_pair_doc(), disjoint_pair_doc(),
+                                 problem_document(*fleet(CwParams(L=2)))])
+def test_joint_emptiness_records_are_check_emptiness_records(doc):
+    spec = load_problem(doc)
+    untimed = lambda records: [dataclasses.replace(r, **{t: 0.0 for t in LP_TIMINGS})
+                               for r in records]
+    joint = verify_multi(spec.system, spec.candidates)
+    alone = check_emptiness(spec.candidates)
+    assert joint.lps and untimed(joint.lps) == untimed(alone.lps)
+
+
+def test_certificate_residual_checks_the_system():
+    ode = ControlAffineSystem(f=PolyMatrix([[_x(0, 1)]]), g=PolyMatrix([[Polynomial.zero(1)]]))
+    sys = single_integrator(1)
+    x = _x(0, 1)
+    c = cand(Polynomial.one(1) - x ** 2, sys)
+    single = verify_single(sys, c).certificate
+    with pytest.raises(ValueError, match="candidate was built for another system"):
+        verify_single(ode, c)
+    with pytest.raises(ValueError, match="candidate was built for another system"):
+        certificate_residual(single, ode, c)
+    assert certificate_residual(single, sys, c) == certificate_residual(single, None, c) <= 1e-6
+
+    cands = [c, cand(x ** 2 - Polynomial.constant(4.0, 1), sys)]
+    empty = check_emptiness(cands).certificate
+    with pytest.raises(ValueError, match="candidate was built for another system"):
+        certificate_residual(empty, ode, cands)
+    # Every candidate is checked, not only the first.
+    mixed = [c, cand(x ** 2 - Polynomial.constant(4.0, 1), ode)]
+    with pytest.raises(ValueError, match="candidate was built for another system"):
+        certificate_residual(empty, sys, mixed)
+    assert certificate_residual(empty, sys, cands) == certificate_residual(empty, None, cands) <= 1e-6
 
 
 # -- determinism -------------------------------------------------------------------
