@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields, replace
 from typing import List, Optional, Sequence
@@ -65,11 +66,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _int(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional minus sign, nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    return int(text)
+
+
 def _int_list(text: str) -> List[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
+    return [_int(part) for part in text.split(",") if part != ""]
 
 
 def _add_option_flags(sub: argparse.ArgumentParser) -> None:
@@ -81,9 +86,9 @@ def _add_option_flags(sub: argparse.ArgumentParser) -> None:
                      help="free-multiplier degrees, one per --deg-s entry")
     sub.add_argument("--emptiness-deg-s", type=_int_list, metavar="D0,D1,...",
                      help="half-degrees for the emptiness sweep")
-    sub.add_argument("--archimedean-C", type=int, default=None, metavar="C",
+    sub.add_argument("--archimedean-C", type=_int, default=None, metavar="C",
                      help="add the generator C - sum x_i^2 to the emptiness program")
-    sub.add_argument("--max-iters", type=int, default=None, metavar="N",
+    sub.add_argument("--max-iters", type=_int, default=None, metavar="N",
                      help="simplex pivot budget per program")
 
 
@@ -250,9 +255,9 @@ def make_parser() -> _Parser:
     p_export.add_argument("problem", help="problem JSON path")
     p_export.add_argument("--out", metavar="PATH", default=None,
                           help="output path (default: standard output)")
-    p_export.add_argument("--candidate", type=int, default=0, metavar="I",
+    p_export.add_argument("--candidate", type=_int, default=0, metavar="I",
                           help="candidate index for the single program (default 0)")
-    p_export.add_argument("--a", type=int, default=None,
+    p_export.add_argument("--a", type=_int, default=None,
                           help="exponent a (default: first scheduled value)")
     p_export.add_argument("--emptiness", action="store_true",
                           help="export the emptiness program instead")
@@ -260,7 +265,7 @@ def make_parser() -> _Parser:
     p_export.set_defaults(func=cmd_export_lp)
 
     p_bench = subs.add_parser("bench-satellite", help="run the inspection scaling study")
-    p_bench.add_argument("--L", type=int, default=3, metavar="N",
+    p_bench.add_argument("--L", type=_int, default=3, metavar="N",
                          help="largest chaser count (default 3)")
     p_bench.add_argument("--n-mean-motion", type=float, default=0.0010,
                          metavar="RAD_S", help="orbital mean motion (default 0.0010)")

@@ -21,11 +21,17 @@ constraints into 0^T z <= -delta with delta > 0, so negative verdicts carry
 their own proof and can be revalidated by substitution. Postsolve maps
 points and multipliers back through the eliminations, so every answer, and
 every check of it, refers to the caller's rows.
+
+LP files are CPLEX LP text. export_lp_text writes a program, every number
+as %.17g, which round-trips each double; parse_lp_text reads that text back
+line by line and refuses any other, so a file is either exactly a program
+this module wrote or an LpParseError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import time
 from bisect import bisect_left
@@ -58,7 +64,8 @@ FARKAS_SIGN_TOL = 1e-9
 # Default pivot budget of one solve.
 MAX_ITERS = 200000
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 class LpCapacityError(Exception):
@@ -150,7 +157,9 @@ class LpProblem:
     def _clean(self, coefs: Dict[int, float], rhs: float) -> RowBlock:
         out: Dict[int, float] = {}
         for idx, c in coefs.items():
-            i = int(idx)
+            if isinstance(idx, bool) or not hasattr(idx, "__index__"):
+                raise ValueError("variable index %r is not an integer" % (idx,))
+            i = operator.index(idx)
             if not 0 <= i < self.nvars:
                 raise ValueError("variable index %d out of range [0, %d)" % (i, self.nvars))
             v = float(c)
@@ -774,127 +783,53 @@ def export_lp_text(lp: LpProblem, destination: Optional[str] = None) -> str:
     return text
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rel><=|>=|=)|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sign>[+-])|(?P<colon>:))"
-)
-# Section keywords, lower-cased; "subject" must be followed by "to".
-_SECTIONS = {"minimize": "minimize", "min": "minimize", "st": "subject", "bounds": "bounds"}
+# A number as %.17g prints a double, ASCII digits only. The digits before
+# the point match one way only; [0-9]+\.?[0-9]* would split an integer in
+# as many ways as it has digits, and a row that fails to match would retry
+# every split of every term, exponentially in the row's length.
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ROW_RE = re.compile(r" c([0-9]+):((?: [+-]%s %s)+) (<?=) (-?%s)" % (_NUM, _NAME, _NUM))
+_TERM_RE = re.compile(r" ([+-]%s) (%s)" % (_NUM, _NAME))
+_FREE_RE = re.compile(r" (%s) free" % _NAME)
 
 
 class LpParseError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0]
-        pos = 0
-        while line[pos:].strip():
-            mt = _TOKEN_RE.match(line, pos)
-            if not mt:
-                raise LpParseError("unrecognized input %r" % line[pos:].strip())
-            pos = mt.end()
-            tokens.append((mt.lastgroup, mt.group(mt.lastgroup)))
-    return tokens
-
-
 def parse_lp_text(text: str) -> LpProblem:
-    """Parse the subset of the LP format produced by export_lp_text."""
-    tokens = _tokenize(text)
-    sections: Dict[str, List[Tuple[str, str]]] = {"minimize": [], "subject": [], "bounds": []}
-    current: Optional[str] = None
-    i = 0
-    while i < len(tokens):
-        kind, val = tokens[i]
-        low = val.lower() if kind == "name" else ""
-        i += 1
-        if low == "end":
-            break
-        if low == "subject" and i < len(tokens) and tokens[i][1].lower() == "to":
-            current, i = "subject", i + 1
-        elif low in _SECTIONS:
-            current = _SECTIONS[low]
-        elif current is None:
-            raise LpParseError("token %r before any section" % val)
-        else:
-            sections[current].append((kind, val))
+    """Read back exactly the text export_lp_text writes; any other text raises LpParseError.
 
-    # Bounds section declares every variable, in index order.
-    btoks = sections["bounds"]
-    for j in range(0, len(btoks), 2):
-        if btoks[j][0] != "name":
-            raise LpParseError("expected a variable name in Bounds, got %r" % btoks[j][1])
-        if j + 1 >= len(btoks) or btoks[j + 1][1].lower() != "free":
-            raise LpParseError("variable %r must be declared free" % btoks[j][1])
-    names = [val for _, val in btoks[::2]]
-    lp = LpProblem(len(names), names or None)
-    index = {nm: k for k, nm in enumerate(names)}
-
-    # Objective must be zero: a label plus nothing, or terms with coefficient 0.
-    otoks = sections["minimize"]
-    terms, j = _parse_terms(otoks, _past_label(otoks, 0), index)
-    if j != len(otoks):
-        raise LpParseError("unexpected token %r in the objective" % (otoks[j][1],))
-    if any(c != 0.0 for c in terms.values()):
-        raise LpParseError("objective must be identically zero")
-
-    stoks = sections["subject"]
-    j = 0
-    while j < len(stoks):
-        coefs, j = _parse_terms(stoks, _past_label(stoks, j), index)
-        if j >= len(stoks) or stoks[j][0] != "rel":
-            raise LpParseError("constraint row is missing its relation")
-        rel = stoks[j][1]
-        rhs, j = _parse_number(stoks, j + 1)
-        if rel not in ("=", "<="):
-            raise LpParseError("unsupported relation %r" % rel)
-        (lp.add_eq if rel == "=" else lp.add_ub)(coefs, rhs)
+    Whole-line comments (a leading backslash) are skipped. What is left must
+    be Minimize, the empty objective " obj:", Subject To, the rows c1, c2, ...
+    one per line with every equality before every inequality, Bounds, one
+    " NAME free" line per variable, End and a final newline. A row names each
+    variable at most once; a termless row is written "+0 NAME".
+    """
+    lines = [line for line in text.split("\n") if not line.startswith("\\")]
+    bounds = lines.index("Bounds") if "Bounds" in lines else -1
+    free = [_FREE_RE.fullmatch(line) for line in lines[bounds + 1:-2]]
+    if (lines[:3] != ["Minimize", " obj:", "Subject To"] or bounds < 0
+            or lines[-2:] != ["End", ""] or not all(free)):
+        raise LpParseError("expected Minimize, obj:, Subject To, the rows, Bounds, "
+                           "one ' NAME free' line per variable and End")
+    names = [m.group(1) for m in free]
+    index = {name: k for k, name in enumerate(names)}
+    if len(index) != len(names):
+        raise LpParseError("a variable is declared free twice")
+    lp, ub = LpProblem(len(names), names or None), False
+    for k, line in enumerate(lines[3:bounds], 1):
+        row = _ROW_RE.fullmatch(line)
+        if not row or row.group(1) != str(k) or (ub and row.group(3) == "="):
+            raise LpParseError("expected row c%d, got %r" % (k, line))
+        ub = row.group(3) == "<="
+        coefs: Dict[int, float] = {}
+        for coef, name in _TERM_RE.findall(row.group(2)):
+            if name not in index or index[name] in coefs:
+                raise LpParseError("unknown or repeated variable %r in row c%d" % (name, k))
+            coefs[index[name]] = float(coef)
+        try:
+            (lp.add_ub if ub else lp.add_eq)(coefs, float(row.group(4)))
+        except ValueError as exc:  # a number beyond the range of a double
+            raise LpParseError(str(exc)) from None
     return lp
-
-
-def _past_label(tokens, j) -> int:
-    """The index past a row label "name:" at j, or j if there is none."""
-    return j + 2 if tokens[j + 1 : j + 2] == [("colon", ":")] and tokens[j][0] == "name" else j
-
-
-def _signs(tokens, j) -> Tuple[float, int]:
-    """The product of the sign tokens from j on, and the index past them."""
-    sign = 1.0
-    while j < len(tokens) and tokens[j][0] == "sign":
-        sign = -sign if tokens[j][1] == "-" else sign
-        j += 1
-    return sign, j
-
-
-def _parse_number(tokens, j) -> Tuple[float, int]:
-    sign, j = _signs(tokens, j)
-    if j >= len(tokens) or tokens[j][0] != "num":
-        raise LpParseError("expected a number")
-    return sign * float(tokens[j][1]), j + 1
-
-
-def _parse_terms(tokens, j, index) -> Tuple[Dict[int, float], int]:
-    coefs: Dict[int, float] = {}
-    while j < len(tokens) and tokens[j][0] != "rel":
-        coef, j = _signs(tokens, j)
-        if j >= len(tokens):
-            break
-        kind, val = tokens[j]
-        if kind == "num":
-            coef *= float(val)
-            j += 1
-            if j >= len(tokens) or tokens[j][0] != "name":
-                raise LpParseError("number %s is not followed by a variable" % val)
-            kind, val = tokens[j]
-        if kind != "name":
-            raise LpParseError("expected a variable name, got %r" % val)
-        if val not in index:
-            raise LpParseError("unknown variable %r" % val)
-        k = index[val]
-        coefs[k] = coefs.get(k, 0.0) + coef
-        if coefs[k] == 0.0:
-            del coefs[k]
-        j += 1
-    return coefs, j

@@ -55,7 +55,7 @@ class ProblemFormatError(ValueError):
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
-    r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<number>[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>" + _NAME + r")"
     r"|(?P<op>[*^+\-])"
     r"|(?P<bad>\S)"
@@ -171,7 +171,7 @@ class _PolyParser:
             ptok = self.take()
             if ptok is None or ptok[0] != "number":
                 self.fail("expected an integer exponent after '^'", ptok or nxt)
-            if not re.fullmatch(r"\d+", ptok[1]):
+            if not re.fullmatch(r"[0-9]+", ptok[1]):
                 self.fail("exponent must be a positive integer, got %r" % ptok[1], ptok)
             power = int(ptok[1])
             if power < 1:

@@ -30,10 +30,12 @@ feasible if and only if the full one is; verdicts in both directions
 survive the reduction. Every program is assembled reduced; the full-ring
 assembly is the test suite's reference (tests/_oracles.py).
 
-A candidate derives Lfb and Lgb once, from the system it is built with.
-Single programs are assembled in its support ring (SupportRing): system and
-candidate projected onto the state variables occurring in b, Lfb or Lgb, in
-ascending order, and the nonzero Lgb channels. Dropping variables that every
+A candidate derives Lfb and Lgb once, from the system it is built with,
+and nothing derives them again. Single programs are assembled in its support
+ring (SupportRing): its b, Lfb and Lgb projected onto the state variables
+occurring in them, in ascending order, and the nonzero Lgb channels. The
+ring takes the candidate's place in the degree policy and the assembly,
+which read only those three polynomials. Dropping variables that every
 basis monomial leaves at exponent zero keeps the graded lexicographic order,
 so the program is row for row the one the full ring gives, over shorter
 monomials. The projected (b, Lfb, Lgb) terms are the class key:
@@ -51,7 +53,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,24 +155,27 @@ class CandidateCbf:
 
 @dataclass(frozen=True)
 class SupportRing:
-    """A candidate projected onto the variables and input channels its data uses.
+    """A candidate's data projected onto the variables and input channels it uses.
 
     Support-ring variable p is full-ring variable ``variables[p]`` and
-    channel q is input ``channels[q]``; ``cand`` is a candidate of the
-    system projected onto them. ``key`` is equal for candidates whose
-    projected data agree term by term, in term order, so they assemble the
-    same single programs.
+    channel q is input ``channels[q]``; ``b``, ``lfb`` and ``lgb`` (1 x
+    len(channels)) are the candidate's polynomials projected onto them, so
+    the ring stands in for the candidate wherever only that data is read.
+    ``key`` is equal for candidates whose projected data agree term by term,
+    in term order, so they assemble the same single programs.
     """
 
     variables: Tuple[int, ...]
     channels: Tuple[int, ...]
     nvars: int  # variables of the full ring
     ninputs: int  # input channels of the full system
-    cand: CandidateCbf
+    b: Polynomial
+    lfb: Polynomial
+    lgb: PolyMatrix
 
     @property
     def key(self) -> tuple:
-        polys = [self.cand.b, self.cand.lfb] + self.cand.lgb.entry_list()
+        polys = [self.b, self.lfb] + self.lgb.entry_list()
         return (len(self.variables),) + tuple(tuple(p.terms.items()) for p in polys)
 
     def lift_monomial(self, mono: Monomial) -> Monomial:
@@ -184,33 +189,31 @@ class SupportRing:
 
 
 def support_ring(cand: CandidateCbf) -> SupportRing:
-    """Project cand and its system onto its support ring.
+    """Project cand's b, Lfb and live Lgb channels onto its support ring.
 
     Projection sets the dropped variables to zero. That is a ring
-    homomorphism, and none of them occurs in b, Lfb or Lgb, so the Lie
-    derivatives derived in the support ring are the projected full-ring
-    ones, term for term. With nothing to drop, the ring candidate is cand
-    itself. A ring needs one variable and a matrix one column, so when no
-    variable or no channel is live the first one is kept; a kept zero
-    channel is dropped by the assembly all the same.
+    homomorphism, and none of them occurs in b, Lfb or Lgb, so the projected
+    polynomials keep every term and its coefficient; dropping variables
+    that every term leaves at exponent zero keeps the graded lexicographic
+    order, so they keep their term order too. Nothing is derived again. With
+    nothing to drop, the ring holds cand's own polynomials. A ring needs one
+    variable and a matrix one column, so when no variable or no channel is
+    live the first one is kept; a kept zero channel is dropped by the
+    assembly all the same.
     """
-    sys = cand.sys
-    n, m = sys.n, sys.m
+    n, m = cand.sys.n, cand.sys.m
     lgb = cand.lgb.entry_list()
     variables = tuple(_union_support([cand.b, cand.lfb] + lgb)) or (0,)
     channels = tuple(j for j, g in enumerate(lgb) if not g.is_zero()) or (0,)
     if (variables, channels) == (tuple(range(n)), tuple(range(m))):
-        return SupportRing(variables, channels, n, m, cand)
+        return SupportRing(variables, channels, n, m, cand.b, cand.lfb, cand.lgb)
 
     def project(p: Polynomial) -> Polynomial:
-        return Polynomial({tuple(mo[v] for v in variables): c for mo, c in p.terms.items()
-                           if sum(mo) == sum(mo[v] for v in variables)}, len(variables))
+        return Polynomial({tuple(mo[v] for v in variables): c for mo, c in p.terms.items()},
+                          len(variables))
 
-    ring_sys = ControlAffineSystem(
-        f=PolyMatrix([[project(sys.f[i, 0])] for i in variables]),
-        g=PolyMatrix([[project(sys.g[i, j]) for j in channels] for i in variables]),
-    )
-    return SupportRing(variables, channels, n, m, CandidateCbf(project(cand.b), ring_sys))
+    return SupportRing(variables, channels, n, m, project(cand.b), project(cand.lfb),
+                       PolyMatrix([[project(lgb[j]) for j in channels]]))
 
 
 def _is_int(value) -> bool:
@@ -404,7 +407,7 @@ def default_deg_s(b: Polynomial) -> int:
     return max(0, (b.degree() + 1) // 2)
 
 
-def default_deg_p(cand: CandidateCbf, a: int, deg_s: int) -> int:
+def default_deg_p(cand: Union[CandidateCbf, SupportRing], a: int, deg_s: int) -> int:
     """Free-multiplier degree letting every product balance the identity.
 
     The generators multiplied by free polynomials are b and the entries of
@@ -507,7 +510,7 @@ class _Bases:
                 if self.sign_class(mo) == 0]
 
 
-def _single_bases(cand: CandidateCbf) -> _Bases:
+def _single_bases(cand: Union[CandidateCbf, SupportRing]) -> _Bases:
     return _Bases([cand.b, cand.lfb] + cand.lgb.entry_list(), cand.b.nvars)
 
 
@@ -530,7 +533,7 @@ def _identity_lp(
 
 
 def assemble_single_lp(
-    cand: CandidateCbf,
+    cand: Union[CandidateCbf, SupportRing],
     a: int,
     deg_s: int,
     deg_p: int,
@@ -540,9 +543,10 @@ def assemble_single_lp(
 
     Equality rows match every monomial coefficient of the identity to zero;
     inequality rows keep the ray weights of s1 and s2 non-negative.
-    The Lie derivatives are those cand derived from its own system. bases,
-    when given, is _single_bases(cand), which cand's programs share within
-    one verification; it is built here otherwise.
+    cand is a candidate, or its SupportRing; only its b, Lfb and Lgb are
+    read, the Lie derivatives the candidate derived from its own system.
+    bases, when given, is _single_bases(cand), which cand's programs share
+    within one verification; it is built here otherwise.
     """
     if bases is None:
         bases = _single_bases(cand)
@@ -821,7 +825,7 @@ def certificate_residual(
 # -- drivers ------------------------------------------------------------------
 
 def _resolved_single_schedule(
-    cand: CandidateCbf, opts: VerifierOptions
+    cand: Union[CandidateCbf, SupportRing], opts: VerifierOptions
 ) -> List[Tuple[int, int, int]]:
     deg_s = list(opts.deg_s) if opts.deg_s is not None else [default_deg_s(cand.b)]
     entries = []
@@ -940,12 +944,12 @@ class _Rung(NamedTuple):
 def _single_rungs(cand: CandidateCbf, opts: VerifierOptions) -> List[_Rung]:
     """cand's (a, deg_s, deg_p) schedule, each program assembled in its support ring."""
     ring = support_ring(cand)
-    bases = _single_bases(ring.cand)
+    bases = _single_bases(ring)
     return [
         _Rung("single a=%d deg_s=%d deg_p=%d" % entry, (ring.key,) + entry, list(entry),
-              lambda entry=entry: assemble_single_lp(ring.cand, *entry, bases=bases),
+              lambda entry=entry: assemble_single_lp(ring, *entry, bases=bases),
               lambda layout, z: extract_single_certificate(layout, z, cand, ring))
-        for entry in _resolved_single_schedule(ring.cand, opts)
+        for entry in _resolved_single_schedule(ring, opts)
     ]
 
 

@@ -15,6 +15,8 @@ takes three outputs:
 
 It prints one sha256 per workload over those outputs, in order, with the
 counts. A change that keeps behaviour prints the same lines as its parent.
+Every export is also read back with `parse_lp_text` and written again; the
+script exits non-zero unless that reproduces the export byte for byte.
 Nothing is written inside CHECKOUT; the problem files that `export-lp`
 reads live in a temporary directory.
 """
@@ -45,14 +47,21 @@ def load_checkout(root):
     return barrierlp, cli, workloads
 
 
-def exported(cli, argv):
-    """Standard output of `barrierlp export-lp ARGV`; its exit code must be 0."""
+def exported(barrierlp, cli, argv):
+    """Standard output of `barrierlp export-lp ARGV`; its exit code must be 0.
+
+    The text must read back to a program that exports to the same text.
+    """
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["export-lp"] + argv)
     if code != 0:
         raise SystemExit("export-lp %s exited %d" % (" ".join(argv), code))
-    return out.getvalue()
+    text = out.getvalue()
+    if barrierlp.export_lp_text(barrierlp.parse_lp_text(text)) != text:
+        raise SystemExit("export-lp %s does not round-trip through parse_lp_text"
+                         % " ".join(argv))
+    return text
 
 
 def workload_digest(barrierlp, cli, workloads, name, tmp):
@@ -73,9 +82,9 @@ def workload_digest(barrierlp, cli, workloads, name, tmp):
             fh.write(source.document)
         for i in range(len(spec.candidates)):
             for a in ("0", "1"):
-                outputs.append(exported(cli, [path, "--candidate", str(i), "--a", a]))
+                outputs.append(exported(barrierlp, cli, [path, "--candidate", str(i), "--a", a]))
         if len(spec.candidates) > 1:
-            outputs.append(exported(cli, [path, "--emptiness"]))
+            outputs.append(exported(barrierlp, cli, [path, "--emptiness"]))
         for text in outputs:
             digest.update(text.encode("utf-8"))
             digest.update(b"\0")

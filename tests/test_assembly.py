@@ -90,9 +90,9 @@ def test_corpus_programs_match_the_reference():
         spec = load_problem(doc)
         for c in spec.candidates:
             ring = support_ring(c)
-            for a, ds, dp in _resolved_single_schedule(ring.cand, opts):
-                lp, layout = assemble_single_lp(ring.cand, a, ds, dp)
-                assert_single_matches(lp, layout, ring.cand)
+            for a, ds, dp in _resolved_single_schedule(ring, opts):
+                lp, layout = assemble_single_lp(ring, a, ds, dp)
+                assert_single_matches(lp, layout, ring)
                 singles += 1
         for ds in _emptiness_schedule(spec.candidates, opts)["emptiness_deg_s"]:
             lp, layout = assemble_emptiness_lp(spec.candidates, ds)

@@ -219,6 +219,17 @@ def test_bad_schedule_flags_exit_three(tmp_path):
     assert main(["verify", path, "--a-values", "x"]) == 3
 
 
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys):
+    # int() would read "1_0" as 10 and Arabic-Indic digits as 0-9.
+    path = write_problem(tmp_path, "p.json", unit_disc_doc())
+    assert main(["verify", path, "--deg-s", "1_0,\u0662"]) == 3
+    assert "--deg-s: expected an integer, got '1_0'" in capsys.readouterr().err
+    assert main(["verify", path, "--max-iters", "\u0663"]) == 3
+    assert "--max-iters: expected an integer, got '\u0663'" in capsys.readouterr().err
+    assert main(["verify", path, "--deg-s", "-1"]) == 3  # an integer, refused by the options
+    assert "deg_s" in capsys.readouterr().err
+
+
 def test_bad_option_values_exit_three(tmp_path, capsys):
     # null is "default" only where the default is null; every other bad value
     # is a format error naming its field or entry, never an internal error.

@@ -500,9 +500,9 @@ def test_memory_does_not_grow_with_pivots():
     # STALL_WINDOW_DOC's a=0 program (108 x 56) stalls after 409 pivots.
     # Nothing is kept per pivot, so the long run peaks where one pivot does.
     spec = load_problem(STALL_WINDOW_DOC)
-    cand = support_ring(spec.candidates[0]).cand
-    deg_s = default_deg_s(cand.b)
-    lp, _ = assemble_single_lp(cand, 0, deg_s, default_deg_p(cand, 0, deg_s))
+    ring = support_ring(spec.candidates[0])
+    deg_s = default_deg_s(ring.b)
+    lp, _ = assemble_single_lp(ring, 0, deg_s, default_deg_p(ring, 0, deg_s))
     one, peak_one = traced_solve(lp, max_iters=1)
     full, peak_full = traced_solve(lp)
     assert (one.exit, one.iterations) == ("max_iters", 1)
@@ -516,6 +516,18 @@ def test_nonfinite_rejected_at_load():
         lp.add_ub({0: float("nan")}, 0.0)
     with pytest.raises(ValueError):
         lp.add_eq({0: 1.0}, float("inf"))
+
+
+def test_row_keys_must_be_integers():
+    # int() would truncate 1.7 to column 1 and then let True overwrite it.
+    lp = LpProblem(3)
+    for coefs in ({1.7: 2.0, True: 1.0}, {True: 1.0}, {1.0: 1.0}, {"1": 1.0}):
+        with pytest.raises(ValueError, match="not an integer"):
+            lp.add_eq(coefs, 0.0)
+        with pytest.raises(ValueError, match="not an integer"):
+            lp.add_ub(coefs, 0.0)
+    lp.add_eq({np.int64(1): 2.0, 2: 1.0}, 0.0)
+    assert lp.eq_rows == [({1: 2.0, 2: 1.0}, 0.0)] and lp.ub_rows == []
 
 
 def test_export_empty_problem_round_trips():
@@ -569,6 +581,67 @@ def test_parse_rejects_unknown_variable():
     bad = "Minimize\n obj:\nSubject To\n c1: +1 w <= 1\nBounds\n z1 free\nEnd\n"
     with pytest.raises(LpParseError):
         parse_lp_text(bad)
+
+
+def test_export_extreme_values_round_trip():
+    lp = LpProblem(3)
+    lp.add_eq({0: 5e-324, 2: 1.7976931348623157e+308}, 1e-300)
+    lp.add_eq({}, -0.0)
+    lp.add_ub({1: -1e-300}, 5e-324)
+    lp.add_ub({0: 1.0}, -1.7976931348623157e+308)
+    lp.add_ub({2: 2.0}, -0.0)
+    text = export_lp_text(lp)
+    assert " c2: +0 z1 = -0\n" in text and " c5: +2 z3 <= -0\n" in text
+    again = parse_lp_text(text)
+    assert again == lp and export_lp_text(again) == text
+    _, _, val, rhs, _ = again.arrays()
+    assert val.tolist() == [5e-324, 1.7976931348623157e+308, -1e-300, 1.0, 2.0]
+    # == does not tell -0.0 from 0.0; the sign bit must survive too.
+    assert [math.copysign(1.0, b) for b in rhs.tolist()] == [1.0, -1.0, 1.0, -1.0, -1.0]
+
+
+EXPORTED = ("\\ feasibility program: 2 variables, 1 equalities, 1 inequalities\n"
+            "Minimize\n obj:\nSubject To\n c1: +3 z1 = 1\n c2: +1 z1 -2 z2 <= 4\n"
+            "Bounds\n z1 free\n z2 free\nEnd\n")
+
+
+def test_parse_reads_what_export_writes():
+    lp = LpProblem(2)
+    lp.add_eq({0: 3.0}, 1.0)
+    lp.add_ub({0: 1.0, 1: -2.0}, 4.0)
+    assert export_lp_text(lp) == EXPORTED
+    assert parse_lp_text(EXPORTED) == lp
+    # Whole-line comments may stand anywhere.
+    assert parse_lp_text(EXPORTED.replace("Bounds\n", "\\ bounds\nBounds\n")) == lp
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("Minimize", "minimize", id="lowercase-minimize"),
+    pytest.param("Subject To", "subject to", id="lowercase-subject-to"),
+    pytest.param("End", "end", id="lowercase-end"),
+    pytest.param("Minimize", "min", id="min"),
+    pytest.param("Subject To", "st", id="st"),
+    pytest.param("+1 z1 -2 z2", "+1 z1\n -2 z2", id="row-split-over-two-lines"),
+    pytest.param(" c1: +3", " +3", id="unlabelled-row"),
+    pytest.param("+3 z1", "- -3 z1", id="repeated-signs"),
+    pytest.param("+3 z1", "+1 z1 +2 z1", id="repeated-term"),
+    pytest.param("+3 z1", "+\u0663 z1", id="arabic-indic-coefficient"),
+    pytest.param("= 1", "= \u0661", id="arabic-indic-rhs"),
+    pytest.param("+3 z1", "+1_0 z1", id="underscore-in-number"),
+    pytest.param("= 1", "= inf", id="inf"),
+    pytest.param("+3 z1", "+1e999 z1", id="beyond-a-double"),
+    pytest.param("<= 4\n", "<= 4\n c3: +1 z2 = 0\n", id="equality-after-inequality"),
+    pytest.param(" c2:", " c3:", id="rows-out-of-sequence"),
+    pytest.param(" z2 free", " z2 free\n z2 free", id="variable-declared-twice"),
+    pytest.param("End\n", "End", id="no-final-newline"),
+    # Fails at once: a backtracking match that split each integer's digits
+    # in every way would not finish.
+    pytest.param(" c1: +3 z1 = 1", " c1:" + " +12345 z1" * 60 + " =", id="long-row-without-rhs"),
+])
+def test_parse_rejects_text_export_never_writes(old, new):
+    assert EXPORTED.count(old) == 1
+    with pytest.raises(LpParseError):
+        parse_lp_text(EXPORTED.replace(old, new))
 
 
 def test_farkas_validator_rejects_negative_ub_multiplier():

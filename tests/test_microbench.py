@@ -153,6 +153,6 @@ def test_assemble_corpus_single(benchmark):
     spec = load_problem(STALL_WINDOW_DOC)
     ring = support_ring(spec.candidates[0])
     assert (len(ring.variables), len(ring.channels)) == (3, 2)
-    lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(ring.cand, a=1),
+    lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(ring, a=1),
                                rounds=20, iterations=5)
     assert (lp.nrows, lp.nvars) == (145, 92)

@@ -22,7 +22,6 @@ from barrierlp.polyring import (
     partial_derivative,
 )
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
-from barrierlp.verifier import support_ring
 from test_assembly import corpus_documents
 
 
@@ -230,7 +229,6 @@ def test_lie_derivatives_match_the_reference_on_the_fleet(params):
     for i in range(params.L):
         cand = build_inspection_cbf(params, i, sys)
         assert_lie_matches_reference(cand)
-        assert_lie_matches_reference(support_ring(cand).cand)
 
 
 def test_lie_derivatives_match_the_reference_on_the_corpus():
@@ -238,7 +236,6 @@ def test_lie_derivatives_match_the_reference_on_the_corpus():
     for doc in corpus_documents(150):
         for cand in load_problem(doc).candidates:
             assert_lie_matches_reference(cand)
-            assert_lie_matches_reference(support_ring(cand).cand)
             count += 1
     assert count > 150
 

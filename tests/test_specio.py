@@ -81,6 +81,9 @@ def test_parse_error_reports_line_and_column():
     # the trailing blanks.
     ("x + y*   ", "expected a variable", 1, 7),
     ("x^2 -  \n  ", "expected a term", 1, 6),
+    # Numbers and exponents are ASCII digits; other decimal digits are bad characters.
+    ("\u0663*x^\u0662 + \u0661", "unexpected character '\u0663'", 1, 1),
+    ("x +\n  y^\u0662", "unexpected character '\u0662'", 2, 5),
 ])
 def test_parse_error_positions(text, message, line, column):
     with pytest.raises(PolyParseError) as err:

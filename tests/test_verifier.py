@@ -595,9 +595,9 @@ def test_reduction_preserves_single_verdict():
         sys = ControlAffineSystem(f=f, g=g)
         c = cand(b, sys)
         ring = support_ring(c)
-        for a, ds, dp in _resolved_single_schedule(ring.cand, VerifierOptions()):
+        for a, ds, dp in _resolved_single_schedule(ring, VerifierOptions()):
             full, _ = full_ring_single_lp(c, a, ds, dp)
-            red, _ = assemble_single_lp(ring.cand, a, ds, dp)
+            red, _ = assemble_single_lp(ring, a, ds, dp)
             st_f = solve_feasibility(full).status
             st_r = solve_feasibility(red).status
             assert st_f == st_r, "trial %d a=%d: %s vs %s" % (trial, a, st_f, st_r)
@@ -669,9 +669,9 @@ def test_support_ring_program_is_the_full_ring_program():
         ds = default_deg_s(c.b)
         for a in (0, 1):
             dp = default_deg_p(c, a, ds)
-            assert dp == default_deg_p(ring.cand, a, ds)
+            assert dp == default_deg_p(ring, a, ds)
             full, _ = assemble_single_lp(c, a, ds, dp)
-            small, layout = assemble_single_lp(ring.cand, a, ds, dp)
+            small, layout = assemble_single_lp(ring, a, ds, dp)
             assert export_lp_text(small) == export_lp_text(full)
             assert all(len(mo) == 6 for mo in layout.gram_basis)
     keys = {support_ring(c).key for c in cands}
@@ -689,11 +689,11 @@ def _projected_key(c, ring):
 
 
 def test_ring_derivatives_are_the_projected_full_ring_ones():
-    """Lfb and Lgb derived in the support ring agree term for term, in term order."""
+    """The ring's Lfb and Lgb are the full-ring ones, term for term, in term order."""
     sys, cands = fleet(CwParams(L=3))
     for c in cands:
         ring = support_ring(c)
-        assert ring.cand.sys.n == 6 and ring.cand.sys.m == 3
+        assert ring.b.nvars == 6 and (ring.lgb.rows, ring.lgb.cols) == (1, 3)
         assert ring.key == _projected_key(c, ring)
     # b = x1 + x2 under f = [y, -y, 0]: Lfb = y - y cancels, so y is dropped
     # although the drift rows of x1 and x2 contain it.
@@ -706,7 +706,7 @@ def test_ring_derivatives_are_the_projected_full_ring_ones():
     assert c.lfb.is_zero()
     ring = support_ring(c)
     assert ring.variables == (0, 1) and ring.channels == (0,)
-    assert all(p.is_zero() for p in ring.cand.sys.f.entry_list())
+    assert ring.b.nvars == 2 and ring.lfb.is_zero()
     assert ring.key == _projected_key(c, ring)
 
 
@@ -765,7 +765,7 @@ def test_class_key_separates_candidates_that_differ_only_in_drift():
                               g=PolyMatrix([[one, zero], [zero, one]]))
     cands = [cand(one - _x(0, n) ** 2, sys), cand(one - _x(1, n) ** 2, sys)]
     rings = [support_ring(c) for c in cands]
-    assert rings[0].cand.b == rings[1].cand.b and rings[0].cand.lgb == rings[1].cand.lgb
+    assert rings[0].b == rings[1].b and rings[0].lgb == rings[1].lgb
     assert rings[0].key != rings[1].key
     joint = verify_multi(sys, cands)
     for so, c in zip(joint.singles, cands):
@@ -909,7 +909,7 @@ def test_candidate_carries_its_system():
 
 
 def test_lie_derivatives_derived_once_per_candidate(monkeypatch):
-    """Verification derives nothing in the 18-variable ring, once per candidate in its 6."""
+    """A candidate derives its Lie derivatives when it is built; verification derives none."""
     import barrierlp.verifier as verifier
 
     sys, cands = fleet(CwParams(L=3))
@@ -924,13 +924,13 @@ def test_lie_derivatives_derived_once_per_candidate(monkeypatch):
     for name in ("lie_derivative_drift", "lie_derivative_input"):
         monkeypatch.setattr(verifier, name, counting(getattr(verifier, name)))
     assert verify_multi(sys, cands).verdict is Verdict.MULTI_VERIFIED
-    assert sorted(rings) == [("lie_derivative_drift", 6)] * 3 + [("lie_derivative_input", 6)] * 3
-    rings.clear()
-    # A lone chaser uses every variable and channel: its ring is its own.
+    assert rings == []
+    # A lone chaser uses every variable and channel: its ring holds its own polynomials.
     sys, (lone,) = fleet(CwParams(L=1))
     assert rings == [("lie_derivative_drift", 6), ("lie_derivative_input", 6)]
     rings.clear()
-    assert support_ring(lone).cand is lone
+    ring = support_ring(lone)
+    assert ring.b is lone.b and ring.lfb is lone.lfb and ring.lgb is lone.lgb
     verify_single(sys, lone)
     assert rings == []
 
