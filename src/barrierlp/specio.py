@@ -30,7 +30,7 @@ from .verifier import (
 )
 
 PROBLEM_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 class PolyParseError(ValueError):
@@ -445,6 +445,8 @@ def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
     }
     if outcome.singles is not None:
         doc["singles"] = [_outcome_dict(s, deterministic) for s in outcome.singles]
+    if outcome.skipped is not None:
+        doc["skipped"] = list(outcome.skipped)
     return doc
 
 
@@ -470,6 +472,8 @@ def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
         for i, s in enumerate(outcome.singles):
             lines.append("candidate %d: %s" % (i, s.verdict.value))
             lines.extend(_record_line(r, "    ") for r in s.lps)
+    for i in outcome.skipped or []:
+        lines.append("candidate %d: skipped" % i)
     return "\n".join(lines) + "\n"
 
 

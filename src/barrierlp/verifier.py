@@ -350,6 +350,7 @@ class VerificationOutcome:
     lps: List[LpRecord] = field(default_factory=list)
     certificate: Optional[Certificate] = None
     singles: Optional[List["VerificationOutcome"]] = None
+    skipped: Optional[List[int]] = None  # joint runs: indices of the candidates never run
     warnings: List[str] = field(default_factory=list)
     schedule: Dict[str, object] = field(default_factory=dict)
     seconds: float = 0.0
@@ -1069,9 +1070,14 @@ def verify_multi(
     then the verdict is MultiVerified. A feasible emptiness program that
     passes the certificate gate certifies the joint safe set empty, which is
     reported as EmptinessCertified. Anything else is MultiInconclusive. A
-    candidate built for another system raises ValueError. The candidates
-    share one map of solved programs, so each class's programs are solved
-    once.
+    candidate built for another system raises ValueError.
+
+    The emptiness sweep runs first. The candidates run, in input order, only
+    when every emptiness record holds a revalidated refutation, and the run
+    stops after the first candidate that does not verify: past either point
+    the verdict is fixed. singles holds the candidates that ran, a prefix of
+    cands, and skipped the indices of the rest. The candidates that run share
+    one map of solved programs, so each class's programs are solved once.
     """
     if opts is None:
         opts = VerifierOptions()
@@ -1091,7 +1097,13 @@ def verify_multi(
 
     emptiness = check_emptiness(cands, opts)
     solved: dict = {}
-    singles = [_verify_single(c, opts, solved) for c in cands]
+    singles: List[VerificationOutcome] = []
+    refuted = all(r.farkas_valid is True for r in emptiness.lps)
+    if refuted:
+        for c in cands:
+            singles.append(_verify_single(c, opts, solved))
+            if singles[-1].verdict is not Verdict.VERIFIED:
+                break
 
     warnings.extend(emptiness.warnings)
     for i, so in enumerate(singles):
@@ -1099,8 +1111,8 @@ def verify_multi(
 
     if emptiness.verdict is Verdict.EMPTINESS_CERTIFIED:
         verdict = Verdict.EMPTINESS_CERTIFIED
-    elif (all(so.verdict is Verdict.VERIFIED for so in singles)
-          and all(r.farkas_valid is True for r in emptiness.lps)):
+    elif (refuted and len(singles) == len(cands)
+          and all(so.verdict is Verdict.VERIFIED for so in singles)):
         verdict = Verdict.MULTI_VERIFIED
     else:
         verdict = Verdict.MULTI_INCONCLUSIVE
@@ -1110,6 +1122,7 @@ def verify_multi(
         lps=emptiness.lps,
         certificate=emptiness.certificate,
         singles=singles,
+        skipped=list(range(len(singles), len(cands))),
         warnings=warnings,
         schedule={"a_values": list(opts.a_values), **emptiness.schedule},
         seconds=time.perf_counter() - t0,

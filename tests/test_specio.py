@@ -351,14 +351,16 @@ def test_joint_text_report_records_farkas_validity_at_both_levels():
     spec = load_problem(doc)
     out = verify_multi(spec.system, spec.candidates, spec.options)
     records = out.lps + [r for s in out.singles for r in s.lps]
-    # Every program here is refuted, the per-candidate ones included.
-    assert len(out.singles) == 2 and all(s.lps for s in out.singles)
-    assert all(r.farkas_valid is not None for r in records)
+    # Every program here is refuted, the per-candidate ones included. The
+    # first candidate fails, which fixes the verdict, so the second is skipped.
+    assert len(out.singles) == 1 and out.singles[0].lps and out.skipped == [1]
+    assert out.lps and all(r.farkas_valid is not None for r in records)
     lines = write_report(out, fmt="text", deterministic=True).splitlines()
     shown = [line for line in lines if line.lstrip().startswith("[")]
     assert len(shown) == len(records)
     for line, r in zip(shown, records):
         assert line.endswith("exit=%s  farkas_valid=%s" % (r.exit, r.farkas_valid))
+    assert lines[-1] == "candidate 1: skipped"
 
 
 def test_report_text_format():

@@ -197,17 +197,21 @@ def test_everywhere_safe_candidate_verifies():
     assert out.verdict is Verdict.VERIFIED
 
 
-def test_disjoint_pair_emptiness_certified():
+def test_disjoint_pair_emptiness_certified(monkeypatch):
     sys = single_integrator(1)
     x = _x(0, 1)
     inner = cand(Polynomial.one(1) - x ** 2, sys)
     outer = cand(x ** 2 - Polynomial.constant(4.0, 1), sys)
+    calls = counting_solves(monkeypatch)
     out = verify_multi(sys, [inner, outer])
     assert out.verdict is Verdict.EMPTINESS_CERTIFIED
     assert out.certificate is not None
     assert out.certificate.kind == "emptiness"
     assert out.certificate.deg_s == 0
     assert out.certificate.residual <= 1e-6
+    # The certificate fixes the verdict: only emptiness programs are solved.
+    assert (out.singles, out.skipped) == ([], [0, 1])
+    assert len(calls) == len(out.lps) and not any(r.reused for r in out.lps)
 
 
 def test_hand_built_emptiness_certificate():
@@ -788,12 +792,70 @@ def test_failed_regate_leaves_the_class_member_inconclusive(monkeypatch):
 
     monkeypatch.setattr(verifier, "certificate_residual", residual)
     out = verify_multi(sys, cands)
-    assert [so.verdict for so in out.singles] == [
-        Verdict.VERIFIED, Verdict.INCONCLUSIVE, Verdict.VERIFIED]
+    # Candidate 1 fixes the verdict, so candidate 2 is never run.
+    assert [so.verdict for so in out.singles] == [Verdict.VERIFIED, Verdict.INCONCLUSIVE]
+    assert out.skipped == [2]
     assert out.singles[1].certificate is None
     assert any("failed the certificate gate" in w for w in out.singles[1].warnings)
     assert out.verdict is Verdict.MULTI_INCONCLUSIVE
     assert any(w.startswith("candidate 1: ") for w in out.warnings)
+
+
+# -- early stop of a joint run ------------------------------------------------------
+
+
+def _joint_problems():
+    """The joint documents among the first 30 of the corpus, then fleet L = 1..3."""
+    from test_assembly import corpus_documents  # test_assembly imports this module
+
+    for doc in corpus_documents(30):
+        spec = load_problem(doc)
+        if len(spec.candidates) > 1:
+            yield spec.system, spec.candidates, spec.options
+    for L in (1, 2, 3):
+        yield (*fleet(CwParams(L=L)), VerifierOptions())
+
+
+def _full_joint_verdict(emptiness, alone):
+    """The joint verdict from the emptiness sweep and every candidate run on its own."""
+    if emptiness.verdict is Verdict.EMPTINESS_CERTIFIED:
+        return Verdict.EMPTINESS_CERTIFIED
+    if (all(so.verdict is Verdict.VERIFIED for so in alone)
+            and all(r.farkas_valid is True for r in emptiness.lps)):
+        return Verdict.MULTI_VERIFIED
+    return Verdict.MULTI_INCONCLUSIVE
+
+
+def test_early_stop_keeps_the_verdict_of_running_every_candidate():
+    seen = []
+    for sys, cands, opts in _joint_problems():
+        out = verify_multi(sys, cands, opts)
+        alone = [verify_single(sys, c, opts) for c in cands]
+        assert out.verdict is _full_joint_verdict(check_emptiness(cands, opts), alone)
+        assert out.skipped == list(range(len(out.singles), len(cands)))
+        for joint, own in zip(out.singles, alone):
+            assert joint.verdict is own.verdict
+            assert [(r.status, r.iterations, r.exit, r.farkas_valid) for r in joint.lps] == \
+                [(r.status, r.iterations, r.exit, r.farkas_valid) for r in own.lps]
+        seen.append((out.verdict, len(out.singles), len(out.skipped)))
+    # Both stops happen: before any candidate, and after a failed one.
+    assert any(v is Verdict.EMPTINESS_CERTIFIED and ran == 0 for v, ran, _ in seen)
+    assert any(v is Verdict.MULTI_INCONCLUSIVE and ran and skipped for v, ran, skipped in seen)
+    assert any(v is Verdict.MULTI_VERIFIED and not skipped for v, _, skipped in seen)
+
+
+def test_failing_first_candidate_solves_no_program_of_a_later_one(monkeypatch):
+    n = 1
+    sys = ControlAffineSystem(f=PolyMatrix([[Polynomial.constant(-1.0, n)]]),
+                              g=PolyMatrix([[Polynomial.zero(n)]]))
+    bad, good = cand(_x(0, n), sys), cand(_x(0, n) ** 2 + Polynomial.one(n), sys)
+    calls = counting_solves(monkeypatch)
+    out = verify_multi(sys, [bad, good])
+    assert out.verdict is Verdict.MULTI_INCONCLUSIVE
+    assert all(r.farkas_valid is True for r in out.lps)
+    assert [so.verdict for so in out.singles] == [Verdict.INCONCLUSIVE]
+    assert out.skipped == [1]
+    assert len(calls) == len(out.lps) + len(out.singles[0].lps)
 
 
 # -- schedules and options --------------------------------------------------------
