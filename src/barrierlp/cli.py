@@ -4,8 +4,9 @@ Subcommands: ``verify`` a problem file, ``empty-check`` its candidates'
 joint safe set, ``export-lp`` the first program either would solve, in
 CPLEX LP text form, and ``bench-satellite`` for the scaling study. Exit
 codes form a stable contract: 0 Verified/MultiVerified,
-1 Inconclusive/MultiInconclusive, 2 EmptinessCertified, 3 usage or parse
-error, 4 internal or capacity error.
+1 Inconclusive/MultiInconclusive (a candidate refuted by a checked
+counterexample included), 2 EmptinessCertified, 3 usage or parse error,
+4 internal or capacity error.
 """
 
 from __future__ import annotations

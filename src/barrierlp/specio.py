@@ -8,7 +8,9 @@ grammar: a signed sum of terms, each an optional real coefficient and
 always explicit). Reports serialize a verification outcome to
 stable-ordered JSON or a short text summary; Gram matrices appear as
 row-major arrays and polynomials as [exponents, coefficient] pairs so
-certificates can be rechecked by other tools.
+certificates can be rechecked by other tools. A boundary counterexample
+appears with its box centre and radius as float.hex strings, exact binary
+values that other tools can re-check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .verifier import (
 )
 
 PROBLEM_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 class PolyParseError(ValueError):
@@ -430,6 +432,20 @@ def _certificate_block(cert: Optional[Certificate], deterministic: bool) -> Opti
     return block
 
 
+def _counterexample_block(outcome: VerificationOutcome, deterministic: bool) -> Optional[dict]:
+    cex = outcome.counterexample
+    if cex is None:
+        return None
+    return {
+        "centre": list(cex.centre),
+        "radius": cex.radius,
+        "fixed": list(cex.fixed),
+        "channels": list(cex.channels),
+        "lfb_upper": cex.lfb_upper,
+        "refute_s": 0.0 if deterministic else outcome.refute_s,
+    }
+
+
 def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
     doc = {
         "schema": REPORT_SCHEMA_VERSION,
@@ -442,6 +458,7 @@ def _outcome_dict(outcome: VerificationOutcome, deterministic: bool) -> dict:
             for r in outcome.lps
         ],
         "certificate": _certificate_block(outcome.certificate, deterministic),
+        "counterexample": _counterexample_block(outcome, deterministic),
     }
     if outcome.singles is not None:
         doc["singles"] = [_outcome_dict(s, deterministic) for s in outcome.singles]
@@ -456,6 +473,16 @@ def _record_line(r: LpRecord, indent: str) -> str:
         indent, r.name, r.status, r.rows, r.cols, r.iterations, r.exit, extra)
 
 
+def _counterexample_line(outcome: VerificationOutcome, indent: str) -> List[str]:
+    cex = outcome.counterexample
+    if cex is None:
+        return []
+    equations = ["b"] + ["Lgb[%d]" % j for j in cex.channels]
+    return ["%scounterexample: %s = 0 in the box centre (%s) radius %s, fixed %s; Lfb <= %.17g"
+            % (indent, ", ".join(equations), ", ".join(cex.centre), cex.radius,
+               list(cex.fixed), cex.lfb_upper)]
+
+
 def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
     lines = ["verdict: %s" % outcome.verdict.value]
     if not deterministic:
@@ -466,12 +493,14 @@ def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:
         lines.append("certificate: %s, residual %.3g" % (cert.kind, cert.residual))
     else:
         lines.append("certificate: none")
+    lines.extend(_counterexample_line(outcome, ""))
     for w in outcome.warnings:
         lines.append("warning: %s" % w)
     if outcome.singles is not None:
         for i, s in enumerate(outcome.singles):
             lines.append("candidate %d: %s" % (i, s.verdict.value))
             lines.extend(_record_line(r, "    ") for r in s.lps)
+            lines.extend(_counterexample_line(s, "    "))
     for i in outcome.skipped or []:
         lines.append("candidate %d: skipped" % i)
     return "\n".join(lines) + "\n"

@@ -30,6 +30,14 @@ feasible if and only if the full one is; verdicts in both directions
 survive the reduction. Every program is assembled reduced; the full-ring
 assembly is the test suite's reference (tests/_oracles.py).
 
+Before a candidate's schedule runs, refute.refute looks for a boundary
+counterexample: a state with b = 0, Lgb = 0 and Lfb < 0, where no
+certificate of the identity above exists at any a or degree. A float search
+proposes it and an exact Krawczyk test with interval bounds proves it; a
+proven one replaces the whole schedule, and the candidate stays
+Inconclusive with the counterexample attached. Anything short of a proof
+refutes nothing, and the schedule runs.
+
 A candidate derives Lfb and Lgb once, from the system it is built with,
 and nothing derives them again. Single programs are assembled in its support
 ring (SupportRing): its b, Lfb and Lgb projected onto the state variables
@@ -89,6 +97,7 @@ from .polyring import (
     lie_derivative_input,
     monomial_basis_on_support,
 )
+from .refute import Counterexample, refute
 
 logger = logging.getLogger(__name__)
 
@@ -346,6 +355,13 @@ LP_TIMINGS = ("seconds", "assemble_s", "gate_s")
 
 @dataclass
 class VerificationOutcome:
+    """What a verification found.
+
+    counterexample is set only on an Inconclusive single candidate refuted
+    before its schedule ran (its lps are then empty); refute_s is the time
+    the counterexample search and check took, 0.0 where none ran.
+    """
+
     verdict: Verdict
     lps: List[LpRecord] = field(default_factory=list)
     certificate: Optional[Certificate] = None
@@ -354,6 +370,8 @@ class VerificationOutcome:
     warnings: List[str] = field(default_factory=list)
     schedule: Dict[str, object] = field(default_factory=dict)
     seconds: float = 0.0
+    counterexample: Optional[Counterexample] = None
+    refute_s: float = 0.0
 
 
 # -- sign-symmetry machinery -------------------------------------------------
@@ -942,9 +960,15 @@ class _Rung(NamedTuple):
     extract: Callable[[object, np.ndarray], Certificate]
 
 
-def _single_rungs(cand: CandidateCbf, opts: VerifierOptions) -> List[_Rung]:
-    """cand's (a, deg_s, deg_p) schedule, each program assembled in its support ring."""
-    ring = support_ring(cand)
+def _single_rungs(
+    cand: CandidateCbf, opts: VerifierOptions, ring: Optional[SupportRing] = None
+) -> List[_Rung]:
+    """cand's (a, deg_s, deg_p) schedule, each program assembled in its support ring.
+
+    ring, when given, is support_ring(cand).
+    """
+    if ring is None:
+        ring = support_ring(cand)
     bases = _single_bases(ring)
     return [
         _Rung("single a=%d deg_s=%d deg_p=%d" % entry, (ring.key,) + entry, list(entry),
@@ -1003,26 +1027,40 @@ def _run_schedule(
 def verify_single(
     sys: ControlAffineSystem, cand: CandidateCbf, opts: Optional[VerifierOptions] = None
 ) -> VerificationOutcome:
-    """Search the (a, deg_s, deg_p) schedule for a certified identity.
+    """Refute b with a checked boundary counterexample, or search the schedule for a certificate.
 
-    The first feasible program whose extracted certificate passes both the
+    First a counterexample is sought: a state where b = 0, Lgb = 0 and
+    Lfb < 0, proven exactly (see refute). One refutes b as a control
+    barrier function for sys, so no program is solved: the verdict is
+    Inconclusive, the outcome's counterexample holds the proof and lps is
+    empty. Otherwise the (a, deg_s, deg_p) schedule runs: the first
+    feasible program whose extracted certificate passes both the
     diagonal-dominance and residual gates yields Verified. An exhausted
-    schedule yields Inconclusive, never a refutation: failing to find a
-    DSOS certificate proves nothing about b. A candidate built for another
-    system raises ValueError.
+    schedule yields Inconclusive: failing to find a DSOS certificate proves
+    nothing about b. A candidate built for another system raises ValueError.
     """
     if opts is None:
         opts = VerifierOptions()
     if cand.sys != sys:
         raise ValueError("candidate was built for another system")
-    return _verify_single(cand, opts, {})
+    return _verify_single(cand, opts, {}, {})
 
 
-def _verify_single(cand: CandidateCbf, opts: VerifierOptions, solved: dict) -> VerificationOutcome:
-    """verify_single without the system check, reusing the programs in solved."""
+def _verify_single(
+    cand: CandidateCbf, opts: VerifierOptions, solved: dict, searched: dict
+) -> VerificationOutcome:
+    """verify_single without the system check, reusing the programs in solved
+    and the counterexample searches in searched (see refute.refute)."""
     t0 = time.perf_counter()
-    rungs = _single_rungs(cand, opts)
-    records, cert, warnings = _run_schedule(rungs, opts, solved)
+    ring = support_ring(cand)
+    rungs = _single_rungs(cand, opts, ring)
+    t1 = time.perf_counter()
+    counterexample = refute(cand, ring, searched)
+    refute_s = time.perf_counter() - t1
+    if counterexample is None:
+        records, cert, warnings = _run_schedule(rungs, opts, solved)
+    else:
+        records, cert, warnings = [], None, []
     return VerificationOutcome(
         verdict=Verdict.VERIFIED if cert is not None else Verdict.INCONCLUSIVE,
         lps=records,
@@ -1030,6 +1068,8 @@ def _verify_single(cand: CandidateCbf, opts: VerifierOptions, solved: dict) -> V
         warnings=warnings,
         schedule={"entries": [rung.entry for rung in rungs]},
         seconds=time.perf_counter() - t0,
+        counterexample=counterexample,
+        refute_s=refute_s,
     )
 
 
@@ -1075,9 +1115,13 @@ def verify_multi(
     The emptiness sweep runs first. The candidates run, in input order, only
     when every emptiness record holds a revalidated refutation, and the run
     stops after the first candidate that does not verify: past either point
-    the verdict is fixed. singles holds the candidates that ran, a prefix of
-    cands, and skipped the indices of the rest. The candidates that run share
-    one map of solved programs, so each class's programs are solved once.
+    the verdict is fixed. A candidate refuted by a boundary counterexample
+    (see verify_single) does not verify, so it ends the run as the last
+    entry of singles, with no programs solved. singles holds the candidates
+    that ran, a prefix of cands, and skipped the indices of the rest. The
+    candidates that run share one map of solved programs and one of
+    counterexample searches, so each class's programs are solved, and its
+    search run, once.
     """
     if opts is None:
         opts = VerifierOptions()
@@ -1097,11 +1141,12 @@ def verify_multi(
 
     emptiness = check_emptiness(cands, opts)
     solved: dict = {}
+    searched: dict = {}
     singles: List[VerificationOutcome] = []
     refuted = all(r.farkas_valid is True for r in emptiness.lps)
     if refuted:
         for c in cands:
-            singles.append(_verify_single(c, opts, solved))
+            singles.append(_verify_single(c, opts, solved, searched))
             if singles[-1].verdict is not Verdict.VERIFIED:
                 break
 

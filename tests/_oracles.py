@@ -882,3 +882,150 @@ def single_residual(cert, cand):
         e = e - lgb[0, j] * cert.p2[j]
     e = e - power_term
     return e.max_abs_coefficient()
+
+
+# -- exact boundary-counterexample check ------------------------------------------
+#
+# A recorded counterexample (barrierlp.refute.Counterexample) re-checked in
+# rationals from its hex strings alone: the Lie derivatives are derived here
+# from b, f and g (each float read exactly), every channel left out must lie
+# in the rational span of the ones used, a Krawczyk test with the exact
+# inverse of the Jacobian at the centre must prove a zero of b and the used
+# channels in the box, and an interval bound of Lfb over the box must be
+# negative.
+
+def _exact_poly(p):
+    return {mono: Fraction(c) for mono, c in p.terms.items()}
+
+
+def _exact_sum(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _exact_product(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            mono = tuple(a + b for a, b in zip(ea, eb))
+            out[mono] = out.get(mono, Fraction(0)) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _exact_partial(p, var):
+    out = {}
+    for mono, c in p.items():
+        if mono[var]:
+            key = tuple(e - 1 if i == var else e for i, e in enumerate(mono))
+            out[key] = c * mono[var]
+    return out
+
+
+def exact_lie_derivatives(b, f, g):
+    """(Lfb, [Lgb_j]) of b along f (n x 1) and g (n x m), in rationals."""
+    n = b.nvars
+    grads = [_exact_partial(_exact_poly(b), i) for i in range(n)]
+
+    def chain(field):
+        acc = {}
+        for d, v in zip(grads, field):
+            acc = _exact_sum(acc, _exact_product(d, _exact_poly(v)))
+        return acc
+
+    return (chain([f[i, 0] for i in range(n)]),
+            [chain([g[i, j] for i in range(n)]) for j in range(g.cols)])
+
+
+def _rank(polys):
+    """Rank of the rational polynomials polys as coefficient vectors."""
+    rows = []  # (pivot monomial, row) in echelon form
+    for vec in polys:
+        vec = dict(vec)
+        for piv, row in rows:
+            if vec.get(piv):
+                a = vec[piv] / row[piv]
+                vec = {mo: vec.get(mo, Fraction(0)) - a * row.get(mo, Fraction(0))
+                       for mo in set(vec) | set(row)}
+                vec = {mo: c for mo, c in vec.items() if c}
+        if vec:
+            rows.append((min(vec), vec))
+    return len(rows)
+
+
+def _interval_power(iv, e):
+    lo, hi = iv
+    if e % 2 == 0 and lo < 0 < hi:
+        return Fraction(0), max(-lo, hi) ** e
+    ends = sorted((lo ** e, hi ** e))
+    return ends[0], ends[1]
+
+
+def interval_value(p, box):
+    """[lo, hi] of the rational polynomial p over box, term by term."""
+    lo = hi = Fraction(0)
+    for mono, c in p.items():
+        tlo = thi = c
+        for iv, e in zip(box, mono):
+            if e:
+                plo, phi = _interval_power(iv, e)
+                ends = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(ends), max(ends)
+        lo, hi = lo + tlo, hi + thi
+    return lo, hi
+
+
+def _exact_inverse(M):
+    k = len(M)
+    A = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(M)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
+        if piv is None:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        p = A[col][col]
+        A[col] = [x / p for x in A[col]]
+        for r in range(k):
+            if r != col and A[r][col]:
+                a = A[r][col]
+                A[r] = [x - a * y for x, y in zip(A[r], A[col])]
+    return [row[k:] for row in A]
+
+
+def counterexample_holds(cex, b, f, g):
+    """Whether cex proves a state with b = 0, Lgb = 0 and Lfb < 0 for b along f and g."""
+    n = b.nvars
+    centre = [Fraction(float.fromhex(h)) for h in cex.centre]
+    r = Fraction(float.fromhex(cex.radius))
+    lfb, lgb = exact_lie_derivatives(b, f, g)
+    used = [lgb[j] for j in cex.channels]
+    if any(_rank(used + [lgb[j]]) > _rank(used)
+           for j in range(len(lgb)) if j not in cex.channels):
+        return False
+    eqs = [_exact_poly(b)] + used
+    free = [i for i in range(n) if i not in cex.fixed]
+    if len(centre) != n or r <= 0 or len(free) != len(eqs):
+        return False
+    point = [(c, c) for c in centre]
+    box = [(c - r, c + r) if i in free else (c, c) for i, c in enumerate(centre)]
+    F = [interval_value(e, point)[0] for e in eqs]
+    partials = [[_exact_partial(e, l) for l in free] for e in eqs]
+    Y = _exact_inverse([[interval_value(d, point)[0] for d in row] for row in partials])
+    if Y is None:
+        return False
+    JX = [[interval_value(d, box) for d in row] for row in partials]
+    k = len(eqs)
+    for i in range(k):
+        yf = sum(Y[i][j] * F[j] for j in range(k))
+        spread = Fraction(0)
+        for j in range(k):
+            lo = hi = Fraction(int(i == j))
+            for l in range(k):
+                y = Y[i][l]
+                a, c = y * JX[l][j][0], y * JX[l][j][1]
+                lo, hi = lo - max(a, c), hi - min(a, c)
+            spread += max(-lo, hi)
+        if not abs(yf) + r * spread < r:
+            return False
+    return interval_value(lfb, box)[1] < 0

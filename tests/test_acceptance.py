@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from _oracles import fm_feasible, fold, instantiate, ray_weights
+from _oracles import counterexample_holds, fm_feasible, fold, instantiate, ray_weights
 from _oracles import full_ring_emptiness_lp, full_ring_single_lp
 from _oracles import rows as rows_of
 from barrierlp.affinegram import (
@@ -34,6 +34,9 @@ from barrierlp.verifier import (
     Certificate,
     ControlAffineSystem,
     Verdict,
+    VerifierOptions,
+    _run_schedule,
+    _single_rungs,
     assemble_emptiness_lp,
     assemble_single_lp,
     certificate_residual,
@@ -215,10 +218,14 @@ def test_criterion_06_single_negative_case():
     out = verify_single(sys, cand)
     assert out.verdict is Verdict.INCONCLUSIVE
     assert out.certificate is None
+    # The origin is found and proven a counterexample, so no program is solved.
+    assert out.lps == [] and out.counterexample.centre == ((0.0).hex(),)
+    assert counterexample_holds(out.counterexample, cand.b, sys.f, sys.g)
     entries = out.schedule["entries"]
     assert len(entries) >= 2
-    # Every scheduled rung was attempted and none produced a certificate.
-    assert len(out.lps) == len(entries)
+    # Every scheduled rung, when run, is attempted and none produces a certificate.
+    records, cert, _ = _run_schedule(_single_rungs(cand, VerifierOptions()), VerifierOptions(), {})
+    assert cert is None and len(records) == len(entries)
     # Point-wise witness at the origin, asserted directly.
     assert evaluate(cand.b, [0.0]) == 0.0
     assert evaluate(cand.lgb[0, 0], [0.0]) == 0.0

@@ -11,7 +11,7 @@ import barrierlp
 from barrierlp.cli import main
 from barrierlp.lpsolve import parse_lp_text
 from barrierlp.specio import load_problem
-from barrierlp.verifier import assemble_emptiness_lp
+from barrierlp.verifier import _run_schedule, _single_rungs, assemble_emptiness_lp
 
 
 def write_problem(tmp_path, name, doc):
@@ -66,7 +66,11 @@ def test_verify_negative_exit_one(tmp_path):
 
 
 def test_verify_refuted_schedule_exit_one(tmp_path, capsys):
-    """Every program of the schedule is refuted by a valid Farkas certificate."""
+    """A boundary counterexample refutes the candidate: exit 1 with no program solved.
+
+    Every program of its schedule, run all the same, is refuted by a valid
+    Farkas certificate.
+    """
     doc = {
         "schema": 1,
         "variables": ["x", "y"],
@@ -80,9 +84,15 @@ def test_verify_refuted_schedule_exit_one(tmp_path, capsys):
     assert main(["verify", path]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "Inconclusive"
-    assert [lp["name"].split()[1] for lp in report["lps"]] == ["a=0", "a=1"]
-    for lp in report["lps"]:
-        assert (lp["status"], lp["exit"], lp["farkas_valid"]) == ("Infeasible", "optimal", True)
+    assert report["lps"] == [] and report["certificate"] is None
+    cex = report["counterexample"]
+    assert sorted(cex) == ["centre", "channels", "fixed", "lfb_upper", "radius", "refute_s"]
+    assert len(cex["centre"]) == 2 and cex["lfb_upper"] < 0.0
+    spec = load_problem(doc)
+    records, _, _ = _run_schedule(_single_rungs(spec.candidates[0], spec.options), spec.options, {})
+    assert [r.name.split()[1] for r in records] == ["a=0", "a=1"]
+    for r in records:
+        assert (r.status, r.exit, r.farkas_valid) == ("Infeasible", "optimal", True)
 
 
 def test_verify_empty_pair_exit_two(tmp_path, capsys):

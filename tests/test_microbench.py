@@ -1,10 +1,14 @@
 """Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, presolve, the
-simplex pivot loop, the Farkas gate and a joint verification (need pytest-benchmark)."""
+simplex pivot loop, the Farkas gate, the counterexample search and check, and a joint
+verification (need pytest-benchmark)."""
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+import numpy as np
+
+import barrierlp.refute as refute
 import barrierlp.verifier as verifier
 from barrierlp.affinegram import coefficient_system, dd_linear_constraints
 from barrierlp.lpsolve import (
@@ -156,3 +160,32 @@ def test_assemble_corpus_single(benchmark):
     lp, _ = benchmark.pedantic(assemble_single_lp, args=single_args(ring, a=1),
                                rounds=20, iterations=5)
     assert (lp.nrows, lp.nvars) == (145, 92)
+
+
+def test_search_fleet_ring(benchmark):
+    """The counterexample search on a chaser's ring (6 states, b and 3 channels): nothing found."""
+    _, cands = fleet(6)
+    ring = support_ring(cands[0])
+    assert (len(ring.variables), len(ring.channels)) == (6, 3)
+    point = benchmark.pedantic(refute.search, args=(ring,), rounds=20, iterations=5)
+    assert point is None
+
+
+def test_search_corpus_ring(benchmark):
+    """The counterexample search on a corpus candidate's ring (3 states, b and 2 channels)."""
+    spec = load_problem(STALL_WINDOW_DOC)
+    ring = support_ring(spec.candidates[0])
+    point = benchmark.pedantic(refute.search, args=(ring,), rounds=20, iterations=5)
+    assert point is not None and point.shape == (3,)
+
+
+def test_check_corpus_counterexample(benchmark):
+    """The exact check of the point the search hands over for a corpus candidate."""
+    spec = load_problem(STALL_WINDOW_DOC)
+    cand = spec.candidates[0]
+    x = np.zeros(3)
+    ring = support_ring(cand)
+    x[list(ring.variables)] = refute.search(ring)
+    cex = benchmark.pedantic(refute.check, args=(cand.b, cand.sys.f, cand.sys.g, x),
+                             rounds=20, iterations=5)
+    assert cex is not None and cex.lfb_upper < 0.0

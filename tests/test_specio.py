@@ -312,7 +312,11 @@ def test_report_inconclusive_has_null_certificate():
     report = json.loads(write_report(out))
     assert report["verdict"] == "Inconclusive"
     assert report["certificate"] is None
-    assert len(report["lps"]) == len(out.schedule["entries"])
+    # The origin refutes b = x: its box, and no program solved.
+    assert report["lps"] == [] and len(out.schedule["entries"]) == 2
+    cex = report["counterexample"]
+    assert (cex["centre"], cex["fixed"], cex["channels"]) == (["0x0.0p+0"], [], [])
+    assert cex["radius"] == "0x1.0000000000000p-30" and cex["lfb_upper"] < -0.99
 
 
 def test_report_emptiness_residual():
@@ -343,7 +347,12 @@ def test_report_deterministic_flag_zeroes_timings():
     assert a == write_report(out, deterministic=True)
 
 
-def test_joint_text_report_records_farkas_validity_at_both_levels():
+def test_joint_text_report_records_farkas_validity_at_both_levels(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    # The origin refutes the first candidate, x, before its schedule runs;
+    # without the counterexample search its programs run and are refuted.
+    monkeypatch.setattr(verifier, "refute", lambda cand, ring, searched: None)
     doc = minimal_doc()
     doc["drift"] = ["-1"]
     doc["input_matrix"] = [["0"]]

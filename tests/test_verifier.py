@@ -38,6 +38,8 @@ from barrierlp.verifier import (
     VerificationOutcome,
     VerifierOptions,
     _resolved_single_schedule,
+    _run_schedule,
+    _single_rungs,
     archimedean_witness,
     assemble_emptiness_lp,
     assemble_single_lp,
@@ -319,16 +321,19 @@ ERODED_DOC = {
     (ERODED_DOC, 1, [("Infeasible", "optimal"), ("IterationLimit", "eroded")]),
 ])
 def test_gated_simplex_exits_on_real_programs(doc, index, expected):
+    # The whole schedule runs here: verify_single solves none of it for
+    # STALL_WINDOW_DOC's candidate 0, which a counterexample refutes.
     spec = load_problem(doc)
-    out = verify_single(spec.system, spec.candidates[index], spec.options)
-    assert out.verdict is Verdict.INCONCLUSIVE
-    assert [(r.status, r.exit) for r in out.lps] == expected
+    rungs = _single_rungs(spec.candidates[index], spec.options)
+    records, cert, warnings = _run_schedule(rungs, spec.options, {})
+    assert cert is None
+    assert [(r.status, r.exit) for r in records] == expected
     # One improving pivot, then a progress window of 2 (rows + logical
     # columns) = 408 pivots of the presolved program.
-    assert [r.iterations for r in out.lps if r.exit == "stall_window"] == \
+    assert [r.iterations for r in records if r.exit == "stall_window"] == \
         ([409] if doc is STALL_WINDOW_DOC else [])
-    assert [w for w in out.warnings if "iteration limit" in w] == \
-        ["%s: iteration limit reached" % r.name for r in out.lps
+    assert [w for w in warnings if "iteration limit" in w] == \
+        ["%s: iteration limit reached" % r.name for r in records
          if r.status == LpStatus.ITERATION_LIMIT.value]
 
 
@@ -356,8 +361,8 @@ REFUTED_DOC = {
 
 def test_refutation_multipliers_come_from_the_final_basis():
     spec = load_problem(REFUTED_DOC)
-    out = verify_single(spec.system, spec.candidates[1], spec.options)
-    rec = {r.name: r for r in out.lps}["single a=1 deg_s=1 deg_p=2"]
+    records, _, _ = _run_schedule(_single_rungs(spec.candidates[1], spec.options), spec.options, {})
+    rec = {r.name: r for r in records}["single a=1 deg_s=1 deg_p=2"]
     assert (rec.status, rec.iterations, rec.farkas_valid) == ("Infeasible", 87, True)
 
 
@@ -1025,15 +1030,14 @@ def test_failed_single_refutation_is_warned(monkeypatch):
     """A single program whose Farkas certificate fails revalidation says so in the report."""
     import barrierlp.verifier as verifier
 
-    n = 1
-    sys = ControlAffineSystem(f=PolyMatrix([[Polynomial.constant(-1.0, n)]]),
-                              g=PolyMatrix([[Polynomial.zero(n)]]))
+    # One chaser: the a=0 program is refuted, the a=1 one certifies.
+    sys, cands = fleet(CwParams(L=1))
     monkeypatch.setattr(verifier, "_farkas_acceptable", lambda lp, out: False)
-    out = verify_single(sys, cand(_x(0, n), sys))
-    assert out.verdict is Verdict.INCONCLUSIVE
-    assert [(r.status, r.farkas_valid) for r in out.lps] == [("Infeasible", False)] * 2
-    assert out.warnings == ["%s: infeasibility certificate failed revalidation" % r.name
-                            for r in out.lps]
+    out = verify_single(sys, cands[0])
+    assert out.verdict is Verdict.VERIFIED and out.counterexample is None
+    assert [(r.status, r.farkas_valid) for r in out.lps] == [("Infeasible", False),
+                                                             ("Feasible", None)]
+    assert out.warnings == ["%s: infeasibility certificate failed revalidation" % out.lps[0].name]
     report = json.loads(write_report(out, deterministic=True))
     assert report["warnings"] == out.warnings
 
