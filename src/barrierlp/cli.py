@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``verify`` a problem file, ``empty-check`` its candidates'
-joint safe set, ``export-lp`` the first program either would solve, in
+joint safe set, ``export-lp`` the first program of either schedule, in
 CPLEX LP text form, and ``bench-satellite`` for the scaling study. Exit
 codes form a stable contract: 0 Verified/MultiVerified,
 1 Inconclusive/MultiInconclusive (a candidate refuted by a checked
@@ -182,7 +182,7 @@ def cmd_export_lp(args) -> int:
     else:
         raise _UsageError("candidate index %d out of range (problem has %d)"
                           % (args.candidate, len(spec.candidates)))
-    lp, _ = rungs[0].assemble()  # the first program the verifier solves
+    lp, _ = rungs[0].assemble()  # the first program of the schedule
     text = export_lp_text(lp, destination=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -27,6 +27,18 @@ Two stages find and prove one:
   out only when it is exactly zero or an exact linear combination of the
   channels kept. Overflow, a NaN or a failed containment refutes nothing.
 
+A weaker proof comes first where it applies. At a state with b = 0,
+Lgb = 0 and Lfb = 0 the a=0 identity reads 0 = s2(x) + 1 >= 1, so no a=0
+rung can certify. exclude_a0 proves such a state structurally, from the
+exact Lie derivatives: every live Lgb channel is a homogeneous linear form,
+the forms have full rank in their variables V, so {Lgb = 0} = {V = 0}, and
+every term of Lfb has a factor in V, so Lfb vanishes on that whole set.
+The same Krawczyk test then proves a zero of b with V fixed at exactly 0.
+Such a witness (scope "a=0") drops the a=0 rungs only, and also shows that
+no state with Lfb < 0 exists on {Lgb = 0}, so the search is skipped. A
+float prefilter on the candidate's Lgb (live terms of degree 1 only) keeps
+the proof off every other candidate.
+
 The search is deterministic: the starts are one fixed array and the budget
 an iteration count.
 """
@@ -58,11 +70,17 @@ NEGATIVE = 1e-9
 # bounds are exact floats.
 RADIUS_EXP = -30
 GRID_BITS = 10
+# Iterations of the bracketed Newton search for a zero of b on an axis.
+ROOT_ITERS = 60
+
+# Counterexample.scope: the rungs a counterexample rules out.
+EVERY_RUNG = "every rung"
+A0 = "a=0"
 
 
 @dataclass(frozen=True)
 class Counterexample:
-    """An exactly checked state where b = 0, Lgb = 0 and Lfb < 0.
+    """An exactly checked state where b = 0, Lgb = 0 and Lfb < 0 (or Lfb = 0, for scope a=0).
 
     The box holds coordinate i in [centre_i - radius, centre_i + radius],
     except that the fixed coordinates equal centre_i. A zero of b and of
@@ -71,6 +89,12 @@ class Counterexample:
     or an exact linear combination of these. lfb_upper bounds Lfb over
     the box from above and is negative. centre and radius are float.hex
     strings of the exact binary values.
+
+    scope is EVERY_RUNG for such a counterexample, which rules out every
+    rung. It is A0 for exclude_a0's witness, which rules out the a=0 rungs
+    only: channels is empty, the fixed coordinates include every variable
+    of the Lgb linear forms at exactly 0, where Lgb and Lfb vanish
+    identically, and lfb_upper is 0.0.
     """
 
     centre: Tuple[str, ...]
@@ -78,6 +102,7 @@ class Counterexample:
     fixed: Tuple[int, ...]
     channels: Tuple[int, ...]
     lfb_upper: float
+    scope: str = EVERY_RUNG
 
 
 # -- float search ---------------------------------------------------------------
@@ -379,44 +404,36 @@ def check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
         return None
 
 
-def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
-    n = b.nvars
-    if x.shape != (n,) or not np.isfinite(x).all():
-        return None
-    eb = _exact(b)
-    grads = [_exact_partial(eb, i) for i in range(n)]
-    lfb = _chain(grads, [f[i, 0] for i in range(n)])
-    lgb = [_chain(grads, [g[i, j] for i in range(n)]) for j in range(g.cols)]
-    channels = _independent(lgb)
-    eqs = [eb] + [lgb[j] for j in channels]
-    k = len(eqs)
-    if k > n:
-        return None
-    partials = [[_exact_partial(e, l) for l in range(n)] for e in eqs]
-    top = _top_exponent(eqs + [lfb])
+def _grid_centre(x: Sequence[float]) -> Tuple[List[float], float]:
+    """(centre, radius) of the box about the point x.
 
-    # The centre lies on a grid of radius * 2^-GRID_BITS, so centre +- radius is exact.
-    _, e = math.frexp(float(np.abs(x).max()))
+    The radius is 2^(RADIUS_EXP + e) for max |x_i| below 2^e (e >= 0), and
+    the centre lies on a grid of radius * 2^-GRID_BITS, so centre +- radius
+    is exact.
+    """
+    _, e = math.frexp(max(abs(v) for v in x))
     radius = math.ldexp(1.0, RADIUS_EXP + max(e, 0))
     grid = math.ldexp(radius, -GRID_BITS)
-    centre = [round(v / grid) * grid for v in x.tolist()]
+    return [round(v / grid) * grid for v in x], radius
 
+
+def _krawczyk(eqs: Sequence[_Exact], partials, centre: Sequence[float], radius: float,
+              free: Sequence[int], Y, top: int) -> Optional[_Box]:
+    """The box's interval powers when a Krawczyk test proves a common zero of eqs in it, else None.
+
+    The box holds coordinate i in centre_i +- radius for i in free, and
+    centre_i otherwise. partials[e][l] is the exact partial of eqs[e] in
+    free[l], and Y (k x k floats) an approximate inverse of their values at
+    the centre; top bounds every exponent.
+    """
+    k = len(eqs)
     at_centre = _Box([(c, c) for c in centre], top)
-    Jc = np.array([[sum(at_centre.evaluate(d)) / 2.0 for d in row] for row in partials])
-    free = _free_coordinates(Jc)
-    if free is None:
-        return None
-    Y = np.linalg.inv(Jc[:, free])
-    if not np.isfinite(Y).all():
-        return None
-    Y = Y.tolist()
-
     F = [at_centre.evaluate(e) for e in eqs]
     box = [(c, c) for c in centre]
     for i in free:
         box[i] = (centre[i] - radius, centre[i] + radius)
     over = _Box(box, top)
-    JX = [[over.evaluate(row[l]) for l in free] for row in partials]
+    JX = [[over.evaluate(d) for d in row] for row in partials]
 
     # Krawczyk on the symmetric box: K = c - Y F(c) + (I - Y J(X)) [-r, r]
     # lies inside the open box when |Y F(c)|_i + r sum_j |I - Y J(X)|_ij < r.
@@ -433,7 +450,37 @@ def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
         bound = _next(max(-yf[0], yf[1]) + _next(spread * radius, _INF), _INF)
         if not bound < radius:
             return None
+    return over
 
+
+def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
+    n = b.nvars
+    if x.shape != (n,) or not np.isfinite(x).all():
+        return None
+    eb = _exact(b)
+    grads = [_exact_partial(eb, i) for i in range(n)]
+    lfb = _chain(grads, [f[i, 0] for i in range(n)])
+    lgb = [_chain(grads, [g[i, j] for i in range(n)]) for j in range(g.cols)]
+    channels = _independent(lgb)
+    eqs = [eb] + [lgb[j] for j in channels]
+    if len(eqs) > n:
+        return None
+    partials = [[_exact_partial(e, l) for l in range(n)] for e in eqs]
+    top = _top_exponent(eqs + [lfb])
+    centre, radius = _grid_centre(x.tolist())
+
+    at_centre = _Box([(c, c) for c in centre], top)
+    Jc = np.array([[sum(at_centre.evaluate(d)) / 2.0 for d in row] for row in partials])
+    free = _free_coordinates(Jc)
+    if free is None:
+        return None
+    Y = np.linalg.inv(Jc[:, free])
+    if not np.isfinite(Y).all():
+        return None
+    over = _krawczyk(eqs, [[row[l] for l in free] for row in partials], centre, radius, free,
+                     Y.tolist(), top)
+    if over is None:
+        return None
     upper = over.evaluate(lfb)[1]
     if not upper < 0.0:
         return None
@@ -446,13 +493,136 @@ def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
     )
 
 
+# -- the a=0 exclusion ----------------------------------------------------------------
+
+def _linear_channels(ring) -> bool:
+    """Float prefilter: some Lgb channel of ring is live, and every live term has degree 1."""
+    live = [q for q in ring.lgb.entry_list() if q.terms]
+    return bool(live) and all(sum(mo) == 1 for q in live for mo in q.terms)
+
+
+def _axis_root(coefs: Dict[int, float]) -> Optional[float]:
+    """A float near a real zero of p(t) = sum_e coefs[e] t^e, or None when no bracket is found.
+
+    Past the Cauchy bound 1 + max_e |coefs[e] / coefs[d]| (d the degree) p
+    has the sign of its leading term, so a bracket [0, +-bound] holds a zero
+    when that sign differs from p(0)'s. Newton steps refine it, and a step
+    that leaves the bracket bisects instead. The answer need not be exact:
+    the Krawczyk test proves or rejects it.
+    """
+    d = max(coefs)
+    c0 = coefs.get(0, 0.0)
+    if d == 0:
+        return None
+    if c0 == 0.0:
+        return 0.0
+    lead = coefs[d]
+    bound = 1.0 + max((abs(c / lead) for e, c in coefs.items() if e < d), default=0.0)
+    side = next((s for s in (1.0, -1.0) if (lead * s ** d > 0.0) != (c0 > 0.0)), None)
+    if side is None or not math.isfinite(bound):
+        return None
+    lo, hi = 0.0, side * bound  # p(lo) has the sign of c0, p(hi) the other
+    t = hi / 2.0
+    for _ in range(ROOT_ITERS):
+        p = sum(c * t ** e for e, c in coefs.items())
+        if p == 0.0:
+            break
+        if (p > 0.0) == (c0 > 0.0):
+            lo = t
+        else:
+            hi = t
+        dp = sum(e * c * t ** (e - 1) for e, c in coefs.items() if e)
+        step = t - p / dp if dp else math.nan
+        nxt = step if min(lo, hi) < step < max(lo, hi) else (lo + hi) / 2.0
+        if nxt == t:
+            break
+        t = nxt
+    return t
+
+
+def exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
+    """An exact witness that no a=0 rung can certify b along f and g, or None.
+
+    f (n x 1) and g (n x m) are the system's PolyMatrix fields; Lfb and Lgb
+    are derived here exactly, over b's variables, as check does. The witness
+    (scope A0) needs every live Lgb channel to be a homogeneous linear form,
+    the forms to have rank |V| in their variables V, every term of Lfb to
+    have a factor in V, and a zero of b with V fixed at 0, proven by the
+    Krawczyk test on b alone along one axis. Anything short of that proves
+    nothing.
+    """
+    try:
+        return _exclude_a0(b, f, g)
+    except (_Overflow, OverflowError, ZeroDivisionError):
+        return None
+
+
+def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
+    n = b.nvars
+    support = b.support_vars()  # the gradient of b is zero in every other variable
+    eb = _exact(b)
+    grads = [_exact_partial(eb, i) for i in support]
+    columns = zip(*(g.entries[i] for i in support))  # g's columns restricted to b's variables
+    live = [c for c in (_chain(grads, col) for col in columns) if c[0]]
+    if not live or any(sum(mo) != 1 for c in live for mo in c[0]):
+        return None
+    V = {mo.index(1) for c in live for mo in c[0]}
+    if len(_independent(live)) != len(V):
+        return None  # {Lgb = 0} is larger than {V = 0}
+    lfb = _chain(grads, [f[i, 0] for i in support])
+    if any(not any(mo[v] for v in V) for mo in lfb[0]):
+        return None  # a term of Lfb survives on {V = 0}
+
+    # b on {V = 0}, over its variables W outside V: a polynomial q in len(W) variables.
+    W = [i for i in support if i not in V]
+    q = ({tuple(mo[i] for i in W): c for mo, c in eb[0].items() if not any(mo[v] for v in V)},
+         eb[1])
+    if not W or not q[0]:
+        return None
+    top = _top_exponent([q])
+    scale = 1 << q[1]
+    for l, var in enumerate(W):
+        axis = {mo[l]: c / scale for mo, c in q[0].items() if sum(mo) == mo[l]}
+        t = _axis_root(axis) if axis else None
+        if t is None:
+            continue
+        point = [0.0] * len(W)
+        point[l] = t
+        centre, radius = _grid_centre(point)
+        c = centre[l]
+        slope = sum(e * v * c ** (e - 1) for e, v in axis.items() if e)
+        if not (slope and math.isfinite(slope)):
+            continue
+        if _krawczyk([q], [[_exact_partial(q, l)]], centre, radius, [l], [[1.0 / slope]],
+                     top) is None:
+            continue
+        full = [0.0] * n
+        full[var] = c
+        return Counterexample(
+            centre=tuple(v.hex() for v in full),
+            radius=radius.hex(),
+            fixed=tuple(i for i in range(n) if i != var),
+            channels=(),
+            lfb_upper=0.0,
+            scope=A0,
+        )
+    return None
+
+
 def refute(cand, ring, searched: Dict[object, Optional[np.ndarray]]) -> Optional[Counterexample]:
     """A checked counterexample for cand, or None; the search runs once per ring class.
 
-    searched maps a support-ring class key to its search's point (or None)
-    for the call; candidates of one class lift the same point to their own
-    variables and are each checked in their own ring.
+    Where ring's live Lgb terms all have degree 1, exclude_a0 runs first; its
+    witness is returned without a search, since no state with Lfb < 0 exists
+    on {Lgb = 0} then. searched maps a support-ring class key to its
+    search's point (or None) for the call; candidates of one class lift the
+    same point to their own variables and are each checked in their own
+    ring.
     """
+    if _linear_channels(ring):
+        witness = exclude_a0(cand.b, cand.sys.f, cand.sys.g)
+        if witness is not None:
+            return witness
     key = ring.key
     if key not in searched:
         searched[key] = search(ring)

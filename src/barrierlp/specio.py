@@ -32,7 +32,7 @@ from .verifier import (
 )
 
 PROBLEM_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 
 class PolyParseError(ValueError):
@@ -250,13 +250,20 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
-def _parse_poly_field(text, variables, path: str) -> Polynomial:
+def _parse_poly_field(text, variables, path: str, parsed: Dict[str, Polynomial]) -> Polynomial:
+    """The polynomial at path; parsed memoizes the texts of one document read so far.
+
+    Polynomials are immutable, so equal texts share one. A text that fails
+    raises at its first occurrence and is never memoized.
+    """
     if not isinstance(text, str):
         raise ProblemFormatError(path, "expected a polynomial string")
-    try:
-        return parse_polynomial(text, variables)
-    except ValueError as exc:  # grammar errors and out-of-range coefficients or exponents
-        raise ProblemFormatError(path, str(exc)) from exc
+    if text not in parsed:
+        try:
+            parsed[text] = parse_polynomial(text, variables)
+        except ValueError as exc:  # grammar errors and out-of-range coefficients or exponents
+            raise ProblemFormatError(path, str(exc)) from exc
+    return parsed[text]
 
 
 def load_problem(document: Union[str, dict]) -> ProblemSpec:
@@ -293,7 +300,9 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
         raise ProblemFormatError(
             "drift", "expected %d entries (one per state variable), got %d" % (n, len(drift))
         )
-    f_rows = [[_parse_poly_field(s, variables, "drift[%d]" % r)] for r, s in enumerate(drift)]
+    parsed: Dict[str, Polynomial] = {}  # in the fleet's documents most entries read "0"
+    f_rows = [[_parse_poly_field(s, variables, "drift[%d]" % r, parsed)]
+              for r, s in enumerate(drift)]
 
     grid = _require(document, "input_matrix", list, "")
     if len(grid) != n:
@@ -314,7 +323,7 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
                 "input_matrix[%d]" % r, "expected %d entries, got %d" % (m, len(row))
             )
         g_rows.append([
-            _parse_poly_field(s, variables, "input_matrix[%d][%d]" % (r, c))
+            _parse_poly_field(s, variables, "input_matrix[%d][%d]" % (r, c), parsed)
             for c, s in enumerate(row)
         ])
 
@@ -333,7 +342,7 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
     candidates = []
     for i, s in enumerate(cand_strs):
         path = "candidates[%d]" % i
-        b = _parse_poly_field(s, variables, path)
+        b = _parse_poly_field(s, variables, path, parsed)
         try:
             candidates.append(CandidateCbf.from_system(b, system))
         except ValueError as exc:  # a Lie derivative overflows to a non-finite coefficient
@@ -442,6 +451,7 @@ def _counterexample_block(outcome: VerificationOutcome, deterministic: bool) -> 
         "fixed": list(cex.fixed),
         "channels": list(cex.channels),
         "lfb_upper": cex.lfb_upper,
+        "scope": cex.scope,
         "refute_s": 0.0 if deterministic else outcome.refute_s,
     }
 
@@ -478,9 +488,9 @@ def _counterexample_line(outcome: VerificationOutcome, indent: str) -> List[str]
     if cex is None:
         return []
     equations = ["b"] + ["Lgb[%d]" % j for j in cex.channels]
-    return ["%scounterexample: %s = 0 in the box centre (%s) radius %s, fixed %s; Lfb <= %.17g"
-            % (indent, ", ".join(equations), ", ".join(cex.centre), cex.radius,
-               list(cex.fixed), cex.lfb_upper)]
+    return ["%scounterexample: %s = 0 in the box centre (%s) radius %s, fixed %s; Lfb <= %.17g;"
+            " scope %s" % (indent, ", ".join(equations), ", ".join(cex.centre), cex.radius,
+                           list(cex.fixed), cex.lfb_upper, cex.scope)]
 
 
 def _outcome_text(outcome: VerificationOutcome, deterministic: bool) -> str:

@@ -34,9 +34,15 @@ Before a candidate's schedule runs, refute.refute looks for a boundary
 counterexample: a state with b = 0, Lgb = 0 and Lfb < 0, where no
 certificate of the identity above exists at any a or degree. A float search
 proposes it and an exact Krawczyk test with interval bounds proves it; a
-proven one replaces the whole schedule, and the candidate stays
-Inconclusive with the counterexample attached. Anything short of a proof
-refutes nothing, and the schedule runs.
+proven one (scope "every rung") replaces the whole schedule, and the
+candidate stays Inconclusive with the counterexample attached. Where Lgb is
+a full-rank linear form in some variables V and every term of Lfb has a
+factor in V, as on the satellite fleet, an exact structural proof comes
+first instead: it proves a state with b = 0 and V = 0, where Lgb = Lfb = 0,
+so no a=0 rung can certify, and none with Lfb < 0 exists. That witness
+(scope "a=0") drops the a=0 rungs and the search, the rest of the schedule
+runs, and the outcome keeps the witness whatever the verdict. Anything
+short of a proof refutes nothing, and the schedule runs.
 
 A candidate derives Lfb and Lgb once, from the system it is built with,
 and nothing derives them again. Single programs are assembled in its support
@@ -97,7 +103,7 @@ from .polyring import (
     lie_derivative_input,
     monomial_basis_on_support,
 )
-from .refute import Counterexample, refute
+from .refute import EVERY_RUNG, Counterexample, refute
 
 logger = logging.getLogger(__name__)
 
@@ -357,9 +363,12 @@ LP_TIMINGS = ("seconds", "assemble_s", "gate_s")
 class VerificationOutcome:
     """What a verification found.
 
-    counterexample is set only on an Inconclusive single candidate refuted
-    before its schedule ran (its lps are then empty); refute_s is the time
-    the counterexample search and check took, 0.0 where none ran.
+    counterexample is set on a single candidate refuted before its schedule
+    ran (scope "every rung": the verdict is Inconclusive and lps is empty),
+    or on one whose a=0 rungs an exact witness ruled out (scope "a=0": lps
+    holds the other rungs, and the verdict is theirs). refute_s is the time
+    the a=0 proof, the counterexample search and the check took, 0.0 where
+    none ran.
     """
 
     verdict: Verdict
@@ -1033,7 +1042,9 @@ def verify_single(
     Lfb < 0, proven exactly (see refute). One refutes b as a control
     barrier function for sys, so no program is solved: the verdict is
     Inconclusive, the outcome's counterexample holds the proof and lps is
-    empty. Otherwise the (a, deg_s, deg_p) schedule runs: the first
+    empty. An exact witness that no a=0 rung can certify (scope "a=0")
+    removes only those rungs from the run, and stays on the outcome.
+    Otherwise the (a, deg_s, deg_p) schedule runs: the first
     feasible program whose extracted certificate passes both the
     diagonal-dominance and residual gates yields Verified. An exhausted
     schedule yields Inconclusive: failing to find a DSOS certificate proves
@@ -1059,8 +1070,10 @@ def _verify_single(
     refute_s = time.perf_counter() - t1
     if counterexample is None:
         records, cert, warnings = _run_schedule(rungs, opts, solved)
-    else:
+    elif counterexample.scope == EVERY_RUNG:  # only this scope replaces the whole schedule
         records, cert, warnings = [], None, []
+    else:  # an a=0 witness rules out the a=0 rungs
+        records, cert, warnings = _run_schedule([r for r in rungs if r.entry[0] != 0], opts, solved)
     return VerificationOutcome(
         verdict=Verdict.VERIFIED if cert is not None else Verdict.INCONCLUSIVE,
         lps=records,

@@ -993,16 +993,47 @@ def _exact_inverse(M):
     return [row[k:] for row in A]
 
 
+def _a0_structure_holds(cex, centre, lfb, lgb):
+    """Whether Lgb and Lfb vanish identically on {V = 0} and cex fixes V at 0.
+
+    Every live Lgb channel must be a homogeneous linear form, their rank the
+    number of their variables V, and every term of Lfb must carry a V.
+    """
+    live = [q for q in lgb if q]
+    if not live or cex.channels or cex.lfb_upper != 0.0:
+        return False
+    if any(sum(mono) != 1 for q in live for mono in q):
+        return False
+    V = {mono.index(1) for q in live for mono in q}
+    if _rank(live) != len(V) or any(not any(mono[v] for v in V) for mono in lfb):
+        return False
+    return all(v in cex.fixed and centre[v] == 0 for v in V)
+
+
 def counterexample_holds(cex, b, f, g):
-    """Whether cex proves a state with b = 0, Lgb = 0 and Lfb < 0 for b along f and g."""
+    """Whether cex proves a state with b = 0, Lgb = 0 and Lfb < 0 for b along f and g.
+
+    For scope "a=0" it must prove a state with b = 0 in {V = 0}, where Lgb
+    and Lfb vanish identically (see _a0_structure_holds), and Lfb is not
+    bounded.
+    """
     n = b.nvars
     centre = [Fraction(float.fromhex(h)) for h in cex.centre]
     r = Fraction(float.fromhex(cex.radius))
     lfb, lgb = exact_lie_derivatives(b, f, g)
-    used = [lgb[j] for j in cex.channels]
-    if any(_rank(used + [lgb[j]]) > _rank(used)
-           for j in range(len(lgb)) if j not in cex.channels):
+    if len(centre) != n:
         return False
+    if cex.scope == "a=0":
+        if not _a0_structure_holds(cex, centre, lfb, lgb):
+            return False
+        used = []
+    elif cex.scope != "every rung":
+        return False
+    else:
+        used = [lgb[j] for j in cex.channels]
+        if any(_rank(used + [lgb[j]]) > _rank(used)
+               for j in range(len(lgb)) if j not in cex.channels):
+            return False
     eqs = [_exact_poly(b)] + used
     free = [i for i in range(n) if i not in cex.fixed]
     if len(centre) != n or r <= 0 or len(free) != len(eqs):
@@ -1028,4 +1059,4 @@ def counterexample_holds(cex, b, f, g):
             spread += max(-lo, hi)
         if not abs(yf) + r * spread < r:
             return False
-    return interval_value(lfb, box)[1] < 0
+    return cex.scope == "a=0" or interval_value(lfb, box)[1] < 0

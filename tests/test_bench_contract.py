@@ -61,10 +61,16 @@ def test_verification_calls_the_traced_assembly_names(monkeypatch):
         monkeypatch.setattr(V, name, counted)
     params = CwParams(L=2)
     sys = build_cw_system(params)
-    out = V.verify_multi(sys, [build_inspection_cbf(params, i, sys) for i in range(2)])
+    cands = [build_inspection_cbf(params, i, sys) for i in range(2)]
+    out = V.verify_multi(sys, cands)
     assert out.verdict is V.Verdict.MULTI_VERIFIED
-    # Two emptiness degrees; the relabelled chasers share the a=0 and a=1 programs.
-    assert calls == {"assemble_single_lp": 2, "assemble_emptiness_lp": 2, "solve_feasibility": 4}
+    # Two emptiness degrees; an exact witness rules out the a=0 rungs, and the
+    # relabelled chasers share the a=1 program.
+    assert calls == {"assemble_single_lp": 1, "assemble_emptiness_lp": 2, "solve_feasibility": 3}
+    # The full schedule assembles and solves the a=0 and a=1 programs by name too.
+    opts = V.VerifierOptions()
+    V._run_schedule(V._single_rungs(cands[0], opts), opts, {})
+    assert calls == {"assemble_single_lp": 3, "assemble_emptiness_lp": 2, "solve_feasibility": 5}
 
 
 def test_traced_row_readers_count_the_arrays():

@@ -86,7 +86,9 @@ def test_verify_refuted_schedule_exit_one(tmp_path, capsys):
     assert report["verdict"] == "Inconclusive"
     assert report["lps"] == [] and report["certificate"] is None
     cex = report["counterexample"]
-    assert sorted(cex) == ["centre", "channels", "fixed", "lfb_upper", "radius", "refute_s"]
+    assert sorted(cex) == ["centre", "channels", "fixed", "lfb_upper", "radius", "refute_s",
+                           "scope"]
+    assert cex["scope"] == "every rung"
     assert len(cex["centre"]) == 2 and cex["lfb_upper"] < 0.0
     spec = load_problem(doc)
     records, _, _ = _run_schedule(_single_rungs(spec.candidates[0], spec.options), spec.options, {})
@@ -321,10 +323,18 @@ def test_export_lp_writes_the_first_program_the_verifier_solves(tmp_path, capsys
 
     monkeypatch.setattr(verifier, "_solve", capture)
     spec = load_problem(doc)
-    out = verifier.verify_single(spec.system, spec.candidates[1])
-    assert out.lps[0].name == "single a=0 deg_s=1 deg_p=1"
+    # verify_single skips the fleet's a=0 rung (an exact witness rules it
+    # out), so the full schedule is what export-lp writes the head of.
+    records, _, _ = _run_schedule(_single_rungs(spec.candidates[1], spec.options), spec.options, {})
+    assert records[0].name == "single a=0 deg_s=1 deg_p=1"
     assert exported == solved[0]
-    assert (exported.nrows, exported.nvars) == (out.lps[0].rows, out.lps[0].cols)
+    assert (exported.nrows, exported.nvars) == (records[0].rows, records[0].cols)
+    # With --a 1 it writes the first program verify_single solves.
+    assert main(["export-lp", path, "--candidate", "1", "--a", "1"]) == 0
+    exported = parse_lp_text(capsys.readouterr().out)
+    solved.clear()
+    out = verifier.verify_single(spec.system, spec.candidates[1])
+    assert out.lps[0].name == "single a=1 deg_s=1 deg_p=1" and exported == solved[0]
 
 
 def test_export_lp_bad_candidate_index(tmp_path):
@@ -377,13 +387,20 @@ def test_bench_flag_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Verified" in out
-    # The a=0 program is refuted by a valid certificate, far inside the pivot budget.
-    first = json.loads(report_path.read_text())["rows"][0]["lps"][0]
-    assert first["name"].startswith("single a=0 ")
-    assert (first["status"], first["iterations"], first["exit"]) == \
-        ("Infeasible", 65, "optimal")
-    assert first["farkas_valid"] is True
-    assert (first["seconds"], first["assemble_s"], first["gate_s"]) == (0.0, 0.0, 0.0)
+    # An exact witness rules out the a=0 rung, so the report holds a=1 alone.
+    lps = json.loads(report_path.read_text())["rows"][0]["lps"]
+    assert [lp["name"].split()[1] for lp in lps] == ["a=1"]
+    assert (lps[0]["seconds"], lps[0]["assemble_s"], lps[0]["gate_s"]) == (0.0, 0.0, 0.0)
+    # Run all the same, the a=0 program is refuted by a valid certificate, far
+    # inside the pivot budget.
+    params = barrierlp.CwParams(L=1, masses=(3.0,), thrusts=(0.75,))
+    cand = barrierlp.build_inspection_cbf(params, 0)
+    opts = barrierlp.VerifierOptions()
+    records, _, _ = _run_schedule(_single_rungs(cand, opts), opts, {})
+    first = records[0]
+    assert first.name.startswith("single a=0 ")
+    assert (first.status, first.iterations, first.exit) == ("Infeasible", 65, "optimal")
+    assert first.farkas_valid is True
 
 
 def test_module_entry_point(tmp_path):

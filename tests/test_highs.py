@@ -87,7 +87,11 @@ def assert_agrees_with_highs(answers):
 def test_satellite_programs_agree_with_highs(monkeypatch, params, expected):
     sys = build_cw_system(params)
     cand = build_inspection_cbf(params, 0, sys)
-    answers = gated_answers(monkeypatch, lambda: verifier.verify_single(sys, cand))
+    # The full schedule: verify_single skips the a=0 rung, which an exact
+    # witness rules out.
+    opts = verifier.VerifierOptions()
+    answers = gated_answers(
+        monkeypatch, lambda: verifier._run_schedule(verifier._single_rungs(cand, opts), opts, {}))
     assert [(rec.status, rec.farkas_valid) for _, rec, _ in answers] == expected
     assert assert_agrees_with_highs(answers) == (1, 1)
 

@@ -1,6 +1,6 @@
 """Micro-benchmarks of polynomial products, Lie derivatives, LP assembly, presolve, the
-simplex pivot loop, the Farkas gate, the counterexample search and check, and a joint
-verification (need pytest-benchmark)."""
+simplex pivot loop, the Farkas gate, the counterexample search and check, the exact a=0
+proof, and a joint verification (need pytest-benchmark)."""
 
 import pytest
 
@@ -68,7 +68,7 @@ def test_build_twelve_chasers(benchmark):
 
 
 def test_verify_multi_six_chasers(benchmark, monkeypatch):
-    """Joint verification of the L=6 fleet: the six relabelled candidates share 2 single programs."""
+    """Joint verification of the L=6 fleet: the six relabelled candidates share 1 single program."""
     sys, cands = fleet(6)
     shapes = []
 
@@ -79,11 +79,12 @@ def test_verify_multi_six_chasers(benchmark, monkeypatch):
     monkeypatch.setattr(verifier, "solve_feasibility", counting)
     out = benchmark.pedantic(verify_multi, args=(sys, cands), rounds=3, iterations=1)
     assert out.verdict is Verdict.MULTI_VERIFIED
-    # Per round: the deg_s=0 and deg_s=1 emptiness programs, then a=0 and a=1
-    # once. With --benchmark-disable pedantic runs a single round.
-    rounds, rest = divmod(len(shapes), 4)
+    # Per round: the deg_s=0 and deg_s=1 emptiness programs, then a=1 once; an
+    # exact witness rules out a=0. With --benchmark-disable pedantic runs a
+    # single round.
+    rounds, rest = divmod(len(shapes), 3)
     assert rounds >= 1 and rest == 0
-    assert shapes.count((367, 154)) == rounds * 2
+    assert shapes.count((367, 154)) == rounds
     assert shapes.count((962, 259)) == rounds
 
 
@@ -189,3 +190,15 @@ def test_check_corpus_counterexample(benchmark):
     cex = benchmark.pedantic(refute.check, args=(cand.b, cand.sys.f, cand.sys.g, x),
                              rounds=20, iterations=5)
     assert cex is not None and cex.lfb_upper < 0.0
+
+
+def test_exclude_a0_fleet_candidate(benchmark):
+    """The exact a=0 proof of a chaser in the L=6 fleet (36 states, 18 inputs), which replaces
+    the search above: exact Lie derivatives over b's 6 variables, the rank of 3 channels, and
+    a Krawczyk test of b on {v = 0}."""
+    sys, cands = fleet(6)
+    cand = cands[3]
+    cex = benchmark.pedantic(refute.exclude_a0, args=(cand.b, sys.f, sys.g),
+                             rounds=20, iterations=5)
+    assert (cex.scope, cex.channels, cex.lfb_upper) == ("a=0", (), 0.0)
+    assert [i for i in range(36) if i not in cex.fixed] == [18]

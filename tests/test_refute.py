@@ -11,7 +11,7 @@ import barrierlp.refute as refute
 import barrierlp.verifier as verifier
 from _oracles import counterexample_holds, exact_lie_derivatives, interval_value
 from barrierlp.polyring import Polynomial, PolyMatrix, evaluate
-from barrierlp.satbench import CwParams
+from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
 from barrierlp.specio import load_problem, write_report
 from barrierlp.verifier import (
     CandidateCbf,
@@ -101,6 +101,8 @@ def test_no_fleet_candidate_is_refuted_and_each_class_searches_once(monkeypatch)
 
     monkeypatch.setattr(refute, "search", counting)
     monkeypatch.setattr(refute, "check", no_check)
+    # Without the a=0 proof, which skips the search on the fleet.
+    monkeypatch.setattr(refute, "exclude_a0", lambda *args: None)
     for L in (1, 2, 3):
         sys, cands = fleet(CwParams(L=L))
         out = verify_multi(sys, cands)
@@ -248,11 +250,12 @@ def test_reports_are_deterministic_and_carry_the_counterexample():
         reports.append((write_report(out, deterministic=True), write_report(out, "text", True)))
     assert reports[0] == reports[1]
     report = json.loads(reports[0][0])
-    assert report["schema"] == 4 and report["counterexample"] is None
+    assert report["schema"] == 5 and report["counterexample"] is None
     cex = report["singles"][0]["counterexample"]
-    assert cex["refute_s"] == 0.0 and cex["lfb_upper"] < 0.0
+    assert cex["refute_s"] == 0.0 and cex["lfb_upper"] < 0.0 and cex["scope"] == "every rung"
     assert len(cex["centre"]) == 3 and float.fromhex(cex["radius"]) == 2.0 ** -30
     assert "    counterexample: b, Lgb[0], Lgb[1] = 0 in the box centre (" in reports[0][1]
+    assert "; scope every rung\n" in reports[0][1]
 
 
 def test_counterexample_bound_matches_the_oracle_interval():
@@ -266,3 +269,161 @@ def test_counterexample_bound_matches_the_oracle_interval():
             Fraction(float.fromhex(h)) + (0 if i in cex.fixed else r))
            for i, h in enumerate(cex.centre)]
     assert interval_value(lfb, box)[1] <= Fraction(cex.lfb_upper) < 0
+
+
+# -- the exact a=0 exclusion -------------------------------------------------------------
+
+STALL = CwParams(L=1, masses=(3.0,), thrusts=(0.75,))
+
+
+def no_search(ring):
+    raise AssertionError("Lfb vanishes on {Lgb = 0}: nothing to search")
+
+
+def test_fleet_and_stall_a0_rungs_are_ruled_out_exactly(monkeypatch):
+    """Each fleet and stall candidate carries an oracle-checked a=0 witness, runs no search,
+    solves no a=0 program, and every a=0 rung it skips still ends Infeasible."""
+    monkeypatch.setattr(refute, "search", no_search)
+    opts = verifier.VerifierOptions()
+    problems = [fleet(CwParams(L=L)) for L in (1, 2, 3)] + \
+        [fleet(STALL.with_L(L)) for L in (1, 2)]
+    for sys, cands in problems:
+        out = verify_single(sys, cands[0]) if len(cands) == 1 else verify_multi(sys, cands)
+        singles = [out] if len(cands) == 1 else out.singles
+        assert out.verdict in (Verdict.VERIFIED, Verdict.MULTI_VERIFIED)
+        assert len(singles) == len(cands)
+        for so, cand in zip(singles, cands):
+            cex = so.counterexample
+            assert so.verdict is Verdict.VERIFIED and so.refute_s > 0.0
+            assert (cex.scope, cex.channels, cex.lfb_upper) == ("a=0", (), 0.0)
+            assert counterexample_holds(cex, cand.b, sys.f, sys.g)
+            assert [r.name.split()[1] for r in so.lps] == ["a=1"]
+            assert [e[0] for e in so.schedule["entries"]] == [0, 1]
+            records, cert = full_schedule(cand, opts)
+            assert cert is not None
+            assert [(r.name.split()[1], r.status) for r in records] == \
+                [("a=0", "Infeasible"), ("a=1", "Feasible")]
+
+
+def test_a0_witness_oracle_rejects_mutants():
+    sys, cands = fleet(CwParams(L=2))
+    cand = cands[1]
+    cex = refute.exclude_a0(cand.b, sys.f, sys.g)
+    assert counterexample_holds(cex, cand.b, sys.f, sys.g)
+    free = [i for i in range(cand.b.nvars) if i not in cex.fixed]
+    assert free == [6]  # chaser 1's x, at the zero x = R_t of b on {v = 0}
+    moved = list(cex.centre)
+    moved[6] = (float.fromhex(moved[6]) + 1e-3).hex()
+    assert not counterexample_holds(dataclasses.replace(cex, centre=tuple(moved)),
+                                    cand.b, sys.f, sys.g)
+    # A velocity of chaser 1 off zero, or left free, proves nothing.
+    off = list(cex.centre)
+    off[9] = (0.25).hex()
+    assert not counterexample_holds(dataclasses.replace(cex, centre=tuple(off)),
+                                    cand.b, sys.f, sys.g)
+    assert not counterexample_holds(dataclasses.replace(cex, fixed=tuple(
+        i for i in cex.fixed if i != 9)), cand.b, sys.f, sys.g)
+    # As a counterexample of every rung it claims Lfb < 0, which fails.
+    assert not counterexample_holds(dataclasses.replace(cex, scope="every rung"),
+                                    cand.b, sys.f, sys.g)
+    # Chaser 0's candidate has its zero elsewhere.
+    assert not counterexample_holds(cex, cands[0].b, sys.f, sys.g)
+
+
+def chaser(b=None, f_rows=None, g_cells=None):
+    """The one-chaser fleet system and its candidate, with b, drift rows or g cells replaced.
+
+    g_cells maps (row, channel) to a constant; given, it replaces the whole
+    input matrix.
+    """
+    params = CwParams(L=1)
+    sys = build_cw_system(params)
+    f, g = sys.f, sys.g
+    if f_rows:
+        f = with_drift(f, f_rows)
+    if g_cells is not None:
+        g = PolyMatrix([[Polynomial.constant(g_cells.get((i, j), 0.0), 6) for j in range(3)]
+                        for i in range(6)])
+    sys = ControlAffineSystem(f, g)
+    return sys, CandidateCbf(b if b is not None else build_inspection_cbf(params, 0).b, sys)
+
+
+def _v(i):
+    return Polynomial.variable(i, 6)
+
+
+def assert_not_excluded(sys, cand):
+    """exclude_a0 proves nothing, and verify_single runs the a=0 rungs as before."""
+    assert refute.exclude_a0(cand.b, sys.f, sys.g) is None
+    out = verify_single(sys, cand)
+    assert out.counterexample is None or out.counterexample.scope == "every rung"
+    if out.counterexample is None:
+        records, _ = full_schedule(cand, verifier.VerifierOptions())
+        assert [(r.name, r.status, r.iterations) for r in out.lps] == \
+            [(r.name, r.status, r.iterations) for r in records]
+    return out
+
+
+def test_channel_with_a_constant_term_is_not_excluded():
+    # b gains 0.5 vx, so Lgb_0 = 0.5 (8 vx + 0.5) = 4 vx + 0.25 never vanishes at v = 0.
+    sys, base = chaser()
+    sys, cand = chaser(b=base.b + 0.5 * _v(3))
+    assert (0,) * 6 in cand.lgb[0, 0].terms
+    assert not refute._linear_channels(support_ring(cand))
+    assert_not_excluded(sys, cand)
+
+
+def test_rank_deficient_input_matrix_is_not_excluded():
+    # Channels 0 and 1 both push vx + vy: Lgb = (4(vx + vy), 4(vx + vy), 4 vz) has
+    # rank 2 in three velocities, so Lgb = 0 leaves vx = -vy free.
+    g = {(3, 0): 0.5, (4, 0): 0.5, (3, 1): 0.5, (4, 1): 0.5, (5, 2): 0.5}
+    sys, cand = chaser(g_cells=g)
+    assert refute._linear_channels(support_ring(cand))
+    assert_not_excluded(sys, cand)
+
+
+def test_drift_term_below_the_pruning_tolerance_is_seen_exactly():
+    # b = 0.1 x^2 + y^2 + z^2 + 4 v.v - 0.25 under dx/dt = vx + 2e-14 y: the
+    # term 0.2 x * 2e-14 y = 4e-15 x y of Lfb carries no velocity, and the
+    # float Lfb prunes it.
+    sys, base = chaser()
+    x, y = _v(0), _v(1)
+    b = base.b - 0.9 * x * x
+    sys, cand = chaser(b=b, f_rows={0: _v(3) + 2e-14 * y})
+    xy = (1, 1, 0, 0, 0, 0)
+    assert xy not in cand.lfb.terms
+    lfb, _ = exact_lie_derivatives(cand.b, sys.f, sys.g)
+    assert lfb[xy] != 0
+    assert refute._linear_channels(support_ring(cand))
+    assert_not_excluded(sys, cand)
+    # Without that drift term the same candidate is excluded.
+    sys, cand = chaser(b=b)
+    assert refute.exclude_a0(cand.b, sys.f, sys.g) is not None
+
+
+def test_candidate_without_a_zero_on_the_velocity_free_set_is_not_excluded():
+    # b = r.r + v.v + 1 is at least 1 everywhere.
+    b = Polynomial.one(6)
+    for i in range(6):
+        b = b + _v(i) * _v(i)
+    sys, cand = chaser(b=b)
+    assert refute._linear_channels(support_ring(cand))
+    out = assert_not_excluded(sys, cand)
+    assert [r.name.split()[1] for r in out.lps][:1] == ["a=0"]
+
+
+def test_a0_witness_reports_scope_on_a_verified_outcome():
+    sys, cands = fleet(CwParams(L=1))
+    out = verify_single(sys, cands[0])
+    assert out.verdict is Verdict.VERIFIED
+    report = json.loads(write_report(out, deterministic=True))
+    assert report["schema"] == 5 and report["certificate"] is not None
+    cex = report["counterexample"]
+    assert (cex["scope"], cex["channels"], cex["lfb_upper"], cex["refute_s"]) == \
+        ("a=0", [], 0.0, 0.0)
+    assert cex["fixed"] == [1, 2, 3, 4, 5] and float.fromhex(cex["centre"][0]) == 0.5
+    assert [e[0] for e in report["schedule"]["entries"]] == [0, 1]
+    assert [lp["name"].split()[1] for lp in report["lps"]] == ["a=1"]
+    text = write_report(out, "text", True)
+    assert "counterexample: b = 0 in the box centre (" in text
+    assert text.rstrip("\n").endswith("Lfb <= 0; scope a=0")

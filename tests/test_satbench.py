@@ -17,7 +17,13 @@ from barrierlp.satbench import (
 )
 from barrierlp.lpsolve import LpStatus, solve_feasibility, validate_farkas
 from barrierlp.specio import REPORT_SCHEMA_VERSION
-from barrierlp.verifier import Verdict, assemble_emptiness_lp
+from barrierlp.verifier import (
+    Verdict,
+    VerifierOptions,
+    _run_schedule,
+    _single_rungs,
+    assemble_emptiness_lp,
+)
 
 
 def test_params_defaults_and_validation():
@@ -166,8 +172,15 @@ def test_benchmark_l1_exercises_only_single_programs():
     # the resolved schedule shows only single-candidate entries, no emptiness
     assert "entries" in row["schedule"]
     assert "emptiness_deg_s" not in row["schedule"]
-    # Pivot counts of the simplex on the reference one-chaser programs.
+    # Pivot counts of the simplex on the reference one-chaser programs: an
+    # exact witness rules out a=0, so the row holds a=1 alone, and the full
+    # schedule refutes a=0 all the same.
     assert [(lp["name"].split()[1], lp["status"], lp["iterations"]) for lp in row["lps"]] == \
+        [("a=1", "Feasible", 63)]
+    opts = VerifierOptions()
+    records, _, _ = _run_schedule(_single_rungs(build_inspection_cbf(CwParams(L=1), 0), opts),
+                                  opts, {})
+    assert [(r.name.split()[1], r.status, r.iterations) for r in records] == \
         [("a=0", "Infeasible", 60), ("a=1", "Feasible", 63)]
 
 

@@ -204,6 +204,41 @@ def test_load_problem_bad_entry_path():
     assert "unknown variable" in str(err.value)
 
 
+def test_repeated_texts_load_term_for_term_as_parsed_alone():
+    """Each distinct text is parsed once per document; every field equals its own parse."""
+    params = CwParams(L=2)
+    system = build_cw_system(params)
+    doc = problem_document(system, [build_inspection_cbf(params, i, system) for i in range(2)])
+    texts = [s for row in doc["input_matrix"] for s in row]
+    assert texts.count("0") > len(texts) // 2
+    spec = load_problem(doc)
+    names = doc["variables"]
+    fields_ = [(spec.system.f[r, 0], s) for r, s in enumerate(doc["drift"])]
+    fields_ += [(spec.system.g[r, c], s) for r, row in enumerate(doc["input_matrix"])
+                for c, s in enumerate(row)]
+    fields_ += [(cand.b, s) for cand, s in zip(spec.candidates, doc["candidates"])]
+    for poly, text in fields_:
+        alone = parse_polynomial(text, names)
+        assert list(poly.terms.items()) == list(alone.terms.items()) and poly.nvars == alone.nvars
+    assert spec.system == system
+
+
+def test_bad_repeated_entry_names_its_first_path():
+    doc = {"schema": 1, "variables": ["x", "y"], "drift": ["y", "x^0.5"],
+           "input_matrix": [["x^0.5"], ["x^0.5"]], "candidates": ["x^0.5"]}
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(doc)
+    assert err.value.path == "drift[1]"
+    assert str(err.value).endswith("got '0.5' (line 1, column 3)")
+    # A good text parsed earlier does not hide a bad one later.
+    doc.update(drift=["1 + x", "1 + x"], input_matrix=[["1 + x"], ["1 + q"]],
+               candidates=["1 + x"])
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(doc)
+    assert err.value.path == "input_matrix[1][0]"
+    assert str(err.value).endswith("unknown variable 'q' (line 1, column 5)")
+
+
 def test_load_problem_rejects_unknown_option_and_schema():
     doc = minimal_doc()
     doc["options"] = {"degree": 3}

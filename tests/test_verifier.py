@@ -720,8 +720,17 @@ def test_ring_derivatives_are_the_projected_full_ring_ones():
 
 
 def test_relabelled_candidates_solve_each_program_once(monkeypatch):
+    import barrierlp.verifier as verifier
+
     sys, cands = fleet(CwParams(L=3))
     calls = counting_solves(monkeypatch)
+    out = verify_multi(sys, cands)
+    assert out.verdict is Verdict.MULTI_VERIFIED
+    assert len(calls) == 3  # two emptiness degrees, then a=1 once; a=0 is ruled out exactly
+    assert all([r.reused for r in so.lps] == [i > 0] for i, so in enumerate(out.singles))
+    # The full schedules, with nothing refuted, share the a=0 program as well.
+    monkeypatch.setattr(verifier, "refute", lambda *args: None)
+    calls.clear()
     out = verify_multi(sys, cands)
     assert out.verdict is Verdict.MULTI_VERIFIED
     assert len(calls) == 4  # two emptiness degrees, then a=0 and a=1 once
@@ -1030,8 +1039,10 @@ def test_failed_single_refutation_is_warned(monkeypatch):
     """A single program whose Farkas certificate fails revalidation says so in the report."""
     import barrierlp.verifier as verifier
 
-    # One chaser: the a=0 program is refuted, the a=1 one certifies.
+    # One chaser: the a=0 program is refuted, the a=1 one certifies. The full
+    # schedule runs: with refute finding nothing, a=0 is not skipped.
     sys, cands = fleet(CwParams(L=1))
+    monkeypatch.setattr(verifier, "refute", lambda *args: None)
     monkeypatch.setattr(verifier, "_farkas_acceptable", lambda lp, out: False)
     out = verify_single(sys, cands[0])
     assert out.verdict is Verdict.VERIFIED and out.counterexample is None
