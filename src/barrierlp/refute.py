@@ -33,7 +33,8 @@ rung can certify. exclude_a0 proves such a state structurally, from the
 exact Lie derivatives: every live Lgb channel is a homogeneous linear form,
 the forms have full rank in their variables V, so {Lgb = 0} = {V = 0}, and
 every term of Lfb has a factor in V, so Lfb vanishes on that whole set.
-The same Krawczyk test then proves a zero of b with V fixed at exactly 0.
+The same Krawczyk test then proves a zero of b with V fixed at exactly 0,
+near a real root of b along one axis of that set (numpy.roots).
 Such a witness (scope "a=0") drops the a=0 rungs only, and also shows that
 no state with Lfb < 0 exists on {Lgb = 0}, so the search is skipped. A
 float prefilter on the candidate's Lgb (live terms of degree 1 only) keeps
@@ -70,8 +71,6 @@ NEGATIVE = 1e-9
 # bounds are exact floats.
 RADIUS_EXP = -30
 GRID_BITS = 10
-# Iterations of the bracketed Newton search for a zero of b on an axis.
-ROOT_ITERS = 60
 
 # Counterexample.scope: the rungs a counterexample rules out.
 EVERY_RUNG = "every rung"
@@ -417,18 +416,28 @@ def _grid_centre(x: Sequence[float]) -> Tuple[List[float], float]:
     return [round(v / grid) * grid for v in x], radius
 
 
-def _krawczyk(eqs: Sequence[_Exact], partials, centre: Sequence[float], radius: float,
-              free: Sequence[int], Y, top: int) -> Optional[_Box]:
-    """The box's interval powers when a Krawczyk test proves a common zero of eqs in it, else None.
+def _exact_lie(b: Polynomial, f, g,
+               variables: Sequence[int]) -> Tuple[_Exact, _Exact, List[_Exact]]:
+    """(b, Lfb, [Lgb_j]) exactly, the gradient over variables (b's own; it is zero elsewhere)."""
+    eb = _exact(b)
+    grads = [_exact_partial(eb, i) for i in variables]
+    lfb = _chain(grads, [f[i, 0] for i in variables])
+    lgb = [_chain(grads, col) for col in zip(*(g.entries[i] for i in variables))]
+    return eb, lfb, lgb
+
+
+def _krawczyk(F, partials, centre: Sequence[float], radius: float, free: Sequence[int], Y,
+              top: int) -> Optional[_Box]:
+    """The box's interval powers when a Krawczyk test proves a common zero of k equations in it,
+    else None.
 
     The box holds coordinate i in centre_i +- radius for i in free, and
-    centre_i otherwise. partials[e][l] is the exact partial of eqs[e] in
-    free[l], and Y (k x k floats) an approximate inverse of their values at
-    the centre; top bounds every exponent.
+    centre_i otherwise. F holds the intervals of the k equations at the
+    centre, partials[e][l] the exact partial of equation e in free[l], and
+    Y (k x k floats) an approximate inverse of their values at the centre;
+    top bounds every exponent.
     """
-    k = len(eqs)
-    at_centre = _Box([(c, c) for c in centre], top)
-    F = [at_centre.evaluate(e) for e in eqs]
+    k = len(F)
     box = [(c, c) for c in centre]
     for i in free:
         box[i] = (centre[i] - radius, centre[i] + radius)
@@ -457,10 +466,7 @@ def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
     n = b.nvars
     if x.shape != (n,) or not np.isfinite(x).all():
         return None
-    eb = _exact(b)
-    grads = [_exact_partial(eb, i) for i in range(n)]
-    lfb = _chain(grads, [f[i, 0] for i in range(n)])
-    lgb = [_chain(grads, [g[i, j] for i in range(n)]) for j in range(g.cols)]
+    eb, lfb, lgb = _exact_lie(b, f, g, b.support_vars())
     channels = _independent(lgb)
     eqs = [eb] + [lgb[j] for j in channels]
     if len(eqs) > n:
@@ -477,7 +483,8 @@ def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
     Y = np.linalg.inv(Jc[:, free])
     if not np.isfinite(Y).all():
         return None
-    over = _krawczyk(eqs, [[row[l] for l in free] for row in partials], centre, radius, free,
+    over = _krawczyk([at_centre.evaluate(e) for e in eqs],
+                     [[row[l] for l in free] for row in partials], centre, radius, free,
                      Y.tolist(), top)
     if over is None:
         return None
@@ -501,75 +508,33 @@ def _linear_channels(ring) -> bool:
     return bool(live) and all(sum(mo) == 1 for q in live for mo in q.terms)
 
 
-def _axis_root(coefs: Dict[int, float]) -> Optional[float]:
-    """A float near a real zero of p(t) = sum_e coefs[e] t^e, or None when no bracket is found.
-
-    Past the Cauchy bound 1 + max_e |coefs[e] / coefs[d]| (d the degree) p
-    has the sign of its leading term, so a bracket [0, +-bound] holds a zero
-    when that sign differs from p(0)'s. Newton steps refine it, and a step
-    that leaves the bracket bisects instead. The answer need not be exact:
-    the Krawczyk test proves or rejects it.
-    """
-    d = max(coefs)
-    c0 = coefs.get(0, 0.0)
-    if d == 0:
-        return None
-    if c0 == 0.0:
-        return 0.0
-    lead = coefs[d]
-    bound = 1.0 + max((abs(c / lead) for e, c in coefs.items() if e < d), default=0.0)
-    side = next((s for s in (1.0, -1.0) if (lead * s ** d > 0.0) != (c0 > 0.0)), None)
-    if side is None or not math.isfinite(bound):
-        return None
-    lo, hi = 0.0, side * bound  # p(lo) has the sign of c0, p(hi) the other
-    t = hi / 2.0
-    for _ in range(ROOT_ITERS):
-        p = sum(c * t ** e for e, c in coefs.items())
-        if p == 0.0:
-            break
-        if (p > 0.0) == (c0 > 0.0):
-            lo = t
-        else:
-            hi = t
-        dp = sum(e * c * t ** (e - 1) for e, c in coefs.items() if e)
-        step = t - p / dp if dp else math.nan
-        nxt = step if min(lo, hi) < step < max(lo, hi) else (lo + hi) / 2.0
-        if nxt == t:
-            break
-        t = nxt
-    return t
-
-
 def exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
     """An exact witness that no a=0 rung can certify b along f and g, or None.
 
     f (n x 1) and g (n x m) are the system's PolyMatrix fields; Lfb and Lgb
-    are derived here exactly, over b's variables, as check does. The witness
-    (scope A0) needs every live Lgb channel to be a homogeneous linear form,
-    the forms to have rank |V| in their variables V, every term of Lfb to
-    have a factor in V, and a zero of b with V fixed at 0, proven by the
-    Krawczyk test on b alone along one axis. Anything short of that proves
-    nothing.
+    are derived here exactly, as check does. The witness (scope A0) needs
+    every live Lgb channel to be a homogeneous linear form, the forms to
+    have rank |V| in their variables V, every term of Lfb to have a factor
+    in V, and a zero of b with V fixed at 0: the real roots of b along each
+    axis of {V = 0} (numpy.roots, largest first) go to the Krawczyk test on
+    b alone until one is proven. Anything short of that proves nothing.
     """
     try:
         return _exclude_a0(b, f, g)
-    except (_Overflow, OverflowError, ZeroDivisionError):
+    except (_Overflow, OverflowError, np.linalg.LinAlgError):
         return None
 
 
 def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
     n = b.nvars
-    support = b.support_vars()  # the gradient of b is zero in every other variable
-    eb = _exact(b)
-    grads = [_exact_partial(eb, i) for i in support]
-    columns = zip(*(g.entries[i] for i in support))  # g's columns restricted to b's variables
-    live = [c for c in (_chain(grads, col) for col in columns) if c[0]]
+    support = b.support_vars()
+    eb, lfb, lgb = _exact_lie(b, f, g, support)
+    live = [c for c in lgb if c[0]]
     if not live or any(sum(mo) != 1 for c in live for mo in c[0]):
         return None
     V = {mo.index(1) for c in live for mo in c[0]}
     if len(_independent(live)) != len(V):
         return None  # {Lgb = 0} is larger than {V = 0}
-    lfb = _chain(grads, [f[i, 0] for i in support])
     if any(not any(mo[v] for v in V) for mo in lfb[0]):
         return None  # a term of Lfb survives on {V = 0}
 
@@ -583,29 +548,29 @@ def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
     scale = 1 << q[1]
     for l, var in enumerate(W):
         axis = {mo[l]: c / scale for mo, c in q[0].items() if sum(mo) == mo[l]}
-        t = _axis_root(axis) if axis else None
-        if t is None:
-            continue
-        point = [0.0] * len(W)
-        point[l] = t
-        centre, radius = _grid_centre(point)
-        c = centre[l]
-        slope = sum(e * v * c ** (e - 1) for e, v in axis.items() if e)
-        if not (slope and math.isfinite(slope)):
-            continue
-        if _krawczyk([q], [[_exact_partial(q, l)]], centre, radius, [l], [[1.0 / slope]],
-                     top) is None:
-            continue
-        full = [0.0] * n
-        full[var] = c
-        return Counterexample(
-            centre=tuple(v.hex() for v in full),
-            radius=radius.hex(),
-            fixed=tuple(i for i in range(n) if i != var),
-            channels=(),
-            lfb_upper=0.0,
-            scope=A0,
-        )
+        roots = np.roots([axis.get(e, 0.0) for e in range(top, -1, -1)])
+        for t in sorted(roots.real[roots.imag == 0.0].tolist(), reverse=True):
+            point = [0.0] * len(W)
+            point[l] = t
+            centre, radius = _grid_centre(point)
+            c = centre[l]
+            slope = sum(e * v * c ** (e - 1) for e, v in axis.items() if e)
+            if not (slope and math.isfinite(slope)):
+                continue
+            F = [_Box([(v, v) for v in centre], top).evaluate(q)]
+            if _krawczyk(F, [[_exact_partial(q, l)]], centre, radius, [l], [[1.0 / slope]],
+                         top) is None:
+                continue
+            full = [0.0] * n
+            full[var] = c
+            return Counterexample(
+                centre=tuple(v.hex() for v in full),
+                radius=radius.hex(),
+                fixed=tuple(i for i in range(n) if i != var),
+                channels=(),
+                lfb_upper=0.0,
+                scope=A0,
+            )
     return None
 
 

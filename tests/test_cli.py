@@ -387,20 +387,32 @@ def test_bench_flag_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Verified" in out
+    report = json.loads(report_path.read_text())
+    defaults = barrierlp.CwParams(L=1)
+    assert report["params"] == {"n_mean_motion": defaults.n_mean_motion, "mass": 3.0,
+                                "thrust": 0.75, "R_t": defaults.R_t}
     # An exact witness rules out the a=0 rung, so the report holds a=1 alone.
-    lps = json.loads(report_path.read_text())["rows"][0]["lps"]
+    lps = report["rows"][0]["lps"]
     assert [lp["name"].split()[1] for lp in lps] == ["a=1"]
     assert (lps[0]["seconds"], lps[0]["assemble_s"], lps[0]["gate_s"]) == (0.0, 0.0, 0.0)
-    # Run all the same, the a=0 program is refuted by a valid certificate, far
-    # inside the pivot budget.
-    params = barrierlp.CwParams(L=1, masses=(3.0,), thrusts=(0.75,))
-    cand = barrierlp.build_inspection_cbf(params, 0)
+    # The full schedule of the stall candidate: the a=0 program is refuted by a
+    # valid certificate, far inside the pivot budget, and its a=1 record is the
+    # one the report holds.
     opts = barrierlp.VerifierOptions()
-    records, _, _ = _run_schedule(_single_rungs(cand, opts), opts, {})
+
+    def full_schedule(params):
+        cand = barrierlp.build_inspection_cbf(params, 0)
+        return _run_schedule(_single_rungs(cand, opts), opts, {})[0]
+
+    records = full_schedule(barrierlp.CwParams(L=1, masses=(3.0,), thrusts=(0.75,)))
     first = records[0]
     assert first.name.startswith("single a=0 ")
     assert (first.status, first.iterations, first.exit) == ("Infeasible", 65, "optimal")
     assert first.farkas_valid is True
+    assert (lps[0]["status"], lps[0]["iterations"]) == (records[1].status, records[1].iterations)
+    # The default fleet's a=1 program takes another pivot count, so the
+    # report shows the flags reached the candidate.
+    assert full_schedule(defaults)[1].iterations != records[1].iterations
 
 
 def test_module_entry_point(tmp_path):

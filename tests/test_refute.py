@@ -427,3 +427,16 @@ def test_a0_witness_reports_scope_on_a_verified_outcome():
     text = write_report(out, "text", True)
     assert "counterexample: b = 0 in the box centre (" in text
     assert text.rstrip("\n").endswith("Lfb <= 0; scope a=0")
+
+
+def test_every_real_root_along_an_axis_is_tried():
+    # On {v = 0}, b = (x - 1)^2 (x + 0.5) + y^2 + z^2. The double root x = 1 is
+    # tried first and fails the Krawczyk test (b' vanishes there); x = -0.5 passes.
+    x, y, z = _v(0), _v(1), _v(2)
+    b = (x - 1.0) * (x - 1.0) * (x + 0.5) + y * y + z * z
+    for i in range(3, 6):
+        b = b + _v(i) * _v(i)
+    sys, cand = chaser(b=b)
+    cex = refute.exclude_a0(cand.b, sys.f, sys.g)
+    assert counterexample_holds(cex, cand.b, sys.f, sys.g)
+    assert float.fromhex(cex.centre[0]) == -0.5 and cex.fixed == (1, 2, 3, 4, 5)
