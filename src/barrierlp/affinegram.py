@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,7 +193,8 @@ def instantiate(lin: LinearPoly, z: Sequence[float], basis: Sequence[Monomial]) 
     if not np.array_equal(lin.mono, lin.codes.encode(basis)):
         raise ValueError("lin does not have one term per basis monomial, in basis order")
     values = lin.coef * np.asarray(z, dtype=float)[lin.col]
-    return Polynomial(dict(zip(basis, values.tolist())), lin.codes.nvars)
+    # The codes match, so basis holds distinct valid monomials of lin's ring.
+    return Polynomial._result(dict(zip(basis, values.tolist())), lin.codes.nvars)
 
 
 @dataclass
@@ -203,12 +204,16 @@ class DsosVar:
     ``rays`` maps each weight column to its ray (i, j, sign): e_i e_i^T when
     i == j, otherwise (e_i + sign e_j)(e_i + sign e_j)^T with sign = +-1.
     Any non-negative weights give a diagonally dominant Q, and every
-    diagonally dominant Q arises this way.
+    diagonally dominant Q arises this way. ``entry`` and ``weight`` hold,
+    per term of ``expansion``, the Gram entry i * dim + j (i <= j) the term
+    adds to and the ray's coefficient there (1 on the diagonal, sign off it).
     """
 
     basis: List[Monomial]
     rays: Dict[int, Tuple[int, int, float]]
     expansion: LinearPoly
+    entry: np.ndarray
+    weight: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -225,10 +230,17 @@ class DsosVar:
         return out
 
     def gram(self, z: Sequence[float]) -> np.ndarray:
-        """The Gram matrix Q the weights in z build."""
-        Q = np.zeros((self.dim, self.dim))
-        for (i, j), row in self.entries().items():
-            Q[i, j] = Q[j, i] = sum(c * z[col] for col, c in row.items())
+        """The Gram matrix Q the weights in z build.
+
+        Each entry sums its rays' terms in ray order from 0.0, as adding up
+        the rows of entries() does, and the lower triangle mirrors the upper.
+        """
+        k = self.dim
+        terms = self.weight * np.asarray(z, dtype=float)[self.expansion.col]
+        Q = np.bincount(self.entry, weights=terms, minlength=k * k).reshape(k, k)
+        # The lower triangle is still +0.0, and no sum from +0.0 is -0.0, so
+        # adding the transposed upper triangle copies it exactly.
+        Q += np.triu(Q, 1).T
         return Q
 
 
@@ -242,28 +254,30 @@ def fresh_dsos_poly(
     alloc: DecisionAllocator,
     basis: Sequence[Monomial],
     codes: MonomialCodes,
-    keep_pair: Optional[Callable[[int, int], bool]] = None,
+    pairs: Optional[Tuple[Tuple[int, int], ...]] = None,
 ) -> DsosVar:
     """Allocate a DSOS variable: one non-negative weight per extreme ray, and its expansion.
 
-    The weights of e_i e_i^T and (e_i + e_j)(e_i + e_j)^T come first, in the
-    upper triangle's row-major order, then those of (e_i - e_j)(e_i - e_j)^T
-    in the same order. A ray with weight w adds w to m_i^2 and, for i != j,
-    w to m_j^2 and 2 sign w to m_i*m_j: one term at code shift 2 beta_i, or
-    three at 2 beta_i, 2 beta_j and beta_i + beta_j, in ray order.
-    ``keep_pair(i, j)`` prunes the pairs, by basis position, whose basis
-    product is known to have a zero Gram entry in any solution of interest;
-    a pruned pair gets no ray, and the diagonal rays are always kept.
+    ``pairs`` lists the basis position pairs (i, j), i <= j, that get rays,
+    in upper-triangle row-major order and with every diagonal pair; by
+    default every pair. A pair left out is one whose basis
+    product is known to have a zero Gram entry in any solution of interest.
+    The weights of e_i e_i^T and (e_i + e_j)(e_i + e_j)^T come first, in
+    pairs order, then those of (e_i - e_j)(e_i - e_j)^T in the same order.
+    A ray with weight w adds w to m_i^2 and, for i != j, w to m_j^2 and
+    2 sign w to m_i*m_j: one term at code shift 2 beta_i, or three at
+    2 beta_i, 2 beta_j and beta_i + beta_j, in ray order.
     """
     basis = list(basis)
     k = len(basis)
-    pairs = tuple((i, j) for i in range(k) for j in range(i, k)
-                  if i == j or keep_pair is None or keep_pair(i, j))
-    rays, ray, left, right, coef = _ray_terms(pairs)
+    if pairs is None:
+        pairs = tuple((i, j) for i in range(k) for j in range(i, k))
+    rays, ray, left, right, coef, weight = _ray_terms(pairs)
     cols = alloc.fresh(len(rays))
     beta = codes.encode(basis)
     expansion = LinearPoly(codes, codes.checked(beta[left] + beta[right]), cols[ray], coef)
-    return DsosVar(basis=basis, rays=dict(zip(cols.tolist(), rays)), expansion=expansion)
+    return DsosVar(basis=basis, rays=dict(zip(cols.tolist(), rays)), expansion=expansion,
+                   entry=left * k + right, weight=weight)
 
 
 @lru_cache(maxsize=64)
@@ -271,14 +285,15 @@ def _ray_terms(pairs: Tuple[Tuple[int, int], ...]):
     """The rays of the kept pairs in allocation order, and the terms of their expansion.
 
     Per term: its ray, the basis positions i and j of the product m_i*m_j it
-    adds to, and its coefficient; the arrays are read-only.
+    adds to, its coefficient, and the ray's coefficient in the Gram entry
+    (i, j); the arrays are read-only.
     """
     rays = tuple((i, j, 1.0) for i, j in pairs) + tuple((i, j, -1.0) for i, j in pairs if i != j)
     terms = []
     for r, (i, j, sign) in enumerate(rays):
-        terms.append((r, i, i, 1.0))
+        terms.append((r, i, i, 1.0, 1.0))
         if i != j:
-            terms += [(r, j, j, 1.0), (r, i, j, 2.0 * sign)]
+            terms += [(r, j, j, 1.0, 1.0), (r, i, j, 2.0 * sign, sign)]
     arrays = [np.array(a) for a in zip(*terms)]
     for a in arrays:
         a.flags.writeable = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 # A monomial is an exponent tuple, one entry per ring variable.
@@ -140,12 +141,7 @@ class Polynomial:
 
     def support_vars(self) -> Tuple[int, ...]:
         """Indices of variables that occur with a positive exponent."""
-        seen = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > 0:
-                    seen.add(i)
-        return tuple(sorted(seen))
+        return tuple(i for i, column in enumerate(zip(*self.terms)) if any(column))
 
     def max_abs_coefficient(self) -> float:
         if not self.terms:
@@ -308,12 +304,18 @@ def monomial_basis(nvars: int, maxdeg: int) -> List[Monomial]:
     """All monomials of total degree <= maxdeg, in the global term order.
 
     The list has length C(nvars+maxdeg, nvars) and starts with the constant
-    monomial.
+    monomial. Each (nvars, maxdeg) is enumerated once per process; every
+    call returns a fresh list.
     """
     if nvars < 1:
         raise ValueError("nvars must be >= 1, got %d" % nvars)
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0, got %d" % maxdeg)
+    return list(_monomial_basis(nvars, maxdeg))
+
+
+@lru_cache(maxsize=64)
+def _monomial_basis(nvars: int, maxdeg: int) -> Tuple[Monomial, ...]:
     basis: List[Monomial] = []
 
     def extend(prefix: Tuple[int, ...], remaining: int, budget: int) -> None:
@@ -325,7 +327,7 @@ def monomial_basis(nvars: int, maxdeg: int) -> List[Monomial]:
 
     extend((), nvars, maxdeg)
     basis.sort(key=grlex_key)
-    return basis
+    return tuple(basis)
 
 
 def monomial_basis_on_support(

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -256,7 +257,7 @@ def _exact_mul(p: _Exact, q: _Exact) -> _Exact:
     out: Dict[Monomial, int] = {}
     for ea, va in p[0].items():
         for eb, vb in q[0].items():
-            mo = tuple(a + b for a, b in zip(ea, eb))
+            mo = tuple(map(operator.add, ea, eb))
             out[mo] = out.get(mo, 0) + va * vb
     return {mo: v for mo, v in out.items() if v}, p[1] + q[1]
 

@@ -55,8 +55,9 @@ so the program is row for row the one the full ring gives, over shorter
 monomials. The projected (b, Lfb, Lgb) terms are the class key:
 candidates that differ only by a renaming of variables and channels, like
 the chasers of the satellite fleet, share a key and therefore a program.
-Within one call each program of a key is solved once; every candidate then
-lifts the point back to its own variables and channels and passes both
+Within one call each program of a key is solved once, and the Grams and
+multipliers of its point are built once in the support ring; every
+candidate then lifts them to its own variables and channels and passes both
 certificate gates in its own full ring before it counts as verified.
 """
 
@@ -200,7 +201,9 @@ class SupportRing:
         return tuple(full)
 
     def lift(self, p: Polynomial) -> Polynomial:
-        return Polynomial({self.lift_monomial(mo): c for mo, c in p.terms.items()}, self.nvars)
+        # Lifting spreads distinct valid monomials over more variables.
+        return Polynomial._result({self.lift_monomial(mo): c for mo, c in p.terms.items()},
+                                  self.nvars)
 
 
 def support_ring(cand: CandidateCbf) -> SupportRing:
@@ -339,7 +342,9 @@ class LpRecord:
 
     seconds is the solve, assemble_s the transcription into the LP (both 0.0
     when reused), gate_s the Farkas check of a refutation or the extraction
-    and gates of a feasible point, as run for this record.
+    and gates of a feasible point, as run for this record. The point's Grams
+    and multipliers are built once, by the first record that gates it; a
+    reused record's gate_s times its own lift of them and its own gates.
     """
 
     name: str
@@ -483,6 +488,8 @@ class SingleLayout:
     s2: DsosVar
     identity: LinearPoly
     fixed: Polynomial
+    # The last point extracted from, in the support ring (see extract_single_certificate).
+    point: Optional["_RingPoint"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -511,31 +518,47 @@ class _Bases:
 
     The bases live on the fixed data's support; free monomials and Gram
     entries that flip sign under the data's sign symmetries are dropped.
-    The support and the sign classes are computed once, here, and each Gram
-    basis once per degree, so the programs of one candidate share them.
+    The support and the sign classes are computed on first use, and each
+    basis, with a Gram basis's kept pairs, once per degree: the programs
+    built from one _Bases share them, and one that builds no program
+    computes nothing.
     """
 
     def __init__(self, fixed: Sequence[Polynomial], n: int):
         self.n = n
-        self.support = _union_support(fixed)
-        self.sign_class = sign_classes(fixed)
-        self._gram: Dict[int, Tuple[List[Monomial], Callable[[int, int], bool]]] = {}
+        self.fixed = list(fixed)
+        self._symmetry: Optional[Tuple[List[int], Callable[[Monomial], int]]] = None
+        self._gram: Dict[int, Tuple[List[Monomial], Tuple[Tuple[int, int], ...]]] = {}
+        self._free: Dict[int, List[Monomial]] = {}
 
-    def gram(self, deg_s: int) -> Tuple[List[Monomial], Callable[[int, int], bool]]:
-        """(Gram basis, fresh_dsos_poly's keep_pair) at deg_s."""
+    def _classes(self, deg: int) -> Tuple[List[Monomial], List[int]]:
+        """The monomials of degree at most deg on the support, and their sign classes."""
+        if self._symmetry is None:
+            self._symmetry = _union_support(self.fixed), sign_classes(self.fixed)
+        support, sign_class = self._symmetry
+        basis = monomial_basis_on_support(self.n, deg, support)
+        return basis, [sign_class(mo) for mo in basis]
+
+    def gram(self, deg_s: int) -> Tuple[List[Monomial], Tuple[Tuple[int, int], ...]]:
+        """(Gram basis, the pairs fresh_dsos_poly keeps) at deg_s.
+
+        A pair is kept when its two monomials share a sign class, so their
+        product is invariant; every diagonal pair is.
+        """
         if deg_s not in self._gram:
-            basis = monomial_basis_on_support(self.n, deg_s, self.support)
-            classes = [self.sign_class(mo) for mo in basis]
-
-            def keep_pair(i: int, j: int) -> bool:
-                return classes[i] == classes[j]
-
-            self._gram[deg_s] = basis, keep_pair
+            basis, classes = self._classes(deg_s)
+            k = len(basis)
+            pairs = tuple((i, j) for i, c in enumerate(classes) for j in range(i, k)
+                          if classes[j] == c)
+            self._gram[deg_s] = basis, pairs
         return self._gram[deg_s]
 
     def free(self, deg_p: int) -> List[Monomial]:
-        return [mo for mo in monomial_basis_on_support(self.n, deg_p, self.support)
-                if self.sign_class(mo) == 0]
+        """The invariant monomials of degree at most deg_p."""
+        if deg_p not in self._free:
+            basis, classes = self._classes(deg_p)
+            self._free[deg_p] = [mo for mo, c in zip(basis, classes) if c == 0]
+        return self._free[deg_p]
 
 
 def _single_bases(cand: Union[CandidateCbf, SupportRing]) -> _Bases:
@@ -582,7 +605,7 @@ def assemble_single_lp(
     n = b.nvars
     m = lgb.cols
     lgb_entries = lgb.entry_list()
-    gram_basis, keep_pair = bases.gram(deg_s)
+    gram_basis, pairs = bases.gram(deg_s)
     free_basis = bases.free(deg_p)
     # Channels that never enter the identity get no multipliers.
     live = [j for j, g in enumerate(lgb_entries) if not g.is_zero()]
@@ -613,8 +636,8 @@ def assemble_single_lp(
     for channel in (p1, p2):
         for j in live:
             channel[j] = fresh_free_poly(alloc, free_basis, codes)
-    s1 = fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
-    s2 = fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
+    s1 = fresh_dsos_poly(alloc, gram_basis, codes, pairs)
+    s2 = fresh_dsos_poly(alloc, gram_basis, codes, pairs)
 
     h1 = linear_sum([(1.0, s1.expansion), (1.0, mul_fixed(p10, b))]
                     + [(1.0, mul_fixed(p1[j], lgb_entries[j])) for j in live])
@@ -672,6 +695,8 @@ def archimedean_witness(generators: Sequence[Polynomial]) -> Optional[int]:
     """
     for gen in generators:
         n = gen.nvars
+        if len(gen.terms) != n + 1:  # a constant and n squares
+            continue
         zero = (0,) * n
         squares = []
         for i in range(n):
@@ -704,13 +729,13 @@ def assemble_emptiness_lp(
     augmented = archimedean_C is not None
     if augmented:
         generators = augment_archimedean(cands, archimedean_C)
-    gram_basis, keep_pair = _Bases(generators, n).gram(deg_s)
+    gram_basis, pairs = _Bases(generators, n).gram(deg_s)
     # s_i * b_i reaches 2 deg_s + deg(b_i).
     codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
 
     alloc = DecisionAllocator()
     s_vars = [
-        fresh_dsos_poly(alloc, gram_basis, codes, keep_pair)
+        fresh_dsos_poly(alloc, gram_basis, codes, pairs)
         for _ in range(1 + len(generators))
     ]
 
@@ -734,6 +759,30 @@ def assemble_emptiness_lp(
 
 # -- certificate extraction and validation -----------------------------------
 
+class _RingPoint(NamedTuple):
+    """A single program's point z as Grams and multipliers in the ring it was assembled in.
+
+    p1 and p2 hold one polynomial per ring channel, None where the program
+    has no multiplier.
+    """
+
+    z: np.ndarray
+    grams: List[np.ndarray]
+    p10: Polynomial
+    p20: Polynomial
+    p1: List[Optional[Polynomial]]
+    p2: List[Optional[Polynomial]]
+
+
+def _ring_point(layout: SingleLayout, z: np.ndarray) -> _RingPoint:
+    def inst(lin: Optional[LinearPoly]) -> Optional[Polynomial]:
+        return None if lin is None else instantiate(lin, z, layout.free_basis)
+
+    return _RingPoint(z, [layout.s1.gram(z), layout.s2.gram(z)], inst(layout.p10),
+                      inst(layout.p20), [inst(lin) for lin in layout.p1],
+                      [inst(lin) for lin in layout.p2])
+
+
 def extract_single_certificate(
     layout: SingleLayout,
     z: Sequence[float],
@@ -743,29 +792,34 @@ def extract_single_certificate(
     """cand's certificate from a point of a program assembled in a support ring.
 
     The program may have been assembled for another candidate with the same
-    class key as ring: Gram bases and multipliers are lifted to cand's own
-    variables and channels (a dropped channel gets zero multipliers), and
-    the residual is recomputed against cand in its full ring.
+    class key as ring. The point's Grams and multipliers in that ring are
+    built once per point and kept on the layout; each candidate lifts them
+    to its own variables and channels (a dropped channel gets zero
+    multipliers), takes its own copy of the Grams, and recomputes the
+    residual against itself in its full ring.
     """
-    def lift(lin: Optional[LinearPoly]) -> Polynomial:
-        if lin is None:
-            return Polynomial.zero(ring.nvars)
-        return ring.lift(instantiate(lin, z, layout.free_basis))
+    point = layout.point
+    if point is None or point.z is not z:
+        point = layout.point = _ring_point(layout, z)
+    zero = Polynomial.zero(ring.nvars)
 
-    p1 = [Polynomial.zero(ring.nvars)] * ring.ninputs
+    def lift(p: Optional[Polynomial]) -> Polynomial:
+        return zero if p is None else ring.lift(p)
+
+    p1 = [zero] * ring.ninputs
     p2 = list(p1)
     for q, j in enumerate(ring.channels):
-        p1[j] = lift(layout.p1[q])
-        p2[j] = lift(layout.p2[q])
+        p1[j] = lift(point.p1[q])
+        p2[j] = lift(point.p2[q])
     cert = Certificate(
         kind="single",
         gram_bases=[[ring.lift_monomial(mo) for mo in v.basis] for v in (layout.s1, layout.s2)],
-        grams=[layout.s1.gram(z), layout.s2.gram(z)],
+        grams=[Q.copy() for Q in point.grams],
         a=layout.a,
         deg_s=layout.deg_s,
         deg_p=layout.deg_p,
-        p10=lift(layout.p10),
-        p20=lift(layout.p20),
+        p10=lift(point.p10),
+        p20=lift(point.p20),
         p1=p1,
         p2=p2,
     )
@@ -979,8 +1033,9 @@ def _single_rungs(
     if ring is None:
         ring = support_ring(cand)
     bases = _single_bases(ring)
+    key = ring.key
     return [
-        _Rung("single a=%d deg_s=%d deg_p=%d" % entry, (ring.key,) + entry, list(entry),
+        _Rung("single a=%d deg_s=%d deg_p=%d" % entry, (key,) + entry, list(entry),
               lambda entry=entry: assemble_single_lp(ring, *entry, bases=bases),
               lambda layout, z: extract_single_certificate(layout, z, cand, ring))
         for entry in _resolved_single_schedule(ring, opts)
@@ -1007,9 +1062,12 @@ def _run_schedule(
     every program solved so far in the call to its (record, outcome,
     layout). A program's first use records its assembly and solve; a later
     rung with the same key, such as the rung of another candidate of the
-    same class, gets a copy with seconds and assemble_s 0.0 and reused set,
-    gates the same point with its own extract, and records that gate's time
-    alone in gate_s. Nothing is kept beyond the call.
+    same class, gets a copy with seconds and assemble_s 0.0 and reused set.
+    Every rung runs its own extract and gate on the point, and records that
+    time alone in gate_s. The members of a class share what the layout
+    keeps of the point (see extract_single_certificate), and each still
+    checks its own certificate in its own ring. Nothing is kept beyond the
+    call.
     """
     records: List[LpRecord] = []
     warnings: List[str] = []

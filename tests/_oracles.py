@@ -167,6 +167,18 @@ def ray_weights(v, M):
     return z
 
 
+def gram(v, z):
+    """The Gram matrix of DSOS variable v at z, each entry summed over its row of v.entries().
+
+    This is how DsosVar.gram summed before it took one bincount over the
+    ray terms; it must give the same bits.
+    """
+    Q = np.zeros((v.dim, v.dim))
+    for (i, j), row in v.entries().items():
+        Q[i, j] = Q[j, i] = sum(c * z[col] for col, c in row.items())
+    return Q
+
+
 # -- reference assembler -------------------------------------------------------
 #
 # The dict transcription of polynomial identities: a linear polynomial is

@@ -21,6 +21,7 @@ from barrierlp.affinegram import (
 from barrierlp.polyring import Polynomial, grlex_key, monomial_basis
 
 from _oracles import decode, fold, instantiate, ray_weights
+from _oracles import gram as reference_gram
 from _oracles import rows as rows_of
 
 
@@ -205,13 +206,31 @@ def test_dd_row_count_formula():
 def test_pruned_pairs_get_no_ray():
     alloc = DecisionAllocator()
     v = fresh_dsos_poly(alloc, monomial_basis(1, 2), MonomialCodes(1, 4),
-                        keep_pair=lambda i, j: (i + j) % 2 == 0)
+                        pairs=((0, 0), (0, 2), (1, 1), (2, 2)))
     # Basis [1, x, x^2]: only the pair (1, x^2) survives, once per sign.
     assert v.rays == {0: (0, 0, 1.0), 1: (0, 2, 1.0), 2: (1, 1, 1.0), 3: (2, 2, 1.0),
                       4: (0, 2, -1.0)}
     Q = v.gram([1.0] * 5)
     assert Q[0, 1] == Q[1, 2] == 0.0
     assert Q[0, 2] == 0.0 and Q[0, 0] == 3.0
+
+
+def test_gram_sums_signed_zeros_and_nans_as_the_entry_rows_do():
+    # Basis [1, x, x^2] with the pair (x, x^2) pruned. Ray columns: 0 (0,0),
+    # 1 (0,1)+, 2 (0,2)+, 3 (1,1), 4 (2,2), 5 (0,1)-, 6 (0,2)-.
+    v = fresh_dsos_poly(DecisionAllocator(), monomial_basis(1, 2), MonomialCodes(1, 4),
+                        pairs=((0, 0), (0, 1), (0, 2), (1, 1), (2, 2)))
+    assert list(v.rays) == list(range(7))
+    grams = []
+    for z in ([-0.0] * 7,  # every entry sums -0.0 terms from +0.0
+              [-0.0, -0.0, 1.5, -0.0, 2.0, 0.0, 0.25],  # (0,1) adds -0.0 and -1 * 0.0
+              [1.0, -0.0, math.nan, -0.0, -0.0, -0.0, 3.0]):  # (0,2), (0,0), (2,2) meet a NaN
+        z = np.array(z)
+        grams.append(v.gram(z))
+        assert grams[-1].tobytes() == reference_gram(v, z).tobytes()
+    assert grams[0].tobytes() == np.zeros((3, 3)).tobytes()
+    assert grams[1][0, 1] == grams[1][1, 0] == 0.0 and not np.signbit(grams[1][1, 0])
+    assert np.isnan(grams[2][0, 2]) and np.isnan(grams[2][2, 0]) and grams[2][1, 1] == 0.0
 
 
 def test_dd_feasible_assignment_is_dd():

@@ -16,6 +16,7 @@ import pytest
 import _oracles as ref
 import barrierlp.lpsolve as lpsolve
 import barrierlp.verifier as verifier
+from barrierlp.affinegram import DsosVar
 from barrierlp.lpsolve import LpProblem, LpStatus, solve_feasibility, validate_farkas
 from barrierlp.satbench import CwParams
 from barrierlp.specio import load_problem
@@ -55,7 +56,8 @@ def reduced_of(rows, cols, nonneg, n_eq):
 
 class Tally:
     """Runs presolve and _phase1 beside their references on every program, both gates
-    on every answer, and both residuals on every single certificate.
+    on every answer, both residuals on every single certificate, and both Gram
+    sums on every DSOS variable of every feasible point extracted.
 
     Presolve must leave the reference's contradiction, steps and reduced rows
     (entries in the same order), and map points and multipliers back to the
@@ -65,9 +67,9 @@ class Tally:
 
     def __init__(self, monkeypatch):
         self.runs = self.pivots = self.points = self.refutations = self.residuals = 0
-        self.presolves = self.steps = self.postsolves = 0
+        self.presolves = self.steps = self.postsolves = self.grams = 0
         presolve, phase1, solve = lpsolve._Presolve, lpsolve._phase1, verifier.solve_feasibility
-        residual = verifier.certificate_residual
+        residual, gram = verifier.certificate_residual, DsosVar.gram
         tally = self
 
         class CheckedPresolve(presolve):
@@ -123,6 +125,13 @@ class Tally:
                 self.residuals += 1
             return got
 
+        def checked_gram(v, z):
+            got = gram(v, z)
+            assert as_bytes(got) == as_bytes(ref.gram(v, z))
+            self.grams += 1
+            return got
+
+        monkeypatch.setattr(DsosVar, "gram", checked_gram)
         monkeypatch.setattr(lpsolve, "_Presolve", CheckedPresolve)
         monkeypatch.setattr(lpsolve, "_phase1", checked_phase1)
         monkeypatch.setattr(verifier, "solve_feasibility", checked_solve)
@@ -159,6 +168,7 @@ def test_corpus_matches_the_reference(monkeypatch):
         verify_document(doc)
     assert tally.runs > 50 and tally.pivots > 2000
     assert tally.points > 10 and tally.refutations > 50 and tally.residuals > 10
+    assert tally.grams >= 2 * tally.residuals
     assert tally.presolves > 100 and tally.steps > 400 and tally.postsolves > 100
 
 
@@ -169,6 +179,8 @@ def test_fleet_matches_the_reference(monkeypatch):
         assert verify_multi(sys, cands).verdict is Verdict.MULTI_VERIFIED
     assert tally.pivots > 0 and tally.points > 0 and tally.refutations > 0
     assert tally.steps > 100 and tally.postsolves == tally.presolves
+    # One a=1 point per L, built once in the support ring for every chaser.
+    assert tally.grams == 2 * 3
 
 
 @pytest.mark.parametrize("doc", [STALL_WINDOW_DOC, ERODED_DOC], ids=["stall-window", "eroded"])

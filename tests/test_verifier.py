@@ -512,6 +512,24 @@ def test_archimedean_witness_detection():
     assert archimedean_witness([Polynomial.one(n) - x]) is None
 
 
+def test_archimedean_witness_reads_only_generators_with_n_plus_one_terms():
+    n = 7
+    xs = [_x(i, n) for i in range(n)]
+    squares = sum((x ** 2 for x in xs), Polynomial.zero(n))
+    ball = Polynomial.constant(9.0, n) - 2.0 * squares
+    # A chaser-like generator with more terms, then the ball over all seven
+    # variables: the first is passed over, the ball is recognised.
+    chaser = xs[0] ** 2 + xs[1] ** 2 + 4.0 * xs[2] ** 2 - Polynomial.one(n) + xs[3]
+    assert archimedean_witness([chaser, ball]) == 5
+    # n + 1 terms, but one is not a square: not a ball.
+    crossed = ball + 2.0 * xs[6] ** 2 - xs[5] * xs[6]
+    assert len(crossed.terms) == n + 1
+    assert archimedean_witness([crossed]) is None
+    # A ball over some of the variables leaves the region unbounded in the others.
+    partial = Polynomial.one(n) - xs[0] ** 2 - xs[1] ** 2
+    assert archimedean_witness([partial, chaser]) is None
+
+
 def test_multi_without_compactness_generator_warns():
     sys = single_integrator(1)
     x = _x(0, 1)
@@ -763,6 +781,36 @@ def test_every_reused_certificate_holds_in_its_own_ring():
                    for basis in cert.gram_bases for mo in basis)
         live = [j for j, q in enumerate(cert.p1) if not q.is_zero()]
         assert set(live) <= {3 * i, 3 * i + 1, 3 * i + 2}
+
+
+def test_each_point_is_built_once_and_every_chaser_gates_its_own(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    sys, cands = fleet(CwParams(L=3))
+    built, residuals = [], []
+    real_point, real_residual = verifier._ring_point, verifier.certificate_residual
+
+    def ring_point(layout, z):
+        built.append(z)
+        return real_point(layout, z)
+
+    def residual(cert, sys_, cand_or_cands):
+        if cert.kind == "single":
+            residuals.append((cert, sys_, cand_or_cands))
+        return real_residual(cert, sys_, cand_or_cands)
+
+    monkeypatch.setattr(verifier, "_ring_point", ring_point)
+    monkeypatch.setattr(verifier, "certificate_residual", residual)
+    out = verify_multi(sys, cands)
+    assert out.verdict is Verdict.MULTI_VERIFIED
+    assert len(built) == 1  # the a=1 program, solved once; a=0 is ruled out exactly
+    assert [c for _, _, c in residuals] == list(cands)
+    assert all(s is c.sys and cert is so.certificate
+               for (cert, s, c), so in zip(residuals, out.singles))
+    # Each chaser holds its own Grams, equal to the bit.
+    grams = [so.certificate.grams for so in out.singles]
+    for mine in grams[1:]:
+        assert all(Q is not R and Q.tobytes() == R.tobytes() for Q, R in zip(mine, grams[0]))
 
 
 def test_distinct_classes_solve_separately(monkeypatch):
