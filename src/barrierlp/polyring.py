@@ -1,10 +1,12 @@
-"""Sparse multivariate polynomial arithmetic over float coefficients.
+"""Sparse multivariate polynomial arithmetic over float coefficients, and exact Lie derivatives.
 
 Monomials are exponent tuples; a polynomial maps exponent tuples to real
 coefficients. The term order is graded lexicographic (total degree first,
 then lexicographic with the first variable ranked highest) and is fixed
 globally so that every constraint system derived from a polynomial identity
-is emitted in a deterministic order.
+is emitted in a deterministic order. Lie derivatives are derived exactly, as
+integers over powers of two (exact_lie); their floats are those correctly
+rounded (rounded).
 """
 
 from __future__ import annotations
@@ -365,39 +367,96 @@ def mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def partial_derivative(p: Polynomial, var: int) -> Polynomial:
-    """Formal partial derivative with respect to variable ``var`` (0-based)."""
+    """Formal partial derivative with respect to variable ``var`` (0-based), the rounding of
+    the exact one (each coefficient times its exponent, so ValueError only on overflow)."""
     if not 0 <= var < p.nvars:
         raise ValueError("variable index %d out of range [0, %d)" % (var, p.nvars))
-    acc: Dict[Monomial, float] = {}
-    for exps, coef in p.terms.items():
-        e = exps[var]
-        if e == 0:
-            continue
-        key = exps[:var] + (e - 1,) + exps[var + 1:]
-        acc[key] = acc.get(key, 0.0) + coef * e
-    return Polynomial._result(acc, p.nvars)
+    return rounded(exact_partial(exact(p), var), p.nvars)
 
 
-def gradient(p: Polynomial) -> List[Polynomial]:
-    return [partial_derivative(p, i) for i in range(p.nvars)]
+# -- exact polynomials ---------------------------------------------------------
+#
+# An exact polynomial is ({monomial: integer}, shift): each coefficient is the
+# integer divided by 2**shift. Every float is such a number, and sums,
+# products and derivatives stay exact. Exact zeros are dropped, and the terms
+# keep the order in which the float operations above would insert them.
+
+Exact = Tuple[Dict[Monomial, int], int]
 
 
-def _chain_sum(grads: Sequence[Polynomial], field: Sequence[Polynomial]) -> Polynomial:
-    """sum_i grads[i] * field[i], adding one product at a time in i order.
+def exact(p: Polynomial) -> Exact:
+    ratios = {mo: c.as_integer_ratio() for mo, c in p.terms.items()}
+    shift = max((d.bit_length() - 1 for _, d in ratios.values()), default=0)
+    return {mo: n << (shift - d.bit_length() + 1) for mo, (n, d) in ratios.items()}, shift
 
-    A pair with a zero factor adds nothing and is skipped; every other
-    product is added as a polynomial sum would add it, so the coefficients
-    and the term order are those of the plain term-by-term sum.
-    """
-    acc = Polynomial.zero(grads[0].nvars)
+
+def exact_add(p: Exact, q: Exact) -> Exact:
+    shift = max(p[1], q[1])
+    out = {mo: v << (shift - p[1]) for mo, v in p[0].items()}
+    for mo, v in q[0].items():
+        out[mo] = out.get(mo, 0) + (v << (shift - q[1]))
+    return {mo: v for mo, v in out.items() if v}, shift
+
+
+def exact_mul(p: Exact, q: Exact) -> Exact:
+    out: Dict[Monomial, int] = {}
+    for ea, va in p[0].items():
+        for eb, vb in q[0].items():
+            mo = tuple(map(operator.add, ea, eb))
+            out[mo] = out.get(mo, 0) + va * vb
+    return {mo: v for mo, v in out.items() if v}, p[1] + q[1]
+
+
+def exact_partial(p: Exact, var: int) -> Exact:
+    out = {}
+    for mo, v in p[0].items():
+        if mo[var]:
+            out[mo[:var] + (mo[var] - 1,) + mo[var + 1:]] = v * mo[var]
+    return out, p[1]
+
+
+def _chain(grads: Sequence[Exact], field: Sequence[Polynomial]) -> Exact:
+    """sum_i grads[i] * field[i], exactly, adding one product at a time in i order."""
+    acc: Exact = ({}, 0)
     for d, v in zip(grads, field):
-        if d.terms and v.terms:
-            acc = acc + d * v
+        if d[0] and v.terms:
+            acc = exact_add(acc, exact_mul(d, exact(v)))
     return acc
 
 
+def rounded(p: Exact, nvars: int) -> Polynomial:
+    """The float polynomial of p's coefficients, each correctly rounded, in p's term order.
+
+    A float polynomial holds no coefficient below PRUNE_TOL, so a nonzero
+    exact coefficient that rounds below it, or one that overflows, has no
+    float form: ValueError names its monomial.
+    """
+    scale = 1 << p[1]
+    terms = {}
+    for mo, v in p[0].items():
+        try:
+            c = terms[mo] = v / scale
+        except OverflowError:
+            raise ValueError("non-finite coefficient: monomial %r overflows a float"
+                             % (mo,)) from None
+        if abs(c) < PRUNE_TOL:
+            raise ValueError("the coefficient of monomial %r is nonzero but rounds to %r, below "
+                             "PRUNE_TOL = %g" % (mo, c, PRUNE_TOL))
+    return Polynomial._result(terms, nvars)
+
+
+def exact_lie(b: Polynomial, fields: Iterable[Sequence[Polynomial]]) -> Tuple[Exact, List[Exact]]:
+    """b, and its derivative sum_i (db/dx_i) * v_i along each vector field v of fields, exactly."""
+    eb = exact(b)
+    grads = [exact_partial(eb, i) for i in range(b.nvars)]
+    return eb, [_chain(grads, v) for v in fields]
+
+
 def lie_derivative_drift(b: Polynomial, f: PolyMatrix) -> Polynomial:
-    """Derivative of b along the drift field: sum_i (db/dx_i) * f_i."""
+    """Derivative of b along the drift field, sum_i (db/dx_i) * f_i, correctly rounded.
+
+    Raises ValueError where rounding cannot hold an exact coefficient (see rounded).
+    """
     if f.cols != 1:
         raise ValueError("drift must be a column vector, got %d columns" % f.cols)
     if f.rows != b.nvars or f.nvars != b.nvars:
@@ -405,18 +464,18 @@ def lie_derivative_drift(b: Polynomial, f: PolyMatrix) -> Polynomial:
             "drift has %d rows over %d variables, b has %d variables"
             % (f.rows, f.nvars, b.nvars)
         )
-    return _chain_sum(gradient(b), [row[0] for row in f.entries])
+    return rounded(exact_lie(b, [f.entry_list()])[1][0], b.nvars)
 
 
 def lie_derivative_input(b: Polynomial, g: PolyMatrix) -> PolyMatrix:
-    """Row vector of derivatives of b along each input channel of g."""
+    """Row vector of derivatives of b along each input channel of g, each correctly rounded;
+    raises ValueError as lie_derivative_drift does."""
     if g.rows != b.nvars or g.nvars != b.nvars:
         raise ValueError(
             "input matrix has %d rows over %d variables, b has %d variables"
             % (g.rows, g.nvars, b.nvars)
         )
-    grads = gradient(b)
-    return PolyMatrix([[_chain_sum(grads, column) for column in zip(*g.entries)]])
+    return PolyMatrix([[rounded(d, b.nvars) for d in exact_lie(b, zip(*g.entries))[1]]])
 
 
 def evaluate(p: Polynomial, point: Sequence[float]) -> float:

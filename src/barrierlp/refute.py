@@ -21,11 +21,12 @@ Two stages find and prove one:
   Numerica 19, 2010) proves a true zero of b and the independent Lgb
   channels in a box of radius about 2^-30 around x, with the extra
   coordinates fixed, and bounds Lfb < 0 over that box. b, Lfb and Lgb are
-  derived exactly from the candidate's b, f and g (integer numerators over
-  powers of two) and evaluated in outward-rounded float intervals, each
-  bound moved one ulp outward after every operation. A channel is left
-  out only when it is exactly zero or an exact linear combination of the
-  channels kept. Overflow, a NaN or a failed containment refutes nothing.
+  the candidate's exact forms (integer numerators over powers of two,
+  derived once when the candidate is built; see polyring.exact_lie),
+  evaluated in outward-rounded float intervals, each bound moved one ulp
+  outward after every operation. A channel is left out only when it is
+  exactly zero or an exact linear combination of the channels kept.
+  Overflow, a NaN or a failed containment refutes nothing.
 
 A weaker proof comes first where it applies. At a state with b = 0,
 Lgb = 0 and Lfb = 0 the a=0 identity reads 0 = s2(x) + 1 >= 1, so no a=0
@@ -36,9 +37,9 @@ every term of Lfb has a factor in V, so Lfb vanishes on that whole set.
 The same Krawczyk test then proves a zero of b with V fixed at exactly 0,
 near a real root of b along one axis of that set (numpy.roots).
 Such a witness (scope "a=0") drops the a=0 rungs only, and also shows that
-no state with Lfb < 0 exists on {Lgb = 0}, so the search is skipped. A
-float prefilter on the candidate's Lgb (live terms of degree 1 only) keeps
-the proof off every other candidate.
+no state with Lfb < 0 exists on {Lgb = 0}, so the search is skipped. Every
+candidate is tried; one with a live Lgb term not of degree 1 is turned away
+by a scan of its exact terms.
 
 The search is deterministic: the starts are one fixed array and the budget
 an iteration count.
@@ -48,13 +49,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyring import Monomial, Polynomial
+from .polyring import Exact, Monomial, exact_partial
 
 SEARCH_STARTS = 16
 SEARCH_ITERS = 8
@@ -231,55 +231,8 @@ def search(ring) -> Optional[np.ndarray]:
 
 
 # -- exact polynomials -------------------------------------------------------------
-#
-# An exact polynomial is ({monomial: integer}, shift): each coefficient is the
-# integer divided by 2**shift. Every float is such a number, and sums,
-# products and derivatives stay exact.
 
-_Exact = Tuple[Dict[Monomial, int], int]
-
-
-def _exact(p: Polynomial) -> _Exact:
-    ratios = {mo: c.as_integer_ratio() for mo, c in p.terms.items()}
-    shift = max((d.bit_length() - 1 for _, d in ratios.values()), default=0)
-    return {mo: n << (shift - d.bit_length() + 1) for mo, (n, d) in ratios.items()}, shift
-
-
-def _exact_add(p: _Exact, q: _Exact) -> _Exact:
-    shift = max(p[1], q[1])
-    out = {mo: v << (shift - p[1]) for mo, v in p[0].items()}
-    for mo, v in q[0].items():
-        out[mo] = out.get(mo, 0) + (v << (shift - q[1]))
-    return {mo: v for mo, v in out.items() if v}, shift
-
-
-def _exact_mul(p: _Exact, q: _Exact) -> _Exact:
-    out: Dict[Monomial, int] = {}
-    for ea, va in p[0].items():
-        for eb, vb in q[0].items():
-            mo = tuple(map(operator.add, ea, eb))
-            out[mo] = out.get(mo, 0) + va * vb
-    return {mo: v for mo, v in out.items() if v}, p[1] + q[1]
-
-
-def _exact_partial(p: _Exact, var: int) -> _Exact:
-    out = {}
-    for mo, v in p[0].items():
-        if mo[var]:
-            out[mo[:var] + (mo[var] - 1,) + mo[var + 1:]] = v * mo[var]
-    return out, p[1]
-
-
-def _chain(grads: Sequence[_Exact], field: Sequence[Polynomial]) -> _Exact:
-    """sum_i grads[i] * field[i], exactly."""
-    acc: _Exact = ({}, 0)
-    for d, v in zip(grads, field):
-        if d[0] and v.terms:
-            acc = _exact_add(acc, _exact_mul(d, _exact(v)))
-    return acc
-
-
-def _independent(channels: Sequence[_Exact]) -> List[int]:
+def _independent(channels: Sequence[Exact]) -> List[int]:
     """Indices of the channels kept: each one independent of those before it.
 
     Every channel left out is exactly zero or an exact linear combination
@@ -351,7 +304,7 @@ class _Box:
                 pw.append(_imul(pw[-1], iv))
             self.powers.append(pw)
 
-    def evaluate(self, p: _Exact):
+    def evaluate(self, p: Exact):
         acc = (0.0, 0.0)
         powers = self.powers
         shift = p[1]
@@ -364,7 +317,7 @@ class _Box:
         return acc
 
 
-def _top_exponent(polys: Sequence[_Exact]) -> int:
+def _top_exponent(polys: Sequence[Exact]) -> int:
     return max((max(mo) for p in polys for mo in p[0]), default=0)
 
 
@@ -391,15 +344,14 @@ def _free_coordinates(J: np.ndarray) -> Optional[List[int]]:
     return sorted(free)
 
 
-def check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
-    """Prove a counterexample near the point x of b's ring, or return None.
+def check(cand, x: np.ndarray) -> Optional[Counterexample]:
+    """Prove a counterexample for the candidate cand near the point x of its ring, or return None.
 
-    f (n x 1) and g (n x m) are the system's PolyMatrix fields. Nothing is
-    read from Lie derivatives computed in floats: Lfb and Lgb are derived
-    here exactly from b, f and g.
+    Nothing is read from Lie derivatives in floats: b, Lfb and Lgb are the
+    candidate's exact forms (cand.exact).
     """
     try:
-        return _check(b, f, g, x)
+        return _check(cand, x)
     except (_Overflow, OverflowError, np.linalg.LinAlgError):
         return None
 
@@ -415,16 +367,6 @@ def _grid_centre(x: Sequence[float]) -> Tuple[List[float], float]:
     radius = math.ldexp(1.0, RADIUS_EXP + max(e, 0))
     grid = math.ldexp(radius, -GRID_BITS)
     return [round(v / grid) * grid for v in x], radius
-
-
-def _exact_lie(b: Polynomial, f, g,
-               variables: Sequence[int]) -> Tuple[_Exact, _Exact, List[_Exact]]:
-    """(b, Lfb, [Lgb_j]) exactly, the gradient over variables (b's own; it is zero elsewhere)."""
-    eb = _exact(b)
-    grads = [_exact_partial(eb, i) for i in variables]
-    lfb = _chain(grads, [f[i, 0] for i in variables])
-    lgb = [_chain(grads, col) for col in zip(*(g.entries[i] for i in variables))]
-    return eb, lfb, lgb
 
 
 def _krawczyk(F, partials, centre: Sequence[float], radius: float, free: Sequence[int], Y,
@@ -463,16 +405,16 @@ def _krawczyk(F, partials, centre: Sequence[float], radius: float, free: Sequenc
     return over
 
 
-def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
-    n = b.nvars
+def _check(cand, x: np.ndarray) -> Optional[Counterexample]:
+    n = cand.b.nvars
     if x.shape != (n,) or not np.isfinite(x).all():
         return None
-    eb, lfb, lgb = _exact_lie(b, f, g, b.support_vars())
+    eb, lfb, lgb = cand.exact
     channels = _independent(lgb)
     eqs = [eb] + [lgb[j] for j in channels]
     if len(eqs) > n:
         return None
-    partials = [[_exact_partial(e, l) for l in range(n)] for e in eqs]
+    partials = [[exact_partial(e, l) for l in range(n)] for e in eqs]
     top = _top_exponent(eqs + [lfb])
     centre, radius = _grid_centre(x.tolist())
 
@@ -503,33 +445,25 @@ def _check(b: Polynomial, f, g, x: np.ndarray) -> Optional[Counterexample]:
 
 # -- the a=0 exclusion ----------------------------------------------------------------
 
-def _linear_channels(ring) -> bool:
-    """Float prefilter: some Lgb channel of ring is live, and every live term has degree 1."""
-    live = [q for q in ring.lgb.entry_list() if q.terms]
-    return bool(live) and all(sum(mo) == 1 for q in live for mo in q.terms)
+def exclude_a0(cand) -> Optional[Counterexample]:
+    """An exact witness that no a=0 rung can certify the candidate cand, or None.
 
-
-def exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
-    """An exact witness that no a=0 rung can certify b along f and g, or None.
-
-    f (n x 1) and g (n x m) are the system's PolyMatrix fields; Lfb and Lgb
-    are derived here exactly, as check does. The witness (scope A0) needs
-    every live Lgb channel to be a homogeneous linear form, the forms to
-    have rank |V| in their variables V, every term of Lfb to have a factor
-    in V, and a zero of b with V fixed at 0: the real roots of b along each
-    axis of {V = 0} (numpy.roots, largest first) go to the Krawczyk test on
-    b alone until one is proven. Anything short of that proves nothing.
+    b, Lfb and Lgb are cand's exact forms, as check reads them. The witness
+    (scope A0) needs every live Lgb channel to be a homogeneous linear form
+    (a scan of the terms, which ends most calls), the forms to have rank |V|
+    in their variables V, every term of Lfb to have a factor in V, and a
+    zero of b with V fixed at 0: the real roots of b along each axis of
+    {V = 0} (numpy.roots, largest first) go to the Krawczyk test on b alone
+    until one is proven. Anything short of that proves nothing.
     """
     try:
-        return _exclude_a0(b, f, g)
+        return _exclude_a0(cand)
     except (_Overflow, OverflowError, np.linalg.LinAlgError):
         return None
 
 
-def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
-    n = b.nvars
-    support = b.support_vars()
-    eb, lfb, lgb = _exact_lie(b, f, g, support)
+def _exclude_a0(cand) -> Optional[Counterexample]:
+    eb, lfb, lgb = cand.exact
     live = [c for c in lgb if c[0]]
     if not live or any(sum(mo) != 1 for c in live for mo in c[0]):
         return None
@@ -540,7 +474,8 @@ def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
         return None  # a term of Lfb survives on {V = 0}
 
     # b on {V = 0}, over its variables W outside V: a polynomial q in len(W) variables.
-    W = [i for i in support if i not in V]
+    n = cand.b.nvars
+    W = [i for i in cand.b.support_vars() if i not in V]
     q = ({tuple(mo[i] for i in W): c for mo, c in eb[0].items() if not any(mo[v] for v in V)},
          eb[1])
     if not W or not q[0]:
@@ -559,7 +494,7 @@ def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
             if not (slope and math.isfinite(slope)):
                 continue
             F = [_Box([(v, v) for v in centre], top).evaluate(q)]
-            if _krawczyk(F, [[_exact_partial(q, l)]], centre, radius, [l], [[1.0 / slope]],
+            if _krawczyk(F, [[exact_partial(q, l)]], centre, radius, [l], [[1.0 / slope]],
                          top) is None:
                 continue
             full = [0.0] * n
@@ -578,17 +513,15 @@ def _exclude_a0(b: Polynomial, f, g) -> Optional[Counterexample]:
 def refute(cand, ring, searched: Dict[object, Optional[np.ndarray]]) -> Optional[Counterexample]:
     """A checked counterexample for cand, or None; the search runs once per ring class.
 
-    Where ring's live Lgb terms all have degree 1, exclude_a0 runs first; its
-    witness is returned without a search, since no state with Lfb < 0 exists
-    on {Lgb = 0} then. searched maps a support-ring class key to its
-    search's point (or None) for the call; candidates of one class lift the
-    same point to their own variables and are each checked in their own
-    ring.
+    exclude_a0 runs first; its witness is returned without a search, since
+    no state with Lfb < 0 exists on {Lgb = 0} then. searched maps a
+    support-ring class key to its search's point (or None) for the call;
+    candidates of one class lift the same point to their own variables and
+    are each checked in their own ring.
     """
-    if _linear_channels(ring):
-        witness = exclude_a0(cand.b, cand.sys.f, cand.sys.g)
-        if witness is not None:
-            return witness
+    witness = exclude_a0(cand)
+    if witness is not None:
+        return witness
     key = ring.key
     if key not in searched:
         searched[key] = search(ring)
@@ -597,4 +530,4 @@ def refute(cand, ring, searched: Dict[object, Optional[np.ndarray]]) -> Optional
         return None
     x = np.zeros(ring.nvars)
     x[list(ring.variables)] = point
-    return check(cand.b, cand.sys.f, cand.sys.g, x)
+    return check(cand, x)

@@ -5,7 +5,8 @@ matching `[A-Za-z_][A-Za-z_0-9]*`), drift, input matrix, candidate
 barriers, and options; every polynomial is written in a small expression
 grammar: a signed sum of terms, each an optional real coefficient and
 '*'-separated `name^k` powers (`^1` may be omitted, multiplication is
-always explicit). Reports serialize a verification outcome to
+always explicit). A nonzero coefficient below PRUNE_TOL is refused, not
+dropped. Reports serialize a verification outcome to
 stable-ordered JSON or a short text summary; Gram matrices appear as
 row-major arrays and polynomials as [exponents, coefficient] pairs so
 certificates can be rechecked by other tools. A boundary counterexample
@@ -20,7 +21,7 @@ import re
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polyring import Monomial, Polynomial, PolyMatrix
+from .polyring import PRUNE_TOL, Monomial, Polynomial, PolyMatrix
 from .verifier import (
     LP_TIMINGS,
     CandidateCbf,
@@ -132,6 +133,10 @@ class _PolyParser:
         saw_factor = False
         if tok[0] == "number":
             coef = float(tok[1])
+            # A nonzero digit before the exponent makes the literal nonzero.
+            if coef < PRUNE_TOL and re.match(r"[0-9.]*[1-9]", tok[1]):
+                self.fail("coefficient %s is nonzero and below PRUNE_TOL = %g, which every "
+                          "polynomial drops" % (tok[1], PRUNE_TOL), tok)
             self.take()
             nxt = self.peek()
             if nxt is not None and nxt[0] == "name":
@@ -185,7 +190,8 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse the expression grammar over the declared variables.
 
     Raises PolyParseError with line/column on unknown variables, malformed
-    exponents, implicit multiplication, or empty input.
+    exponents, implicit multiplication, a nonzero coefficient below
+    PRUNE_TOL (which Polynomial would drop), or empty input.
     """
     return _PolyParser(text, variables).parse()
 
@@ -345,7 +351,7 @@ def load_problem(document: Union[str, dict]) -> ProblemSpec:
         b = _parse_poly_field(s, variables, path, parsed)
         try:
             candidates.append(CandidateCbf.from_system(b, system))
-        except ValueError as exc:  # a Lie derivative overflows to a non-finite coefficient
+        except ValueError as exc:  # an exact Lie derivative coefficient no float holds
             raise ProblemFormatError(path, str(exc)) from exc
 
     opt_doc = document.get("options", {})

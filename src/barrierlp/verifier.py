@@ -44,8 +44,9 @@ so no a=0 rung can certify, and none with Lfb < 0 exists. That witness
 runs, and the outcome keeps the witness whatever the verdict. Anything
 short of a proof refutes nothing, and the schedule runs.
 
-A candidate derives Lfb and Lgb once, from the system it is built with,
-and nothing derives them again. Single programs are assembled in its support
+A candidate derives b, Lfb and Lgb exactly once, from the system it is
+built with; its float lfb and lgb are their rounding, and nothing derives
+them again. Single programs are assembled in its support
 ring (SupportRing): its b, Lfb and Lgb projected onto the state variables
 occurring in them, in ascending order, and the nonzero Lgb channels. The
 ring takes the candidate's place in the degree policy and the assembly,
@@ -96,13 +97,17 @@ from .lpsolve import (
     solve_feasibility,
     validate_farkas,
 )
+# lie_derivative_* are not called here; perfbench/spans.py looks them up on this module.
 from .polyring import (
+    Exact,
     Monomial,
     Polynomial,
     PolyMatrix,
+    exact_lie,
     lie_derivative_drift,
     lie_derivative_input,
     monomial_basis_on_support,
+    rounded,
 )
 from .refute import EVERY_RUNG, Counterexample, refute
 
@@ -149,20 +154,26 @@ class ControlAffineSystem:
 
 @dataclass(frozen=True)
 class CandidateCbf:
-    """Candidate barrier b of sys, with Lie derivatives along f and g derived at construction."""
+    """Candidate barrier b of sys, with Lie derivatives along f and g derived at construction.
+
+    exact holds (b, Lfb, Lgb channels) exactly (polyring.exact_lie); lfb and lgb are
+    their rounding, which raises ValueError where no float holds a coefficient.
+    """
 
     b: Polynomial
     sys: ControlAffineSystem
+    exact: Tuple[Exact, Exact, Tuple[Exact, ...]] = field(init=False, compare=False, repr=False)
     lfb: Polynomial = field(init=False, compare=False)
     lgb: PolyMatrix = field(init=False, compare=False)  # 1 x m
 
     def __post_init__(self):
-        if self.b.nvars != self.sys.n:
-            raise ValueError(
-                "candidate has %d variables, system has %d states" % (self.b.nvars, self.sys.n)
-            )
-        object.__setattr__(self, "lfb", lie_derivative_drift(self.b, self.sys.f))
-        object.__setattr__(self, "lgb", lie_derivative_input(self.b, self.sys.g))
+        n = self.b.nvars
+        if n != self.sys.n:
+            raise ValueError("candidate has %d variables, system has %d states" % (n, self.sys.n))
+        eb, (lfb, *lgb) = exact_lie(self.b, [self.sys.f.entry_list(), *zip(*self.sys.g.entries)])
+        object.__setattr__(self, "exact", (eb, lfb, tuple(lgb)))
+        object.__setattr__(self, "lfb", rounded(lfb, n))
+        object.__setattr__(self, "lgb", PolyMatrix([[rounded(c, n) for c in lgb]]))
 
     @classmethod
     def from_system(cls, b: Polynomial, sys: ControlAffineSystem) -> "CandidateCbf":
@@ -716,20 +727,32 @@ def archimedean_witness(generators: Sequence[Polynomial]) -> Optional[int]:
     return None
 
 
+def _emptiness_bases(cands: Sequence[CandidateCbf], archimedean_C: Optional[int]) -> _Bases:
+    """One emptiness sweep's bases, over its generators: each b_i, then C - |x|^2 if C is set."""
+    gens = [c.b for c in cands]
+    if archimedean_C is not None:
+        gens = augment_archimedean(cands, archimedean_C)
+    return _Bases(gens, cands[0].b.nvars)
+
+
 def assemble_emptiness_lp(
     cands: Sequence[CandidateCbf],
     deg_s: int,
     archimedean_C: Optional[int] = None,
+    bases: Optional[_Bases] = None,
 ) -> Tuple[LpProblem, EmptinessLayout]:
-    """Transcribe 1 + s0 + sum_i si*bi == 0 into an equality/DD system."""
+    """Transcribe 1 + s0 + sum_i si*bi == 0 into an equality/DD system.
+
+    bases, when given, is _emptiness_bases(cands, archimedean_C), which the
+    degrees of one sweep share; it is built here otherwise.
+    """
     if len(cands) < 1:
         raise ValueError("need at least one candidate")
-    n = cands[0].b.nvars
-    generators = [c.b for c in cands]
+    if bases is None:
+        bases = _emptiness_bases(cands, archimedean_C)
+    n, generators = bases.n, bases.fixed
     augmented = archimedean_C is not None
-    if augmented:
-        generators = augment_archimedean(cands, archimedean_C)
-    gram_basis, pairs = _Bases(generators, n).gram(deg_s)
+    gram_basis, pairs = bases.gram(deg_s)
     # s_i * b_i reaches 2 deg_s + deg(b_i).
     codes = MonomialCodes(n, 2 * deg_s + max(max(gen.degree() for gen in generators), 0))
 
@@ -749,7 +772,7 @@ def assemble_emptiness_lp(
         nvars=alloc.count,
         gram_basis=list(gram_basis),
         s_vars=s_vars,
-        generators=generators,
+        generators=list(generators),
         augmented=augmented,
         identity=e,
         fixed=fixed,
@@ -870,8 +893,8 @@ def certificate_residual(
             raise ValueError("multiplier count does not match the input dimension")
         a = cert.a if cert.a is not None else 0
         power_term = Polynomial.one(b.nvars) if a == 0 else lfb ** (2 * a)
-        # A channel product with a zero factor adds nothing and is skipped,
-        # as in the Lie derivatives; the sum keeps every bit.
+        # A channel product with a zero factor adds nothing and is skipped;
+        # the sum keeps every bit.
         h1 = s_polys[0] + b * cert.p10
         for j in range(lgb.cols):
             if lgb[0, j].terms and cert.p1[j].terms:
@@ -1043,9 +1066,10 @@ def _single_rungs(
 
 
 def _emptiness_rungs(cands: Sequence[CandidateCbf], opts: VerifierOptions) -> List[_Rung]:
+    bases = _emptiness_bases(cands, opts.archimedean_C)
     return [
         _Rung("emptiness deg_s=%d" % ds, ds, ds,
-              lambda ds=ds: assemble_emptiness_lp(cands, ds, archimedean_C=opts.archimedean_C),
+              lambda ds=ds: assemble_emptiness_lp(cands, ds, opts.archimedean_C, bases),
               lambda layout, z: extract_emptiness_certificate(layout, z, cands))
         for ds in _emptiness_schedule(cands, opts)["emptiness_deg_s"]
     ]
@@ -1196,7 +1220,8 @@ def verify_multi(
     """
     if opts is None:
         opts = VerifierOptions()
-    if any(c.sys != sys for c in cands):
+    # Equal systems built apart compare polynomial by polynomial: once per object.
+    if any(other != sys for other in {id(c.sys): c.sys for c in cands}.values()):
         raise ValueError("candidate was built for another system")
     t0 = time.perf_counter()
 

@@ -17,11 +17,9 @@ by term, the way the program did before it assembled over arrays; ray
 weights reads DSOS weights off a diagonally dominant matrix. The full-ring
 programs are the single and emptiness programs as the program built them
 before it assembled every program over reduced bases; each reduced program
-must have the solve status of its full-ring one. The reference Lie
-derivatives add every product grad_i * f_i and grad_i * g_ij, zero or not,
-with each sum, product and derivative built by the validating Polynomial
-constructor, the way the program did before its arithmetic results skipped
-that validation.
+must have the solve status of its full-ring one. The Lie derivatives are
+derived in rationals (exact_lie_derivatives); the program's float ones must
+be their correct rounding, term for term.
 
 The reference presolve walks one dict per row, with a set of rows per
 column, as the program did before it held each program as arrays. The
@@ -379,49 +377,6 @@ def full_ring_emptiness_lp(cands, deg_s):
     lp = _identity_lp(alloc.count, e, fixed, s_vars)
     return lp, EmptinessLayout(deg_s, alloc.count, gram_basis, s_vars, generators, False,
                                e, fixed)
-
-
-# -- reference Lie derivatives -------------------------------------------------
-
-def _validated_sum(p, q):
-    acc = dict(p.terms)
-    for mono, c in q.terms.items():
-        acc[mono] = acc.get(mono, 0.0) + c
-    return Polynomial(acc, p.nvars)
-
-
-def _validated_product(p, q):
-    acc = {}
-    for ea, ca in p.terms.items():
-        for eb, cb in q.terms.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            acc[key] = acc.get(key, 0.0) + ca * cb
-    return Polynomial(acc, p.nvars)
-
-
-def _validated_partial(p, var):
-    acc = {}
-    for exps, coef in p.terms.items():
-        e = exps[var]
-        if e:
-            key = tuple(x - 1 if i == var else x for i, x in enumerate(exps))
-            acc[key] = acc.get(key, 0.0) + coef * e
-    return Polynomial(acc, p.nvars)
-
-
-def lie_derivatives(b, sys):
-    """(Lfb, [Lgb_j]) of b along sys, summed over every state i in order."""
-    n = b.nvars
-    grads = [_validated_partial(b, i) for i in range(n)]
-
-    def chain(field):
-        acc = Polynomial.zero(n)
-        for i in range(n):
-            acc = _validated_sum(acc, _validated_product(grads[i], field[i]))
-        return acc
-
-    return (chain([sys.f[i, 0] for i in range(n)]),
-            [chain([sys.g[i, j] for i in range(n)]) for j in range(sys.m)])
 
 
 # -- reference simplex and gates ----------------------------------------------

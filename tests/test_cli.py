@@ -225,6 +225,25 @@ def test_malformed_problem_exit_three(tmp_path, capsys):
         assert "%s: expected " % path in capsys.readouterr().err
 
 
+def test_terms_below_the_pruning_tolerance_exit_three(tmp_path, capsys):
+    # Dropping these terms made b = -x^2 with Lfb = 0, and the verdict Verified;
+    # exactly, Lfb = (2e-150 - 2e-200) x y changes sign on b = 0.
+    doc = {"schema": 1, "variables": ["x", "y"], "drift": ["1e-200*y", "-x"],
+           "input_matrix": [["0"], ["0"]], "candidates": ["1e-100 - x^2 - 1e-150*y^2"]}
+    assert main(["verify", write_problem(tmp_path, "tiny.json", doc)]) == 3
+    assert "error: drift[0]: coefficient 1e-200 is nonzero and below PRUNE_TOL" in \
+        capsys.readouterr().err
+    doc["drift"][0] = "y"
+    assert main(["verify", write_problem(tmp_path, "tiny.json", doc)]) == 3
+    assert "error: candidates[0]: coefficient 1e-100 is nonzero" in capsys.readouterr().err
+    # Every literal at or above it, but a product of them in Lfb below it.
+    doc["candidates"] = ["1 - 1e-7*x^2 - y^2"]
+    doc["drift"] = ["1e-8*y", "0"]
+    assert main(["verify", write_problem(tmp_path, "tiny.json", doc)]) == 3
+    assert "error: candidates[0]: the coefficient of monomial (1, 1) is nonzero" in \
+        capsys.readouterr().err
+
+
 def test_bad_schedule_flags_exit_three(tmp_path):
     path = write_problem(tmp_path, "p.json", unit_disc_doc())
     assert main(["verify", path, "--deg-s", "2,1"]) == 3

@@ -187,18 +187,16 @@ def test_check_corpus_counterexample(benchmark):
     x = np.zeros(3)
     ring = support_ring(cand)
     x[list(ring.variables)] = refute.search(ring)
-    cex = benchmark.pedantic(refute.check, args=(cand.b, cand.sys.f, cand.sys.g, x),
-                             rounds=20, iterations=5)
+    cex = benchmark.pedantic(refute.check, args=(cand, x), rounds=20, iterations=5)
     assert cex is not None and cex.lfb_upper < 0.0
 
 
 def test_exclude_a0_fleet_candidate(benchmark):
     """The exact a=0 proof of a chaser in the L=6 fleet (36 states, 18 inputs), which replaces
-    the search above: exact Lie derivatives over b's 6 variables, the rank of 3 channels, and
-    a Krawczyk test of b on {v = 0}."""
-    sys, cands = fleet(6)
+    the search above: the rank of 3 exact channels, the factors of Lfb, and a Krawczyk test
+    of b on {v = 0}."""
+    _, cands = fleet(6)
     cand = cands[3]
-    cex = benchmark.pedantic(refute.exclude_a0, args=(cand.b, sys.f, sys.g),
-                             rounds=20, iterations=5)
+    cex = benchmark.pedantic(refute.exclude_a0, args=(cand,), rounds=20, iterations=5)
     assert (cex.scope, cex.channels, cex.lfb_upper) == ("a=0", (), 0.0)
     assert [i for i in range(36) if i not in cex.fixed] == [18]

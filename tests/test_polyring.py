@@ -212,11 +212,12 @@ def test_lie_drift_matches_finite_differences():
 
 
 def assert_lie_matches_reference(cand):
-    """cand's Lie derivatives equal the term-by-term reference: values and term order."""
-    lfb, lgb = ref.lie_derivatives(cand.b, cand.sys)
-    assert list(cand.lfb.terms.items()) == list(lfb.terms.items())
-    assert [list(p.terms.items()) for p in cand.lgb.entry_list()] == [
-        list(p.terms.items()) for p in lgb]
+    """cand's Lie derivatives are the rational ones, each coefficient correctly rounded,
+    in the same term order."""
+    lfb, lgb = ref.exact_lie_derivatives(cand.b, cand.sys.f, cand.sys.g)
+    rounded = lambda p: [(mo, float(c)) for mo, c in p.items()]
+    assert list(cand.lfb.terms.items()) == rounded(lfb)
+    assert [list(p.terms.items()) for p in cand.lgb.entry_list()] == [rounded(p) for p in lgb]
 
 
 @pytest.mark.parametrize("params", [
@@ -238,6 +239,18 @@ def test_lie_derivatives_match_the_reference_on_the_corpus():
             assert_lie_matches_reference(cand)
             count += 1
     assert count > 150
+
+
+def test_lie_derivatives_refuse_coefficients_no_float_holds():
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    zero = Polynomial.zero(2)
+    # 2e-7 x * 1e-8 y = 2e-15 x y: nonzero, and below PRUNE_TOL.
+    with pytest.raises(ValueError, match=r"monomial \(1, 1\) is nonzero but rounds to 1.99"):
+        lie_derivative_drift(1e-7 * x * x, PolyMatrix([[1e-8 * y], [zero]]))
+    with pytest.raises(ValueError, match=r"monomial \(0, 0\) overflows a float"):
+        lie_derivative_input(1e300 * x, PolyMatrix([[Polynomial.constant(1e300, 2)], [zero]]))
+    # Terms that cancel exactly are no coefficient at all.
+    assert lie_derivative_drift(x * y, PolyMatrix([[x], [-y]])).is_zero()
 
 
 def test_lie_dimension_mismatch():

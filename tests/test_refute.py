@@ -6,13 +6,14 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import barrierlp.refute as refute
 import barrierlp.verifier as verifier
 from _oracles import counterexample_holds, exact_lie_derivatives, interval_value
 from barrierlp.polyring import Polynomial, PolyMatrix, evaluate
 from barrierlp.satbench import CwParams, build_cw_system, build_inspection_cbf
-from barrierlp.specio import load_problem, write_report
+from barrierlp.specio import ProblemFormatError, load_problem, write_report
 from barrierlp.verifier import (
     CandidateCbf,
     ControlAffineSystem,
@@ -116,12 +117,13 @@ def test_no_fleet_candidate_is_refuted_and_each_class_searches_once(monkeypatch)
 
 
 def test_eroded_candidate_is_not_refuted():
-    # HiGHS finds its a=1 program feasible.
+    # HiGHS finds its a=1 program feasible, and so does the simplex; the
+    # eroded exit is kept on the program pinned in test_verifier.eroded_ring.
     spec = load_problem(ERODED_DOC)
     out = verify_single(spec.system, spec.candidates[1], spec.options)
-    assert out.counterexample is None
-    assert [(r.status, r.exit) for r in out.lps] == [("Infeasible", "optimal"),
-                                                     ("IterationLimit", "eroded")]
+    assert out.counterexample is None and out.verdict is Verdict.VERIFIED
+    assert [(r.status, r.exit, r.iterations) for r in out.lps] == \
+        [("Infeasible", "optimal", 25), ("Feasible", "optimal", 65)]
 
 
 def test_stall_window_candidate_is_refuted_without_a_program(monkeypatch):
@@ -179,8 +181,8 @@ def test_check_needs_a_zero_of_the_equations_in_its_box():
     # Lfb = -1 everywhere, but b = x vanishes only at 0: a point 1e-3 off
     # proves nothing, though every bound on Lfb is negative.
     sys, cand = one_state(lambda x, c: x, lambda x, c: c(-1.0), [0.0])
-    assert refute.check(cand.b, sys.f, sys.g, np.array([1e-3])) is None
-    assert refute.check(cand.b, sys.f, sys.g, np.array([1e-12])) is not None
+    assert refute.check(cand, np.array([1e-3])) is None
+    assert refute.check(cand, np.array([1e-12])) is not None
 
 
 def test_zero_candidate_is_not_refuted():
@@ -202,14 +204,16 @@ def test_identically_zero_channel_is_not_an_equation():
     assert counterexample_holds(cex, cand.b, sys.f, sys.g)
 
 
-def test_channel_pruned_in_floats_but_not_zero_refutes_nothing():
-    # Lgb_1 = 1e-7 * 1e-8 is pruned, so the float data show b = 1e-7 x
-    # refuted at x = 0; exactly, input 1 moves b everywhere.
-    sys, cand = one_state(lambda x, c: 1e-7 * x, lambda x, c: c(-1.0), [0.0, 1e-8])
-    assert cand.lgb[0, 1].is_zero() and not sys.g[0, 1].is_zero()
-    assert refute.search(support_ring(cand)) is not None
-    assert refute.check(cand.b, sys.f, sys.g, np.zeros(1)) is None
-    assert_schedule_as_before(sys, cand)
+def test_channel_below_the_pruning_tolerance_is_refused():
+    # Lgb_1 = 1e-7 * 1e-8 is nonzero, so input 1 moves b = 1e-7 x everywhere;
+    # a float Lgb_1 pruned to zero would show b refuted at x = 0. No float
+    # program can hold the channel, so the candidate and its document are refused.
+    with pytest.raises(ValueError, match=r"monomial \(0,\) is nonzero but rounds to"):
+        one_state(lambda x, c: 1e-7 * x, lambda x, c: c(-1.0), [0.0, 1e-8])
+    doc = {"schema": 1, "variables": ["x"], "drift": ["-1"], "input_matrix": [["0", "1e-08"]],
+           "candidates": ["1e-07*x"]}
+    with pytest.raises(ProblemFormatError, match=r"^candidates\[0\]: .* below PRUNE_TOL"):
+        load_problem(doc)
 
 
 def test_dependent_columns_refute_only_when_the_dependence_is_exact():
@@ -235,11 +239,15 @@ def test_overflowing_search_and_check_refute_nothing(monkeypatch):
         warnings.simplefilter("error")
         assert refute.search(support_ring(cand)) is None
         assert_schedule_as_before(spec.system, cand)
-    # b = 1e300 (x - 1) under dx/dt = -1e300: Lfb = -1e600 overflows every float.
+    # b = 1e300 (x - 1) under dx/dt = -1e300: Lfb = -1e600 overflows every
+    # float, so that candidate is refused.
     sys, cand = one_state(lambda x, c: 1e300 * x - c(1e300), lambda x, c: c(-1.0), [0.0])
     big = ControlAffineSystem(PolyMatrix([[Polynomial.constant(-1e300, 1)]]), sys.g)
-    assert refute.check(cand.b, big.f, big.g, np.ones(1)) is None
-    assert refute.check(cand.b, sys.f, sys.g, np.ones(1)) is not None
+    with pytest.raises(ValueError, match=r"monomial \(0,\) overflows a float"):
+        CandidateCbf(cand.b, big)
+    # Under dx/dt = -1, b at x = 1e200 overflows the interval bounds.
+    assert refute.check(cand, np.array([1e200])) is None
+    assert refute.check(cand, np.ones(1)) is not None
 
 
 def test_reports_are_deterministic_and_carry_the_counterexample():
@@ -308,7 +316,7 @@ def test_fleet_and_stall_a0_rungs_are_ruled_out_exactly(monkeypatch):
 def test_a0_witness_oracle_rejects_mutants():
     sys, cands = fleet(CwParams(L=2))
     cand = cands[1]
-    cex = refute.exclude_a0(cand.b, sys.f, sys.g)
+    cex = refute.exclude_a0(cand)
     assert counterexample_holds(cex, cand.b, sys.f, sys.g)
     free = [i for i in range(cand.b.nvars) if i not in cex.fixed]
     assert free == [6]  # chaser 1's x, at the zero x = R_t of b on {v = 0}
@@ -352,9 +360,15 @@ def _v(i):
     return Polynomial.variable(i, 6)
 
 
+def linear_channels(cand):
+    """Some exact Lgb channel of cand is live, and every live term has degree 1."""
+    live = [terms for terms, _ in cand.exact[2] if terms]
+    return bool(live) and all(sum(mo) == 1 for terms in live for mo in terms)
+
+
 def assert_not_excluded(sys, cand):
     """exclude_a0 proves nothing, and verify_single runs the a=0 rungs as before."""
-    assert refute.exclude_a0(cand.b, sys.f, sys.g) is None
+    assert refute.exclude_a0(cand) is None
     out = verify_single(sys, cand)
     assert out.counterexample is None or out.counterexample.scope == "every rung"
     if out.counterexample is None:
@@ -369,7 +383,7 @@ def test_channel_with_a_constant_term_is_not_excluded():
     sys, base = chaser()
     sys, cand = chaser(b=base.b + 0.5 * _v(3))
     assert (0,) * 6 in cand.lgb[0, 0].terms
-    assert not refute._linear_channels(support_ring(cand))
+    assert not linear_channels(cand)
     assert_not_excluded(sys, cand)
 
 
@@ -378,27 +392,27 @@ def test_rank_deficient_input_matrix_is_not_excluded():
     # rank 2 in three velocities, so Lgb = 0 leaves vx = -vy free.
     g = {(3, 0): 0.5, (4, 0): 0.5, (3, 1): 0.5, (4, 1): 0.5, (5, 2): 0.5}
     sys, cand = chaser(g_cells=g)
-    assert refute._linear_channels(support_ring(cand))
+    assert linear_channels(cand)
     assert_not_excluded(sys, cand)
 
 
-def test_drift_term_below_the_pruning_tolerance_is_seen_exactly():
+def test_drift_term_below_the_pruning_tolerance_is_refused():
     # b = 0.1 x^2 + y^2 + z^2 + 4 v.v - 0.25 under dx/dt = vx + 2e-14 y: the
-    # term 0.2 x * 2e-14 y = 4e-15 x y of Lfb carries no velocity, and the
-    # float Lfb prunes it.
+    # term 0.2 x * 2e-14 y = 4e-15 x y of Lfb carries no velocity, so an a=0
+    # witness that missed it would be wrong. No float Lfb holds it, and the
+    # candidate is refused.
     sys, base = chaser()
     x, y = _v(0), _v(1)
     b = base.b - 0.9 * x * x
-    sys, cand = chaser(b=b, f_rows={0: _v(3) + 2e-14 * y})
     xy = (1, 1, 0, 0, 0, 0)
-    assert xy not in cand.lfb.terms
-    lfb, _ = exact_lie_derivatives(cand.b, sys.f, sys.g)
-    assert lfb[xy] != 0
-    assert refute._linear_channels(support_ring(cand))
-    assert_not_excluded(sys, cand)
+    f = with_drift(sys.f, {0: _v(3) + 2e-14 * y})
+    lfb, _ = exact_lie_derivatives(b, f, sys.g)
+    assert 0 < abs(lfb[xy]) < 1e-14
+    with pytest.raises(ValueError, match=r"monomial \(1, 1, 0, 0, 0, 0\) is nonzero"):
+        CandidateCbf(b, ControlAffineSystem(f, sys.g))
     # Without that drift term the same candidate is excluded.
     sys, cand = chaser(b=b)
-    assert refute.exclude_a0(cand.b, sys.f, sys.g) is not None
+    assert refute.exclude_a0(cand) is not None
 
 
 def test_candidate_without_a_zero_on_the_velocity_free_set_is_not_excluded():
@@ -407,7 +421,7 @@ def test_candidate_without_a_zero_on_the_velocity_free_set_is_not_excluded():
     for i in range(6):
         b = b + _v(i) * _v(i)
     sys, cand = chaser(b=b)
-    assert refute._linear_channels(support_ring(cand))
+    assert linear_channels(cand)
     out = assert_not_excluded(sys, cand)
     assert [r.name.split()[1] for r in out.lps][:1] == ["a=0"]
 
@@ -437,6 +451,6 @@ def test_every_real_root_along_an_axis_is_tried():
     for i in range(3, 6):
         b = b + _v(i) * _v(i)
     sys, cand = chaser(b=b)
-    cex = refute.exclude_a0(cand.b, sys.f, sys.g)
+    cex = refute.exclude_a0(cand)
     assert counterexample_holds(cex, cand.b, sys.f, sys.g)
     assert float.fromhex(cex.centre[0]) == -0.5 and cex.fixed == (1, 2, 3, 4, 5)

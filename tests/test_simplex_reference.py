@@ -23,7 +23,7 @@ from barrierlp.specio import load_problem
 from barrierlp.verifier import Verdict, certificate_residual, check_emptiness, verify_multi
 from test_assembly import corpus_documents
 from test_lpsolve import repeated_rows_lp
-from test_verifier import ERODED_DOC, STALL_WINDOW_DOC, fleet
+from test_verifier import ERODED_DOC, STALL_WINDOW_DOC, eroded_ring, fleet
 
 
 def as_bytes(a):
@@ -187,6 +187,12 @@ def test_fleet_matches_the_reference(monkeypatch):
 def test_gated_exits_match_the_reference(monkeypatch, doc):
     tally = Tally(monkeypatch)
     verify_document(doc)
+    if doc is ERODED_DOC:  # the eroded exit, on the pinned program
+        spec = load_problem(doc)
+        cand = spec.candidates[1]
+        records, _, _ = verifier._run_schedule(
+            verifier._single_rungs(cand, spec.options, eroded_ring(cand)), spec.options, {})
+        assert records[-1].exit == "eroded"
     assert tally.runs > 0 and tally.pivots > 100 and tally.steps > 20
 
 

@@ -111,6 +111,18 @@ def test_parse_scientific_notation():
     assert p.terms[(0,)] == 250.0
 
 
+def test_parse_refuses_nonzero_coefficients_below_the_pruning_tolerance():
+    # Polynomial would drop them, so a parsed problem would lose them silently.
+    for text, column in [("1 - 1e-15*x", 5), ("1e-400 + x", 1), ("x + 0.000000000000001", 5)]:
+        with pytest.raises(PolyParseError, match="below PRUNE_TOL") as info:
+            parse_polynomial(text, ["x"])
+        assert info.value.column == column
+    # Zero literals, and sums whose rounding falls below it, load as before.
+    assert parse_polynomial("0.0e-20 + 0*x + 00.000", ["x"]).is_zero()
+    assert parse_polynomial("0.1*x + 0.2*x - 0.3*x", ["x"]).is_zero()
+    assert parse_polynomial("1e-14*x", ["x"]).terms == {(1,): 1e-14}
+
+
 def test_parse_repeated_variable_powers_accumulate():
     p = parse_polynomial("x*x^2", ["x"])
     assert p == Polynomial({(3,): 1.0}, 1)

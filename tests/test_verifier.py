@@ -279,10 +279,10 @@ def test_multi_iteration_limit_warns_once_per_lp():
 # np.random.default_rng(3): the a=0 program of its first candidate (108 x 56)
 # stalls after one improving pivot and a whole progress window, 409 pivots
 # in all, though HiGHS proves it infeasible. ERODED_DOC is
-# draw 6 from default_rng(21): the a=1 program of its second candidate
-# (136 x 92) ends with a point that meets every reduced row but leaves a
-# sign column at -0.037, so it misses that column's sign row; HiGHS finds
-# the program feasible.
+# draw 6 from default_rng(21): its second candidate verifies at a=1, and
+# the program pinned in eroded_ring (136 x 92) ends with a point that meets
+# every reduced row but leaves a sign column at -0.037, so it misses that
+# column's sign row; HiGHS finds the program feasible.
 STALL_WINDOW_DOC = {
     "schema": 1,
     "variables": ["x", "y", "z"],
@@ -316,6 +316,21 @@ ERODED_DOC = {
 }
 
 
+def eroded_ring(cand):
+    """ERODED_DOC candidate 1's support ring, with the x*y coefficient of Lfb one ulp low.
+
+    Lfb summed in floats rounded that coefficient to 0.03654088102889223;
+    its exact value rounds to 0.03654088102889224. On the float one the a=1
+    program ends eroded after 61 pivots; on the exact rounding it reads
+    Feasible after 65 pivots and certifies.
+    """
+    ring = support_ring(cand)
+    lfb = dict(ring.lfb.terms)
+    assert lfb[(1, 1, 0)] == 0.03654088102889224
+    lfb[(1, 1, 0)] = 0.03654088102889223
+    return dataclasses.replace(ring, lfb=Polynomial(lfb, 3))
+
+
 @pytest.mark.parametrize("doc, index, expected", [
     (STALL_WINDOW_DOC, 0, [("IterationLimit", "stall_window"), ("Infeasible", "optimal")]),
     (ERODED_DOC, 1, [("Infeasible", "optimal"), ("IterationLimit", "eroded")]),
@@ -324,7 +339,8 @@ def test_gated_simplex_exits_on_real_programs(doc, index, expected):
     # The whole schedule runs here: verify_single solves none of it for
     # STALL_WINDOW_DOC's candidate 0, which a counterexample refutes.
     spec = load_problem(doc)
-    rungs = _single_rungs(spec.candidates[index], spec.options)
+    cand = spec.candidates[index]
+    rungs = _single_rungs(cand, spec.options, eroded_ring(cand) if doc is ERODED_DOC else None)
     records, cert, warnings = _run_schedule(rungs, spec.options, {})
     assert cert is None
     assert [(r.status, r.exit) for r in records] == expected
@@ -1033,30 +1049,69 @@ def test_candidate_carries_its_system():
 
 
 def test_lie_derivatives_derived_once_per_candidate(monkeypatch):
-    """A candidate derives its Lie derivatives when it is built; verification derives none."""
-    import barrierlp.verifier as verifier
+    """A candidate derives its Lie derivatives exactly when it is built; verification,
+    the exact refutation included, derives none."""
+    import barrierlp.polyring as polyring
 
     sys, cands = fleet(CwParams(L=3))
-    rings = []
+    sums = []
+    chain = polyring._chain
 
-    def counting(derive):
-        def counted(b, field):
-            rings.append((derive.__name__, b.nvars))
-            return derive(b, field)
-        return counted
+    def counted(grads, field):
+        sums.append(len(field))
+        return chain(grads, field)
 
-    for name in ("lie_derivative_drift", "lie_derivative_input"):
-        monkeypatch.setattr(verifier, name, counting(getattr(verifier, name)))
-    assert verify_multi(sys, cands).verdict is Verdict.MULTI_VERIFIED
-    assert rings == []
-    # A lone chaser uses every variable and channel: its ring holds its own polynomials.
+    monkeypatch.setattr(polyring, "_chain", counted)
+    out = verify_multi(sys, cands)
+    assert out.verdict is Verdict.MULTI_VERIFIED
+    assert all(so.counterexample is not None for so in out.singles)  # each read the exact forms
+    assert sums == []
+    # One chain-rule sum for Lfb and one per input channel.
     sys, (lone,) = fleet(CwParams(L=1))
-    assert rings == [("lie_derivative_drift", 6), ("lie_derivative_input", 6)]
-    rings.clear()
+    assert sums == [6] * 4
+    assert lone.lfb == lie_derivative_drift(lone.b, sys.f)
+    sums.clear()
+    # A lone chaser uses every variable and channel: its ring holds its own polynomials.
     ring = support_ring(lone)
     assert ring.b is lone.b and ring.lfb is lone.lfb and ring.lgb is lone.lgb
     verify_single(sys, lone)
-    assert rings == []
+    assert sums == []
+
+
+def test_joint_run_compares_each_system_object_once(monkeypatch):
+    params = CwParams(L=3)
+    _, cands = fleet(params)
+    calls = []
+    eq = ControlAffineSystem.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(ControlAffineSystem, "__eq__", counted)
+    # Three candidates share one system, equal to the one passed but built apart.
+    assert verify_multi(build_cw_system(params), cands).verdict is Verdict.MULTI_VERIFIED
+    assert len(calls) == 1
+
+
+def test_emptiness_sweep_builds_its_bases_once(monkeypatch):
+    import barrierlp.verifier as verifier
+
+    calls = []
+    classes = verifier.sign_classes
+    monkeypatch.setattr(verifier, "sign_classes",
+                        lambda polys: calls.append(len(polys)) or classes(polys))
+    _, cands = fleet(CwParams(L=2))
+    for opts, generators in [(VerifierOptions(emptiness_deg_s=[0, 1]), 2),
+                             (VerifierOptions(emptiness_deg_s=[0, 1], archimedean_C=4), 3)]:
+        calls.clear()
+        rungs = verifier._emptiness_rungs(cands, opts)
+        programs = [export_lp_text(rung.assemble()[0]) for rung in rungs]
+        assert calls == [generators]
+        # Each degree's program is the one assembled on its own.
+        assert programs == [export_lp_text(assemble_emptiness_lp(cands, d, opts.archimedean_C)[0])
+                            for d in (0, 1)]
 
 
 def test_system_shape_validation():
